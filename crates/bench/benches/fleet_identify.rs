@@ -16,7 +16,7 @@ use emmark_bench::print_header;
 use emmark_core::fleet::FleetVerifier;
 use emmark_core::provision::FleetProvisioner;
 use emmark_core::registry::{
-    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded, LeakIndex,
+    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded,
 };
 use emmark_core::watermark::{GridSource, OwnerSecrets, WatermarkConfig};
 use emmark_nanolm::config::ModelConfig;
@@ -56,16 +56,18 @@ fn provisioner() -> FleetProvisioner {
     FleetProvisioner::new(base, fp_cfg).expect("provisioner")
 }
 
-/// Identify through whichever path, reduced to a comparable verdict.
+/// Identify through the linear scan or the attached index, reduced to a
+/// comparable verdict.
 fn identify<S: GridSource>(
     verifier: &FleetVerifier,
-    index: Option<&LeakIndex>,
+    linear: bool,
     suspect: &S,
     threshold: f64,
 ) -> Option<(String, usize, usize)> {
-    match index {
-        Some(ix) => verifier.identify_leak_indexed(ix, suspect, threshold),
-        None => verifier.identify_leak(suspect, threshold),
+    if linear {
+        verifier.identify_leak_linear(suspect, threshold)
+    } else {
+        verifier.identify_leak(suspect, threshold)
     }
     .expect("identify")
     .map(|(d, r)| (d.device_id.clone(), r.matched_bits, r.total_bits))
@@ -95,6 +97,7 @@ fn main() {
     let decode_time = start.elapsed();
     assert_eq!(manifest, fleet.manifest, "manifest round-trip");
     let index = manifest.index;
+    let index_cells = index.cell_count();
     println!(
         "{n} devices provisioned into {} shards in {:.2} s ({:.1} MiB shards, {:.1} MiB manifest \
          with {} index cells; encode {:.0} ms, decode {:.0} ms)",
@@ -102,7 +105,7 @@ fn main() {
         provision_time.as_secs_f64(),
         shard_bytes as f64 / (1024.0 * 1024.0),
         manifest_bytes.len() as f64 / (1024.0 * 1024.0),
-        index.cell_count(),
+        index_cells,
         encode_time.as_secs_f64() * 1e3,
         decode_time.as_secs_f64() * 1e3,
     );
@@ -120,7 +123,10 @@ fn main() {
     })
     .expect("load");
     let load_time = start.elapsed();
-    let verifier = p.verifier(registry.devices().to_vec());
+    let verifier = p
+        .verifier(registry.devices().to_vec())
+        .with_index(index)
+        .expect("index covers the registry");
     println!(
         "registry reloaded from shards in {:.2} s ({} devices)",
         load_time.as_secs_f64(),
@@ -137,8 +143,8 @@ fn main() {
     // 10^-40 the tiny fingerprint cannot clear the bar, so both paths
     // must agree on None; attribution is asserted at the ordinary bar.
     for &t in &[-6.0, -40.0] {
-        let linear = identify(&verifier, None, &leaked, t);
-        let indexed = identify(&verifier, Some(&index), &leaked, t);
+        let linear = identify(&verifier, true, &leaked, t);
+        let indexed = identify(&verifier, false, &leaked, t);
         assert_eq!(indexed, linear, "leak verdicts diverged at 10^{t}");
         if t == -6.0 {
             assert_eq!(
@@ -147,8 +153,8 @@ fn main() {
                 "misattributed at 10^{t}"
             );
         }
-        let linear = identify(&verifier, None, &base_only, t);
-        let indexed = identify(&verifier, Some(&index), &base_only, t);
+        let linear = identify(&verifier, true, &base_only, t);
+        let indexed = identify(&verifier, false, &base_only, t);
         assert_eq!(indexed, linear, "near-miss verdicts diverged at 10^{t}");
         assert_eq!(indexed, None, "base-only suspect must not be traced");
     }
@@ -159,14 +165,14 @@ fn main() {
     let linear_iters = 3;
     let start = Instant::now();
     for _ in 0..linear_iters {
-        criterion::black_box(identify(&verifier, None, &leaked, -6.0));
+        criterion::black_box(identify(&verifier, true, &leaked, -6.0));
     }
     let linear_time = start.elapsed() / linear_iters;
 
     let indexed_iters = 50;
     let start = Instant::now();
     for _ in 0..indexed_iters {
-        criterion::black_box(identify(&verifier, Some(&index), &leaked, -6.0));
+        criterion::black_box(identify(&verifier, false, &leaked, -6.0));
     }
     let indexed_time = start.elapsed() / indexed_iters;
 
@@ -179,10 +185,7 @@ fn main() {
     );
     println!(
         "{:<52} {:>9.2} ms",
-        format!(
-            "indexed ({} cells read, survivors scored)",
-            index.cell_count()
-        ),
+        format!("indexed ({index_cells} cells read, survivors scored)"),
         indexed_time.as_secs_f64() * 1e3
     );
     println!("\nspeedup {speedup:.0}x, verdicts bit-for-bit identical on every suspect");
@@ -194,10 +197,10 @@ fn main() {
 
     let mut criterion = Criterion::default().sample_size(10).configure_from_args();
     criterion.bench_function(&format!("identify/indexed_{n}"), |b| {
-        b.iter(|| identify(&verifier, Some(&index), &leaked, -6.0))
+        b.iter(|| identify(&verifier, false, &leaked, -6.0))
     });
     criterion.bench_function(&format!("identify/indexed_nearmiss_{n}"), |b| {
-        b.iter(|| identify(&verifier, Some(&index), &base_only, -6.0))
+        b.iter(|| identify(&verifier, false, &base_only, -6.0))
     });
     criterion.bench_function("identify/manifest_decode", |b| {
         b.iter(|| decode_manifest(&manifest_bytes).expect("decode"))

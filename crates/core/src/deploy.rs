@@ -3,24 +3,18 @@
 //! holds exactly these bytes; ownership proof queries the weights read
 //! back from them.
 //!
-//! Two format versions coexist:
+//! The format (**v2**) is *indexed*: the header carries the scheme
+//! plus a per-layer offset table (shape, bit width, granularity, record
+//! offset, and the absolute offset of the raw integer grid). A
+//! [`SparseArtifact`] reader resolves any `(layer, flat_index)` cell in
+//! O(1) without materializing a [`QuantizedModel`] — watermark
+//! extraction reads a few hundred cells, not the whole model.
 //!
-//! * **v1** — the original streaming layout: header, config, embedding
-//!   tables, norms, layer records, scheme string. Reading any weight
-//!   requires decoding everything before it.
-//! * **v2** (current) — an *indexed* layout: the header carries the
-//!   scheme plus a per-layer offset table (shape, bit width,
-//!   granularity, record offset, and the absolute offset of the raw
-//!   integer grid). A [`SparseArtifact`] reader resolves any
-//!   `(layer, flat_index)` cell in O(1) without materializing a
-//!   [`QuantizedModel`] — watermark extraction reads a few hundred
-//!   cells, not the whole model.
-//!
-//! Both versions are self-contained: little-endian primitives,
+//! Artifacts are self-contained: little-endian primitives,
 //! length-prefixed buffers, a magic header. Integer grids round-trip
-//! bit-exactly (anything less would corrupt watermarks), and
-//! [`decode_model`] still accepts v1 artifacts via a compatibility
-//! shim.
+//! bit-exactly (anything less would corrupt watermarks). The retired
+//! v1 streaming layout (no index, trailing scheme string) is refused
+//! with [`CodecError::BadVersion`] by every reader.
 
 use crate::store::{copy_store, ArtifactSink, StoreError};
 use crate::telemetry::{self, Telemetry};
@@ -33,9 +27,8 @@ use emmark_tensor::Matrix;
 
 pub(crate) const MAGIC: &[u8; 4] = b"EMQM";
 
-/// The legacy streaming format.
-pub const FORMAT_V1: u32 = 1;
-/// The indexed, layer-addressable format (current).
+/// The indexed, layer-addressable format — the only one this build
+/// reads or writes.
 pub const FORMAT_V2: u32 = 2;
 
 /// Bytes of one layer-index entry in the v2 header:
@@ -49,7 +42,7 @@ pub(crate) const INDEX_ENTRY_BYTES: usize = 4 + 4 + 1 + 1 + 4 + 8 + 8;
 pub enum Section {
     /// Magic and version words.
     Header,
-    /// Model hyperparameters (and, in v2, the scheme string).
+    /// Model hyperparameters and the scheme string.
     Config,
     /// The v2 per-layer offset table.
     LayerIndex,
@@ -57,14 +50,13 @@ pub enum Section {
     Embeddings,
     /// Per-block and final norms.
     Norms,
-    /// The v1 layer-count word preceding the layer records.
+    /// The layer records as a whole (stream-level errors of the
+    /// layer-at-a-time encoders and decoders).
     Layers,
     /// One quantized layer record (0-based canonical index).
     Layer(usize),
     /// The LLM.int8() outlier block inside a layer record.
     Outliers(usize),
-    /// The trailing scheme string (v1 only).
-    Scheme,
     /// The owner-secrets vault envelope.
     Vault,
     /// The fleet device registry.
@@ -95,7 +87,6 @@ impl std::fmt::Display for Section {
             Section::Layers => write!(f, "layers"),
             Section::Layer(l) => write!(f, "layer {l}"),
             Section::Outliers(l) => write!(f, "layer {l} outliers"),
-            Section::Scheme => write!(f, "scheme"),
             Section::Vault => write!(f, "vault"),
             Section::Registry => write!(f, "registry"),
             Section::Bundle => write!(f, "fleet bundle"),
@@ -317,8 +308,8 @@ pub(crate) fn put_qlinear(buf: &mut BytesMut, l: &QuantizedLinear) {
     });
 }
 
-/// Serializes the model-config fields shared by both format versions
-/// (everything but the scheme string).
+/// Serializes the model-config fields (everything but the scheme
+/// string, which follows them in the header).
 pub(crate) fn put_config(buf: &mut BytesMut, cfg: &ModelConfig) {
     put_string(buf, &cfg.name);
     buf.put_u32_le(cfg.vocab_size as u32);
@@ -345,30 +336,6 @@ pub(crate) fn put_config(buf: &mut BytesMut, cfg: &ModelConfig) {
         None => buf.put_u8(0),
     }
     buf.put_u64_le(cfg.init_seed);
-}
-
-/// Serializes a quantized model in the **v1** streaming layout. Kept for
-/// compatibility testing and for talking to pre-index readers; new
-/// artifacts should use [`encode_model`].
-pub fn encode_model_v1(model: &QuantizedModel) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(FORMAT_V1);
-    put_config(&mut buf, &model.cfg);
-    put_matrix(&mut buf, &model.emb().tok.value);
-    put_matrix(&mut buf, &model.emb().pos.value);
-    buf.put_u32_le(model.norm_pairs().len() as u32);
-    for (n1, n2) in model.norm_pairs() {
-        put_norm(&mut buf, n1);
-        put_norm(&mut buf, n2);
-    }
-    put_norm(&mut buf, model.final_norm());
-    buf.put_u32_le(model.layers.len() as u32);
-    for layer in &model.layers {
-        put_qlinear(&mut buf, layer);
-    }
-    put_string(&mut buf, &model.scheme);
-    buf.freeze()
 }
 
 /// Serializes a quantized model to the deployable byte format
@@ -977,44 +944,19 @@ pub fn artifact_version(bytes: &[u8]) -> Result<u32, CodecError> {
 }
 
 /// Deserializes a quantized model from the deployable byte format.
-/// Accepts both the current v2 layout and v1 artifacts (compatibility
-/// shim).
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on malformed input; round-trips of
-/// [`encode_model`] and [`encode_model_v1`] output never fail.
+/// Returns a [`CodecError`] on malformed input —
+/// [`CodecError::BadVersion`] for anything but v2 (the retired v1
+/// layout included); round-trips of [`encode_model`] output never fail.
 pub fn decode_model(bytes: &[u8]) -> Result<QuantizedModel, CodecError> {
     let mut r = Reader::new(bytes, Section::Header);
     r.magic(MAGIC)?;
     match r.u32("version")? {
-        FORMAT_V1 => decode_model_v1_body(&mut r),
         FORMAT_V2 => decode_model_v2_body(&mut r),
         v => Err(CodecError::BadVersion(v)),
     }
-}
-
-fn decode_model_v1_body(r: &mut Reader) -> Result<QuantizedModel, CodecError> {
-    let cfg = r.config()?;
-    let emb = r.embeddings()?;
-    let (norm_pairs, final_norm) = r.norms(cfg.n_layers)?;
-    r.enter(Section::Layers);
-    let n_qlayers = r.u32("layer count")? as usize;
-    if n_qlayers != cfg.quant_layer_count() {
-        return Err(r.corrupt(format!(
-            "layer count {n_qlayers} does not match config ({})",
-            cfg.quant_layer_count()
-        )));
-    }
-    let mut layers = Vec::with_capacity(n_qlayers);
-    for l in 0..n_qlayers {
-        layers.push(r.qlinear(l)?);
-    }
-    r.enter(Section::Scheme);
-    let scheme = r.string("scheme")?;
-    Ok(QuantizedModel::from_parts(
-        cfg, emb, norm_pairs, final_norm, layers, scheme,
-    ))
 }
 
 fn decode_model_v2_body(r: &mut Reader) -> Result<QuantizedModel, CodecError> {
@@ -1159,8 +1101,7 @@ pub struct SparseArtifact<'a> {
 }
 
 impl<'a> SparseArtifact<'a> {
-    /// Opens a v2 artifact for sparse reads. v1 artifacts have no layer
-    /// index; they must go through the [`decode_model`] shim instead.
+    /// Opens a v2 artifact for sparse reads.
     ///
     /// # Errors
     ///
@@ -1486,23 +1427,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_roundtrip_still_decodes_via_the_shim() {
-        for model in models_to_roundtrip() {
-            let bytes = encode_model_v1(&model);
-            assert_eq!(artifact_version(&bytes).expect("version"), FORMAT_V1);
-            let back = decode_model(&bytes).expect("v1 decode");
-            assert!(model.same_weights(&back), "{}: v1 shim", model.scheme);
-            assert_eq!(model.cfg, back.cfg);
-            assert_eq!(model.scheme, back.scheme);
-            // But the sparse reader refuses: v1 has no index.
-            assert_eq!(
-                SparseArtifact::open(&bytes).unwrap_err(),
-                CodecError::BadVersion(FORMAT_V1)
-            );
-        }
-    }
-
-    #[test]
     fn sparse_reads_match_the_decoded_grid_cell_for_cell() {
         for model in models_to_roundtrip() {
             let bytes = encode_model(&model);
@@ -1576,17 +1500,16 @@ mod tests {
     #[test]
     fn truncated_input_is_rejected_not_panicking() {
         let model = &models_to_roundtrip()[0];
-        for bytes in [encode_model(model), encode_model_v1(model)] {
-            for cut in [9, 64, bytes.len() / 2, bytes.len() - 3] {
-                let err = decode_model(&bytes[..cut]).expect_err("truncated");
-                assert!(
-                    matches!(
-                        err,
-                        CodecError::Truncated { .. } | CodecError::Corrupt { .. }
-                    ),
-                    "cut at {cut}: {err:?}"
-                );
-            }
+        let bytes = encode_model(model);
+        for cut in [9, 64, bytes.len() / 2, bytes.len() - 3] {
+            let err = decode_model(&bytes[..cut]).expect_err("truncated");
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Truncated { .. } | CodecError::Corrupt { .. }
+                ),
+                "cut at {cut}: {err:?}"
+            );
         }
     }
 
@@ -1676,16 +1599,18 @@ mod tests {
         // present before any allocation trusts them. u32::MAX ×
         // u32::MAX also exercises the checked-multiply overflow path.
         let model = &models_to_roundtrip()[0];
-        let model_v1 = encode_model_v1(model).to_vec();
-        // v1 layout: the token-table matrix follows the config directly.
+        let bytes = encode_model(model).to_vec();
+        // v2 layout: the token-table matrix opens the embeddings, right
+        // after the config, the scheme, and the layer index.
         let cfg = &model.cfg;
         let cfg_len = (4 + cfg.name.len())
             + 6 * 4
             + 2
             + (1 + if cfg.outliers.is_some() { 16 } else { 0 })
-            + 8;
-        let tok_rows = 8 + cfg_len;
-        let mut evil = model_v1.clone();
+            + 8
+            + (4 + model.scheme.len());
+        let tok_rows = 8 + cfg_len + 4 + model.layer_count() * INDEX_ENTRY_BYTES;
+        let mut evil = bytes.clone();
         evil[tok_rows..tok_rows + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         evil[tok_rows + 4..tok_rows + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_model(&evil).expect_err("must error, not abort");

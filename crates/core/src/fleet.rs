@@ -20,20 +20,23 @@
 //!
 //! after which verifying one artifact is pure PRNG sampling plus integer
 //! diffs, and a batch of artifacts fans out across a thread pool.
-//! Artifacts stream through the [`crate::deploy`] codec: v2 (indexed)
-//! artifacts are opened as [`SparseArtifact`]s, so a worker reads only
+//! Artifacts are opened as [`SparseArtifact`]s, so a worker reads only
 //! the header and the probed watermark cells — per-artifact work scales
-//! with watermark length, not parameter count. v1 artifacts fall back
-//! to a full decode; either way the suspect lives only for the duration
-//! of the call and no model is ever cloned.
+//! with watermark length, not parameter count. The suspect lives only
+//! for the duration of the call and no model is ever cloned.
+//!
+//! With a persisted [`LeakIndex`] attached ([`FleetVerifier::with_index`],
+//! [`crate::registry::ShardedRegistry::into_verifier`]), leak
+//! identification narrows candidates through the index instead of
+//! scoring every registered device; verdicts are bit-identical to the
+//! linear scan ([`FleetVerifier::identify_leak_linear`]).
 //!
 //! Cached and uncached paths are bit-for-bit identical; the test suite
 //! and `tests/fleet_engine.rs` pin that equivalence.
 
-use crate::deploy::{
-    artifact_version, decode_model, CodecError, Section, SparseArtifact, FORMAT_V2,
-};
+use crate::deploy::{CodecError, Section, SparseArtifact};
 use crate::fingerprint::{derive_device, sample_from_pools, DeviceFingerprint, FamilyCache, Fleet};
+use crate::registry::LeakIndex;
 use crate::signature::Signature;
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::{
@@ -112,7 +115,8 @@ impl FleetVerdict {
 /// Construction pays the device-independent costs once (ownership
 /// locations, base-watermarked reference, fingerprint candidate pools,
 /// per-device signatures and locations); every verification afterwards
-/// is read-only, so batches parallelize freely.
+/// is read-only, so batches parallelize freely. An attached
+/// [`LeakIndex`] makes leak identification sublinear in fleet size.
 #[derive(Debug, Clone)]
 pub struct FleetVerifier {
     base: OwnerSecrets,
@@ -127,6 +131,10 @@ pub struct FleetVerifier {
     pools: Vec<Vec<usize>>,
     /// Per registered device: its signature and sampled locations.
     device_material: Vec<(Signature, Locations)>,
+    /// The fingerprint-cell inverted index over `devices`, when one is
+    /// attached; [`Self::identify_leak`] then probes it instead of
+    /// scanning every device.
+    index: Option<LeakIndex>,
 }
 
 impl FleetVerifier {
@@ -194,7 +202,27 @@ impl FleetVerifier {
             base_deployed,
             pools,
             device_material,
+            index: None,
         }
+    }
+
+    /// Attaches a fingerprint-cell inverted index built over this
+    /// registry, so [`Self::identify_leak`] takes the indexed path.
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::InvalidConfig`] when the index covers a
+    /// different device population.
+    pub fn with_index(mut self, index: LeakIndex) -> Result<Self, WatermarkError> {
+        if index.device_count() != self.devices.len() {
+            return Err(WatermarkError::InvalidConfig(format!(
+                "leak index covers {} devices, registry has {}",
+                index.device_count(),
+                self.devices.len()
+            )));
+        }
+        self.index = Some(index);
+        Ok(self)
     }
 
     /// The registered devices, in registration order.
@@ -267,13 +295,34 @@ impl FleetVerifier {
     }
 
     /// Traces a leaked model to the registered device whose fingerprint
-    /// clears `log10_threshold` with the best margin — the cached
-    /// counterpart of [`Fleet::identify_leak`].
+    /// clears `log10_threshold` with the best margin — through the
+    /// attached [`LeakIndex`] when there is one, otherwise by
+    /// [`Self::identify_leak_linear`]. Both paths return bit-identical
+    /// verdicts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates extraction errors; the indexed path also rejects an
+    /// index naming cells outside the registry's layer grid.
+    pub fn identify_leak<S: GridSource + ?Sized>(
+        &self,
+        leaked: &S,
+        log10_threshold: f64,
+    ) -> Result<Option<(&DeviceFingerprint, ExtractionReport)>, WatermarkError> {
+        match &self.index {
+            Some(index) => self.identify_leak_indexed(index, leaked, log10_threshold),
+            None => self.identify_leak_linear(leaked, log10_threshold),
+        }
+    }
+
+    /// Linear leak attribution: extracts every registered device's
+    /// fingerprint — the cached counterpart of [`Fleet::identify_leak`]
+    /// and the oracle the indexed path is checked against.
     ///
     /// # Errors
     ///
     /// Propagates extraction errors.
-    pub fn identify_leak<S: GridSource + ?Sized>(
+    pub fn identify_leak_linear<S: GridSource + ?Sized>(
         &self,
         leaked: &S,
         log10_threshold: f64,
@@ -309,35 +358,28 @@ impl FleetVerifier {
         Ok(best)
     }
 
-    /// Traces a leaked model through a fingerprint-cell inverted index
-    /// ([`crate::registry::LeakIndex`]) instead of scoring every
-    /// registered device: the suspect's deltas at the index's cells are
-    /// read once, bucket lookups count exact per-device matched bits,
-    /// and only the devices whose counts clear the [`ProofCutoff`] —
-    /// typically zero or one of N — get the full Eq. 8 extraction.
-    /// Verdicts (device *and* report, matched-bit counts included) are
-    /// bit-identical to [`Self::identify_leak`]; the index only narrows,
-    /// Eq. 8 decides.
+    /// Traces a leaked model through the attached fingerprint-cell
+    /// inverted index instead of scoring every registered device: the
+    /// suspect's deltas at the index's cells are read once, bucket
+    /// lookups count exact per-device matched bits, and only the devices
+    /// whose counts clear the [`ProofCutoff`] — typically zero or one of
+    /// N — get the full Eq. 8 extraction. Verdicts (device *and* report,
+    /// matched-bit counts included) are bit-identical to
+    /// [`Self::identify_leak_linear`]; the index only narrows, Eq. 8
+    /// decides.
     ///
     /// # Errors
     ///
     /// Returns [`WatermarkError::ShapeMismatch`] on a foreign layer grid
     /// (exactly when the linear scan would), and
-    /// [`WatermarkError::InvalidConfig`] if the index was built over a
-    /// different device population than this registry.
-    pub fn identify_leak_indexed<S: GridSource + ?Sized>(
+    /// [`WatermarkError::InvalidConfig`] if the index names a cell
+    /// outside the registry's layer grid.
+    fn identify_leak_indexed<S: GridSource + ?Sized>(
         &self,
-        index: &crate::registry::LeakIndex,
+        index: &LeakIndex,
         leaked: &S,
         log10_threshold: f64,
     ) -> Result<Option<(&DeviceFingerprint, ExtractionReport)>, WatermarkError> {
-        if index.device_count() != self.devices.len() {
-            return Err(WatermarkError::InvalidConfig(format!(
-                "leak index covers {} devices, registry has {}",
-                index.device_count(),
-                self.devices.len()
-            )));
-        }
         if self.devices.is_empty() {
             // The linear scan never touches the suspect with an empty
             // registry; neither may the index path.
@@ -388,20 +430,20 @@ impl FleetVerifier {
         Ok(best)
     }
 
-    /// The fingerprint-cell inverted index over this registry's device
-    /// material — what sharded provisioning persists into the EMFM
-    /// manifest ([`crate::registry`]) and
-    /// [`Self::identify_leak_indexed`] consumes.
-    pub fn leak_index(&self) -> crate::registry::LeakIndex {
-        crate::registry::LeakIndex::from_material(
+    /// Builds the fingerprint-cell inverted index over this registry's
+    /// device material — what sharded provisioning persists into the
+    /// EMFM manifest ([`crate::registry`]) and [`Self::with_index`]
+    /// attaches.
+    pub fn leak_index(&self) -> LeakIndex {
+        LeakIndex::from_material(
             self.devices.len(),
             self.base_deployed.layer_count(),
             self.device_material.iter(),
         )
     }
 
-    /// Full verdict for one decoded suspect: ownership proof plus leak
-    /// attribution at `log10_threshold`.
+    /// Full verdict for one suspect: ownership proof plus leak
+    /// attribution ([`Self::identify_leak`]) at `log10_threshold`.
     ///
     /// # Errors
     ///
@@ -421,29 +463,23 @@ impl FleetVerifier {
         })
     }
 
-    /// Verifies one deploy-codec artifact. v2 artifacts take the sparse
-    /// random-access path: only the header and the probed watermark
+    /// Verifies one deploy-codec artifact through the sparse
+    /// random-access reader: only the header and the probed watermark
     /// cells are read, so per-artifact work scales with watermark
-    /// length, not parameter count. v1 artifacts fall back to a full
-    /// decode (compatibility shim). Both paths produce bit-identical
-    /// verdicts.
+    /// length, not parameter count.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::Codec`] for malformed bytes, otherwise
-    /// propagates extraction errors.
+    /// Returns [`FleetError::Codec`] for malformed bytes (a retired v1
+    /// artifact is [`CodecError::BadVersion`]), otherwise propagates
+    /// extraction errors.
     pub fn verify_artifact(
         &self,
         artifact: &[u8],
         log10_threshold: f64,
     ) -> Result<FleetVerdict, FleetError> {
-        if artifact_version(artifact)? == FORMAT_V2 {
-            let sparse = SparseArtifact::open(artifact)?;
-            Ok(self.verify_model(&sparse, log10_threshold)?)
-        } else {
-            let suspect = decode_model(artifact)?;
-            Ok(self.verify_model(&suspect, log10_threshold)?)
-        }
+        let sparse = SparseArtifact::open(artifact)?;
+        Ok(self.verify_model(&sparse, log10_threshold)?)
     }
 
     /// Verifies a batch of deploy-codec artifacts in parallel on `jobs`
@@ -635,7 +671,7 @@ pub fn decode_registry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::encode_model;
+    use crate::deploy::{decode_model, encode_model};
     use emmark_nanolm::config::ModelConfig;
     use emmark_nanolm::TransformerModel;
     use emmark_quant::awq::{awq, AwqConfig};
@@ -741,26 +777,6 @@ mod tests {
             assert_eq!(verdict.ownership.wer(), 100.0);
             let (device, _) = verdict.attribution.as_ref().expect("attributed");
             assert_eq!(device.device_id, ids[i]);
-        }
-    }
-
-    #[test]
-    fn v1_and_v2_artifacts_produce_identical_verdicts() {
-        // The batch loop reads v2 artifacts sparsely and shims v1
-        // through a full decode; verdicts must be bit-for-bit equal.
-        let (fleet, v2_artifacts) = fleet_with_devices(&["a", "b", "c"]);
-        let verifier = FleetVerifier::new(&fleet).expect("cache");
-        let v1_artifacts: Vec<Vec<u8>> = v2_artifacts
-            .iter()
-            .map(|bytes| {
-                crate::deploy::encode_model_v1(&decode_model(bytes).expect("decode")).to_vec()
-            })
-            .collect();
-        let v2_verdicts = verifier.verify_batch(&v2_artifacts, -6.0, Some(1));
-        let v1_verdicts = verifier.verify_batch(&v1_artifacts, -6.0, Some(1));
-        assert_eq!(v2_verdicts, v1_verdicts);
-        for verdict in &v2_verdicts {
-            assert_eq!(verdict.as_ref().expect("verdict").ownership.wer(), 100.0);
         }
     }
 

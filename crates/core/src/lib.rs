@@ -12,15 +12,18 @@
 //! * [`baselines`] — the paper's comparison schemes RandomWM and
 //!   SpecMark (including the full-precision SpecMark control);
 //! * [`scheme`] — one trait over all three for the experiment harness;
-//! * [`deploy`] — the versioned binary format of the deployed artifact:
-//!   the indexed EMQM v2 codec plus [`deploy::SparseArtifact`], the
+//! * [`deploy`] — the binary format of the deployed artifact: the
+//!   indexed EMQM v2 codec plus [`deploy::SparseArtifact`], the
 //!   random-access reader that serves individual weight cells without
-//!   materializing a model (and a v1 compatibility shim);
+//!   materializing a model (the retired v1 layout is refused with
+//!   [`CodecError::BadVersion`]);
 //! * [`fingerprint`] — per-device traitor-tracing fingerprints on top of
 //!   the shared ownership watermark;
-//! * [`fleet`] — the parallel batch verification engine
-//!   ([`fleet::FleetVerifier`]) with its one-time per-model-family cache,
-//!   plus the on-disk device registry;
+//! * [`fleet`] — the one verification engine ([`fleet::FleetVerifier`]):
+//!   parallel batch verification and leak identification over a
+//!   one-time per-model-family cache, indexed when a
+//!   [`registry::LeakIndex`] is attached, plus the on-disk device
+//!   registry;
 //! * [`provision`] — the batch provisioning engine
 //!   ([`provision::FleetProvisioner`]): score-once/insert-many
 //!   fingerprinting over the same family cache, emitting device
@@ -90,8 +93,8 @@ pub use deploy::{CodecError, LayerGridView, LayerIndexEntry, Section, SparseArti
 pub use fleet::{FleetError, FleetVerdict, FleetVerifier};
 pub use registry::{
     decode_manifest, encode_manifest, load_sharded_registry, manifest_section_boundaries,
-    provision_sharded, provision_sharded_into, shard_checksum, shard_file_name,
-    IndexedFleetVerifier, LeakIndex, ShardEntry, ShardManifest, ShardedFleet, ShardedRegistry,
+    provision_sharded, provision_sharded_into, shard_checksum, shard_file_name, LeakIndex,
+    ShardEntry, ShardManifest, ShardedFleet, ShardedRegistry,
 };
 pub use scheme::{EmMarkScheme, RandomWmScheme, SpecMarkScheme, WatermarkScheme};
 pub use service::{
@@ -104,8 +107,7 @@ pub use telemetry::{peak_resident_mib, Counter, Histogram, Snapshot, Span, Telem
 
 pub use store::{
     copy_store, for_each_layer_prefetched, materialize, ArtifactLayerStore, ArtifactSink,
-    LayerRecordMeta, LayerSink, LayerStore, ModelHead, ModelSink, ShardSink, ShardStore,
-    StoreError,
+    LayerRecordMeta, LayerSink, LayerStore, ModelHead, ModelSink, StoreError,
 };
 pub use watermark::{
     extract_watermark, extract_with_locations, insert_watermark, locate_watermark,

@@ -1,9 +1,9 @@
 //! Sharded fleet registries with indexed, sublinear leak identification.
 //!
 //! A single `EMFR` registry file works for thousands of devices but not
-//! for millions: it must be decoded whole, and [`crate::fleet::FleetVerifier::identify_leak`]
-//! scores every registered device against a suspect. This module scales
-//! both axes:
+//! for millions: it must be decoded whole, and
+//! [`crate::fleet::FleetVerifier::identify_leak_linear`] scores every
+//! registered device against a suspect. This module scales both axes:
 //!
 //! * **Sharded layout** — device entries are split across
 //!   `registry-NNNNN.emfr` shard files (each an ordinary `EMFR` registry
@@ -46,22 +46,16 @@
 //! strictly sorted by `(layer, flat)`, and that every bucket is strictly
 //! ascending with ids inside the device range.
 
-use crate::deploy::{
-    artifact_version, decode_model, put_string, put_watermark_config, CodecError, Reader, Section,
-    SparseArtifact, FORMAT_V2,
-};
+use crate::deploy::{put_string, put_watermark_config, CodecError, Reader, Section};
 use crate::fingerprint::{fxhash, DeviceFingerprint};
 use crate::fleet::{
-    encode_registry, par_map, read_device_entry, FleetError, FleetVerdict, FleetVerifier,
-    REGISTRY_MAGIC, REGISTRY_VERSION,
+    encode_registry, par_map, read_device_entry, FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
 };
 use crate::provision::FleetProvisioner;
 use crate::signature::Signature;
 use crate::store::StoreError;
 use crate::telemetry::{self, Telemetry};
-use crate::watermark::{
-    ExtractionReport, GridSource, Locations, OwnerSecrets, WatermarkConfig, WatermarkError,
-};
+use crate::watermark::{GridSource, Locations, OwnerSecrets, WatermarkConfig, WatermarkError};
 use bytes::{BufMut, Bytes, BytesMut};
 
 pub(crate) const MANIFEST_MAGIC: &[u8; 4] = b"EMFM";
@@ -650,25 +644,22 @@ impl ShardedRegistry {
 
     /// Decomposes into `(fingerprint config, devices, leak index)` — the
     /// raw parts a caller feeds to [`FleetVerifier::from_parts`] and
-    /// [`IndexedFleetVerifier::new`] when it manages family-cache
+    /// [`FleetVerifier::with_index`] when it manages family-cache
     /// construction itself and must build it exactly once.
     pub fn into_parts(self) -> (WatermarkConfig, Vec<DeviceFingerprint>, LeakIndex) {
         (self.fingerprint_config, self.devices, self.index)
     }
 
-    /// Builds the indexed verification engine over this registry with
-    /// the owner's secrets.
+    /// Builds the verification engine over this registry with the
+    /// owner's secrets, the persisted leak index attached.
     ///
     /// # Errors
     ///
     /// Rejects an inconsistent secret bundle and propagates
     /// location-reproduction errors (see [`FleetVerifier::from_parts`]).
-    pub fn into_verifier(self, base: OwnerSecrets) -> Result<IndexedFleetVerifier, WatermarkError> {
-        let verifier = FleetVerifier::from_parts(base, self.fingerprint_config, self.devices)?;
-        Ok(IndexedFleetVerifier {
-            verifier,
-            index: self.index,
-        })
+    pub fn into_verifier(self, base: OwnerSecrets) -> Result<FleetVerifier, WatermarkError> {
+        FleetVerifier::from_parts(base, self.fingerprint_config, self.devices)?
+            .with_index(self.index)
     }
 }
 
@@ -758,118 +749,6 @@ fn decode_shard(
         devices.push(read_device_entry(&mut r, entry.first_device as usize + j)?);
     }
     Ok(devices)
-}
-
-/// The indexed verification engine: a [`FleetVerifier`] paired with its
-/// [`LeakIndex`], so leak attribution is sublinear in fleet size while
-/// every verdict stays bit-identical to the linear engine.
-#[derive(Debug, Clone)]
-pub struct IndexedFleetVerifier {
-    verifier: FleetVerifier,
-    index: LeakIndex,
-}
-
-impl IndexedFleetVerifier {
-    /// Pairs a verifier with an index built over the same registry.
-    ///
-    /// # Errors
-    ///
-    /// [`WatermarkError::InvalidConfig`] when the index covers a
-    /// different device population.
-    pub fn new(verifier: FleetVerifier, index: LeakIndex) -> Result<Self, WatermarkError> {
-        if index.device_count() != verifier.devices().len() {
-            return Err(WatermarkError::InvalidConfig(format!(
-                "leak index covers {} devices, registry has {}",
-                index.device_count(),
-                verifier.devices().len()
-            )));
-        }
-        Ok(Self { verifier, index })
-    }
-
-    /// The underlying linear engine (ownership reports, per-device
-    /// extraction, registry accessors).
-    pub fn verifier(&self) -> &FleetVerifier {
-        &self.verifier
-    }
-
-    /// The paired inverted index.
-    pub fn index(&self) -> &LeakIndex {
-        &self.index
-    }
-
-    /// Indexed leak attribution — see
-    /// [`FleetVerifier::identify_leak_indexed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates extraction errors.
-    pub fn identify_leak<S: GridSource + ?Sized>(
-        &self,
-        leaked: &S,
-        log10_threshold: f64,
-    ) -> Result<Option<(&DeviceFingerprint, ExtractionReport)>, WatermarkError> {
-        self.verifier
-            .identify_leak_indexed(&self.index, leaked, log10_threshold)
-    }
-
-    /// Full verdict for one decoded suspect — ownership proof plus
-    /// *indexed* leak attribution. Bit-identical to
-    /// [`FleetVerifier::verify_model`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates extraction errors.
-    pub fn verify_model<S: GridSource + ?Sized>(
-        &self,
-        suspect: &S,
-        log10_threshold: f64,
-    ) -> Result<FleetVerdict, WatermarkError> {
-        let ownership = self.verifier.ownership_report(suspect)?;
-        let attribution = self
-            .identify_leak(suspect, log10_threshold)?
-            .map(|(d, r)| (d.clone(), r));
-        Ok(FleetVerdict {
-            ownership,
-            attribution,
-        })
-    }
-
-    /// Verifies one deploy-codec artifact with indexed attribution —
-    /// the sparse-or-full dispatch of
-    /// [`FleetVerifier::verify_artifact`], bit-identical verdicts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Codec`] for malformed bytes, otherwise
-    /// propagates extraction errors.
-    pub fn verify_artifact(
-        &self,
-        artifact: &[u8],
-        log10_threshold: f64,
-    ) -> Result<FleetVerdict, FleetError> {
-        if artifact_version(artifact)? == FORMAT_V2 {
-            let sparse = SparseArtifact::open(artifact)?;
-            Ok(self.verify_model(&sparse, log10_threshold)?)
-        } else {
-            let suspect = decode_model(artifact)?;
-            Ok(self.verify_model(&suspect, log10_threshold)?)
-        }
-    }
-
-    /// Verifies a batch of artifacts in parallel on `jobs` worker
-    /// threads (`None` = one per available core), each with indexed
-    /// attribution. Output order matches input order.
-    pub fn verify_batch<A: AsRef<[u8]> + Sync>(
-        &self,
-        artifacts: &[A],
-        log10_threshold: f64,
-        jobs: Option<usize>,
-    ) -> Vec<Result<FleetVerdict, FleetError>> {
-        par_map(artifacts, jobs, |a| {
-            self.verify_artifact(a.as_ref(), log10_threshold)
-        })
-    }
 }
 
 #[cfg(test)]

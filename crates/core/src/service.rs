@@ -32,13 +32,12 @@ use std::thread::JoinHandle;
 use bytes::{BufMut, BytesMut};
 
 use crate::deploy::{
-    artifact_version, decode_model, put_string, put_watermark_config, CodecError, Reader, Section,
-    SparseArtifact, FORMAT_V2,
+    put_string, put_watermark_config, CodecError, Reader, Section, SparseArtifact,
 };
 use crate::fingerprint::{fxhash, DeviceFingerprint};
 use crate::fleet::{decode_registry, FleetVerifier};
 use crate::provision::FleetProvisioner;
-use crate::registry::{decode_manifest, load_sharded_registry, IndexedFleetVerifier};
+use crate::registry::{decode_manifest, load_sharded_registry};
 use crate::store::StoreError;
 use crate::telemetry::{
     Span, Telemetry, SERVICE_CACHE_HITS, SERVICE_CACHE_MISSES, SERVICE_EVICTIONS,
@@ -99,7 +98,8 @@ pub enum Request {
     Verify {
         /// The owner vault (`EMWS`).
         secrets: Blob,
-        /// The suspect artifact (`EMQM` v1 or v2).
+        /// The suspect artifact (`EMQM` v2; v1 is refused with a
+        /// bad-version error).
         suspect: Blob,
         /// log10 chance-match threshold for the proof decision.
         log10_threshold: f64,
@@ -743,18 +743,12 @@ fn fp_key(cfg: &WatermarkConfig) -> FpKey {
     )
 }
 
-#[derive(Clone)]
-enum VerifierKind {
-    Linear(Arc<FleetVerifier>),
-    Indexed(Arc<IndexedFleetVerifier>),
-}
-
 /// Everything kept warm for one owner vault (one model family).
 struct FamilyEntry {
     secrets: OwnerSecrets,
     locations: Locations,
     provisioners: Mutex<HashMap<FpKey, Arc<FleetProvisioner>>>,
-    verifiers: Mutex<HashMap<CacheKey, VerifierKind>>,
+    verifiers: Mutex<HashMap<CacheKey, Arc<FleetVerifier>>>,
 }
 
 impl FamilyEntry {
@@ -940,7 +934,7 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Shared cap on *transient per-request* artifact bytes (request
     /// blobs read while a request is in flight), if any. Leases release
-    /// when the request finishes; warm [`FamilyLru`] entries are not
+    /// when the request finishes; warm `FamilyLru` entries are not
     /// charged against this budget — size those via `cache_capacity`.
     pub max_resident_bytes: Option<u64>,
     /// Backoff hint carried in [`Response::Busy`].
@@ -1389,40 +1383,20 @@ fn load_family(
 }
 
 fn verify_suspect(family: &FamilyEntry, bytes: &[u8]) -> Result<ExtractionReport, ServiceError> {
-    if artifact_version(bytes)? == FORMAT_V2 {
-        let sparse = SparseArtifact::open(bytes)?;
-        Ok(family.verify(&sparse)?)
-    } else {
-        let model = decode_model(bytes)?;
-        Ok(family.verify(&model)?)
-    }
+    Ok(family.verify(&SparseArtifact::open(bytes)?)?)
 }
 
 fn identify_suspect(
-    kind: &VerifierKind,
+    verifier: &FleetVerifier,
     bytes: &[u8],
     log10_threshold: f64,
     linear: bool,
 ) -> Result<Option<(DeviceFingerprint, ReportSummary)>, ServiceError> {
-    if artifact_version(bytes)? == FORMAT_V2 {
-        let sparse = SparseArtifact::open(bytes)?;
-        identify_grid(kind, &sparse, log10_threshold, linear)
+    let sparse = SparseArtifact::open(bytes)?;
+    let matched = if linear {
+        verifier.identify_leak_linear(&sparse, log10_threshold)?
     } else {
-        let model = decode_model(bytes)?;
-        identify_grid(kind, &model, log10_threshold, linear)
-    }
-}
-
-fn identify_grid<S: GridSource + ?Sized>(
-    kind: &VerifierKind,
-    suspect: &S,
-    log10_threshold: f64,
-    linear: bool,
-) -> Result<Option<(DeviceFingerprint, ReportSummary)>, ServiceError> {
-    let matched = match kind {
-        VerifierKind::Indexed(iv) if !linear => iv.identify_leak(suspect, log10_threshold)?,
-        VerifierKind::Indexed(iv) => iv.verifier().identify_leak(suspect, log10_threshold)?,
-        VerifierKind::Linear(v) => v.identify_leak(suspect, log10_threshold)?,
+        verifier.identify_leak(&sparse, log10_threshold)?
     };
     Ok(matched.map(|(fp, report)| (fp.clone(), ReportSummary::from(&report))))
 }
@@ -1431,28 +1405,28 @@ fn load_verifier(
     family: &Arc<FamilyEntry>,
     registry: &Blob,
     lease: &mut BudgetLease<'_>,
-) -> Result<VerifierKind, ServiceError> {
+) -> Result<Arc<FleetVerifier>, ServiceError> {
     let bytes = load_blob(registry, "fleet registry", lease)?;
     let key = cache_key(&bytes);
-    if let Some(kind) = family.verifiers.lock().unwrap().get(&key) {
+    if let Some(verifier) = family.verifiers.lock().unwrap().get(&key) {
         if Telemetry::enabled() {
             SERVICE_CACHE_HITS.incr();
         }
-        return Ok(kind.clone());
+        return Ok(Arc::clone(verifier));
     }
     if Telemetry::enabled() {
         SERVICE_CACHE_MISSES.incr();
     }
-    let built = build_verifier(family, registry, &bytes)?;
+    let built = Arc::new(build_verifier(family, registry, &bytes)?);
     let mut map = family.verifiers.lock().unwrap();
-    Ok(map.entry(key).or_insert(built).clone())
+    Ok(Arc::clone(map.entry(key).or_insert(built)))
 }
 
 fn build_verifier(
     family: &Arc<FamilyEntry>,
     registry: &Blob,
     bytes: &[u8],
-) -> Result<VerifierKind, ServiceError> {
+) -> Result<FleetVerifier, ServiceError> {
     if bytes.len() < 4 {
         return Err(ServiceError::Other(
             "registry input is too short to carry a container magic".to_string(),
@@ -1461,9 +1435,7 @@ fn build_verifier(
     match &bytes[..4] {
         b"EMFR" => {
             let (fp_cfg, devices) = decode_registry(bytes)?;
-            Ok(VerifierKind::Linear(Arc::new(linear_engine(
-                family, &fp_cfg, devices,
-            )?)))
+            fleet_engine(family, &fp_cfg, devices)
         }
         b"EMFB" => {
             let mut stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
@@ -1471,9 +1443,7 @@ fn build_verifier(
             let devices = (&mut stream)
                 .map(|d| d.map(|dev| dev.fingerprint))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(VerifierKind::Linear(Arc::new(linear_engine(
-                family, &fp_cfg, devices,
-            )?)))
+            fleet_engine(family, &fp_cfg, devices)
         }
         b"EMFM" => {
             let Blob::Path(manifest_path) = registry else {
@@ -1488,13 +1458,15 @@ fn build_verifier(
                 .map(PathBuf::from)
                 .unwrap_or_default();
             let sharded = load_sharded_registry(bytes, |shard| std::fs::read(dir.join(shard)))?;
+            // Copied, not moved out with `into_parts`: the originals freed
+            // here leave heap space that the per-request suspect and
+            // manifest buffers then reuse. Moving them doubled the daemon's
+            // minor page faults per request under mixed traffic and raised
+            // warm verify/identify latency (glibc malloc, 2-vCPU host).
             let fp_cfg = *sharded.fingerprint_config();
             let devices = sharded.devices().to_vec();
             let index = sharded.index().clone();
-            let linear = linear_engine(family, &fp_cfg, devices)?;
-            Ok(VerifierKind::Indexed(Arc::new(IndexedFleetVerifier::new(
-                linear, index,
-            )?)))
+            Ok(fleet_engine(family, &fp_cfg, devices)?.with_index(index)?)
         }
         magic => Err(ServiceError::Other(format!(
             "unrecognised registry container magic {:?} (expected EMFR, EMFB, or EMFM)",
@@ -1503,9 +1475,9 @@ fn build_verifier(
     }
 }
 
-/// Builds a linear fleet verifier, reusing a warm provisioner's family cache
-/// when one exists for the same fingerprint configuration.
-fn linear_engine(
+/// Builds a fleet verifier, reusing a warm provisioner's family cache when
+/// one exists for the same fingerprint configuration.
+fn fleet_engine(
     family: &Arc<FamilyEntry>,
     fp_cfg: &WatermarkConfig,
     devices: Vec<DeviceFingerprint>,
@@ -1561,35 +1533,19 @@ fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
     }
     match &bytes[..4] {
         b"EMQM" => {
-            let version = artifact_version(bytes)?;
-            if version == FORMAT_V2 {
-                let artifact = SparseArtifact::open(bytes)?;
-                let layers = artifact.layer_count();
-                let mut cells = 0u64;
-                for l in 0..layers {
-                    let (rows, cols) = artifact.layer_dims(l);
-                    cells += (rows * cols) as u64;
-                }
-                Ok(InspectSummary::Artifact {
-                    format_version: version,
-                    scheme: artifact.scheme().to_string(),
-                    layers: layers as u32,
-                    cells,
-                })
-            } else {
-                let model = decode_model(bytes)?;
-                let mut cells = 0u64;
-                for l in 0..model.layer_count() {
-                    let (rows, cols) = model.layer_dims(l);
-                    cells += (rows * cols) as u64;
-                }
-                Ok(InspectSummary::Artifact {
-                    format_version: version,
-                    scheme: model.scheme.clone(),
-                    layers: model.layer_count() as u32,
-                    cells,
-                })
+            let artifact = SparseArtifact::open(bytes)?;
+            let layers = artifact.layer_count();
+            let mut cells = 0u64;
+            for l in 0..layers {
+                let (rows, cols) = artifact.layer_dims(l);
+                cells += (rows * cols) as u64;
             }
+            Ok(InspectSummary::Artifact {
+                format_version: artifact.format_version(),
+                scheme: artifact.scheme().to_string(),
+                layers: layers as u32,
+                cells,
+            })
         }
         b"EMWS" => {
             let secrets = decode_secrets(bytes)?;

@@ -18,9 +18,7 @@
 //! * [`ArtifactLayerStore`] — a v2 EMQM artifact behind any
 //!   `Read + Seek` (typically a file): the header, index, and the
 //!   small non-layer payload are resident, each layer record is decoded
-//!   on demand;
-//! * [`ShardStore`] — a spill-to-disk directory with one record file
-//!   per layer, written by its dual [`ShardSink`].
+//!   on demand.
 //!
 //! Sinks:
 //!
@@ -28,8 +26,7 @@
 //!   `io::Write`; its output is **byte-identical** to
 //!   [`crate::deploy::encode_model`] (which is itself implemented over
 //!   this sink);
-//! * [`ModelSink`] — materializes a [`QuantizedModel`];
-//! * [`ShardSink`] — the spill-to-disk writer.
+//! * [`ModelSink`] — materializes a [`QuantizedModel`].
 //!
 //! The streaming invariants (single-pass stages, bounded buffers,
 //! byte-identity with the in-memory pipeline) are documented in
@@ -48,7 +45,6 @@ use emmark_nanolm::layers::{Embedding, Norm};
 use emmark_quant::{Granularity, QuantizedLinear, QuantizedModel};
 use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Errors of the streaming pipeline: I/O on the backing medium, codec
@@ -797,181 +793,6 @@ impl<R: Read + Seek> LayerStore for ArtifactLayerStore<R> {
     }
 }
 
-// ---------------------------------------------------------------------
-// ShardStore / ShardSink — spill-to-disk layer shards.
-// ---------------------------------------------------------------------
-
-const SHARD_HEAD_MAGIC: &[u8; 4] = b"EMSH";
-const SHARD_LAYER_MAGIC: &[u8; 4] = b"EMSL";
-
-fn shard_head_path(dir: &Path) -> PathBuf {
-    dir.join("head.emsh")
-}
-
-fn shard_layer_path(dir: &Path, l: usize) -> PathBuf {
-    dir.join(format!("layer-{l:05}.emsl"))
-}
-
-/// A spill-to-disk [`LayerSink`]: the head goes to `head.emsh`, every
-/// layer record to its own `layer-NNNNN.emsl` shard file. The dual
-/// [`ShardStore`] reads the directory back one layer at a time — an
-/// intermediate pipeline stage can park a model on disk with O(largest
-/// layer) resident memory.
-#[derive(Debug)]
-pub struct ShardSink {
-    dir: PathBuf,
-    expected: usize,
-    written: usize,
-    scratch: BytesMut,
-}
-
-impl ShardSink {
-    /// Creates the sink, creating `dir` if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn create(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| io_err("creating the shard directory", e))?;
-        Ok(Self {
-            dir,
-            expected: 0,
-            written: 0,
-            scratch: BytesMut::new(),
-        })
-    }
-}
-
-impl LayerSink for ShardSink {
-    fn begin(&mut self, head: &ModelHead, layers: &[LayerRecordMeta]) -> Result<(), StoreError> {
-        let mut buf = BytesMut::with_capacity(1 << 12);
-        buf.put_slice(SHARD_HEAD_MAGIC);
-        buf.put_u32_le(FORMAT_V2);
-        put_config(&mut buf, &head.cfg);
-        put_string(&mut buf, &head.scheme);
-        put_matrix(&mut buf, &head.emb.tok.value);
-        put_matrix(&mut buf, &head.emb.pos.value);
-        buf.put_u32_le(head.norm_pairs.len() as u32);
-        for (n1, n2) in &head.norm_pairs {
-            put_norm(&mut buf, n1);
-            put_norm(&mut buf, n2);
-        }
-        put_norm(&mut buf, &head.final_norm);
-        buf.put_u32_le(layers.len() as u32);
-        std::fs::write(shard_head_path(&self.dir), &buf)
-            .map_err(|e| io_err("writing the shard head", e))?;
-        self.expected = layers.len();
-        self.written = 0;
-        Ok(())
-    }
-
-    fn put_layer(&mut self, l: usize, layer: &QuantizedLinear) -> Result<(), StoreError> {
-        self.scratch.clear();
-        self.scratch.put_slice(SHARD_LAYER_MAGIC);
-        put_qlinear(&mut self.scratch, layer);
-        std::fs::write(shard_layer_path(&self.dir, l), &self.scratch)
-            .map_err(|e| io_err("writing a layer shard", e))?;
-        self.written += 1;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), StoreError> {
-        if self.written != self.expected {
-            return Err(StoreError::Codec(CodecError::Corrupt {
-                section: Section::Layers,
-                offset: 0,
-                msg: format!(
-                    "stream ended after {} of {} layers",
-                    self.written, self.expected
-                ),
-            }));
-        }
-        Ok(())
-    }
-}
-
-/// The read half of the spill-to-disk store: loads the head eagerly and
-/// each layer shard on demand.
-#[derive(Debug)]
-pub struct ShardStore {
-    dir: PathBuf,
-    head: ModelHead,
-    n_layers: usize,
-}
-
-impl ShardStore {
-    /// Opens a shard directory written by [`ShardSink`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and codec failures reading the head.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        let bytes = std::fs::read(shard_head_path(&dir))
-            .map_err(|e| io_err("reading the shard head", e))?;
-        let mut r = Reader::new(&bytes, Section::Header);
-        r.magic(SHARD_HEAD_MAGIC)?;
-        let version = r.u32("shard version")?;
-        if version != FORMAT_V2 {
-            return Err(CodecError::BadVersion(version).into());
-        }
-        let cfg = r.config()?;
-        let scheme = r.string("scheme")?;
-        let emb = r.embeddings()?;
-        let (norm_pairs, final_norm) = r.norms(cfg.n_layers)?;
-        r.enter(Section::Layers);
-        let n_layers = r.u32("layer count")? as usize;
-        if n_layers != cfg.quant_layer_count() {
-            return Err(r
-                .corrupt(format!(
-                    "layer count {n_layers} does not match config ({})",
-                    cfg.quant_layer_count()
-                ))
-                .into());
-        }
-        Ok(Self {
-            dir,
-            head: ModelHead {
-                cfg,
-                scheme,
-                emb,
-                norm_pairs,
-                final_norm,
-            },
-            n_layers,
-        })
-    }
-
-    /// Removes the shard directory and its contents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn remove(self) -> Result<(), StoreError> {
-        std::fs::remove_dir_all(&self.dir).map_err(|e| io_err("removing the shard directory", e))
-    }
-}
-
-impl LayerStore for ShardStore {
-    fn head(&self) -> Result<ModelHead, StoreError> {
-        Ok(self.head.clone())
-    }
-
-    fn store_layer_count(&self) -> usize {
-        self.n_layers
-    }
-
-    fn load_layer(&self, l: usize) -> Result<Cow<'_, QuantizedLinear>, StoreError> {
-        assert!(l < self.n_layers, "layer {l} out of range");
-        let bytes = std::fs::read(shard_layer_path(&self.dir, l))
-            .map_err(|e| io_err("reading a layer shard", e))?;
-        let mut r = Reader::new(&bytes, Section::Layer(l));
-        r.magic(SHARD_LAYER_MAGIC)?;
-        Ok(Cow::Owned(r.qlinear(l)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,10 +813,6 @@ mod tests {
             smoothquant(&model, &stats, &SmoothQuantConfig::default()),
             llm_int8(&model, &stats, OutlierCriterion::Quantile(0.9)),
         ]
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("emmark-store-{tag}-{}", std::process::id()))
     }
 
     #[test]
@@ -1067,13 +884,12 @@ mod tests {
     #[test]
     fn artifact_store_rejects_v1_and_truncation() {
         let model = &models()[0];
-        let v1 = crate::deploy::encode_model_v1(model).to_vec();
-        let err = ArtifactLayerStore::open(Cursor::new(&v1)).expect_err("v1");
-        assert!(matches!(
-            err,
-            StoreError::Codec(CodecError::BadVersion(crate::deploy::FORMAT_V1))
-        ));
         let v2 = encode_model(model).to_vec();
+        // A retired version-1 header in front of an otherwise valid body.
+        let mut v1 = v2.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = ArtifactLayerStore::open(Cursor::new(&v1)).expect_err("v1");
+        assert!(matches!(err, StoreError::Codec(CodecError::BadVersion(1))));
         for cut in [3usize, 9, 64, v2.len() / 2] {
             let truncated = &v2[..cut];
             assert!(
@@ -1099,26 +915,6 @@ mod tests {
         let err = store.load_layer(0).expect_err("corrupt record");
         assert!(matches!(err, StoreError::Codec(CodecError::Corrupt { .. })));
         assert!(store.load_layer(1).is_ok(), "other layers stay readable");
-    }
-
-    #[test]
-    fn shard_store_round_trips() {
-        let dir = temp_dir("roundtrip");
-        for model in models() {
-            let mut sink = ShardSink::create(&dir).expect("create");
-            copy_store(&model, &mut sink).expect("spill");
-            let store = ShardStore::open(&dir).expect("open");
-            assert_eq!(store.store_layer_count(), model.layer_count());
-            let back = materialize(&store).expect("materialize");
-            assert!(back.same_weights(&model), "{}", model.scheme);
-            assert_eq!(back.cfg, model.cfg);
-            assert_eq!(back.scheme, model.scheme);
-            // Shard store feeds the streaming encoder byte-identically.
-            let mut out = Vec::new();
-            copy_store(&store, &mut ArtifactSink::new(&mut out)).expect("encode");
-            assert_eq!(out, encode_model(&model).to_vec(), "{}", model.scheme);
-            store.remove().expect("cleanup");
-        }
     }
 
     #[test]

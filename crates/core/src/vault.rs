@@ -8,14 +8,15 @@
 //! binary form built on the same primitives as the deploy codec.
 //!
 //! The vault version tracks the deploy-codec version of the embedded
-//! pristine model: a v1 vault embeds a v1 artifact, a v2 vault a v2
-//! (indexed) artifact. Mixed pairings are rejected with
+//! pristine model: a v2 vault embeds a v2 (indexed) artifact. The
+//! retired v1 vault is refused with [`CodecError::BadVersion`]; a v2
+//! vault embedding an artifact of another version is rejected with
 //! [`CodecError::MixedVersion`] instead of a generic decode failure —
-//! they only arise from hand-spliced or corrupted vaults.
+//! it only arises from hand-spliced or corrupted vaults.
 
 use crate::deploy::{
-    artifact_version, decode_model, encode_model, encode_model_v1, put_watermark_config,
-    CodecError, Reader, Section, FORMAT_V1, FORMAT_V2,
+    artifact_version, decode_model, encode_model, put_watermark_config, CodecError, Reader,
+    Section, FORMAT_V2,
 };
 use crate::fingerprint::DeviceFingerprint;
 use crate::fleet::{read_config_header, read_device_entry};
@@ -28,14 +29,16 @@ use emmark_nanolm::model::{ActivationStats, LayerActivation};
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"EMWS";
-/// Current vault version; matches the deploy codec's
+/// Vault version; matches the deploy codec's
 /// [`FORMAT_V2`](crate::deploy::FORMAT_V2).
-const VERSION: u32 = 2;
+const VERSION: u32 = FORMAT_V2;
 
-fn encode_secrets_with(secrets: &OwnerSecrets, version: u32) -> Bytes {
+/// Serializes the secret bundle (v2, embedding an indexed v2 model
+/// artifact).
+pub fn encode_secrets(secrets: &OwnerSecrets) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 << 16);
     buf.put_slice(MAGIC);
-    buf.put_u32_le(version);
+    buf.put_u32_le(VERSION);
     put_watermark_config(&mut buf, &secrets.config);
     // Signature.
     buf.put_u32_le(secrets.signature.len() as u32);
@@ -53,44 +56,26 @@ fn encode_secrets_with(secrets: &OwnerSecrets, version: u32) -> Bytes {
             buf.put_f32_le(v);
         }
     }
-    // Original model, embedded via the deploy codec (length-prefixed),
-    // at the matching format version.
-    let model_bytes = match version {
-        FORMAT_V1 => encode_model_v1(&secrets.original),
-        _ => encode_model(&secrets.original),
-    };
+    // Original model, embedded via the deploy codec (length-prefixed).
+    let model_bytes = encode_model(&secrets.original);
     buf.put_u32_le(model_bytes.len() as u32);
     buf.put_slice(&model_bytes);
     buf.freeze()
 }
 
-/// Serializes the secret bundle (current version: v2, embedding an
-/// indexed v2 model artifact).
-pub fn encode_secrets(secrets: &OwnerSecrets) -> Bytes {
-    encode_secrets_with(secrets, VERSION)
-}
-
-/// Serializes the secret bundle in the legacy v1 layout (v1 embedded
-/// model). Kept for compatibility testing and for producing vaults that
-/// pre-index readers can load; [`decode_secrets`] accepts both, so
-/// loading a v1 vault and calling [`encode_secrets`] re-encodes it at
-/// the current version.
-pub fn encode_secrets_v1(secrets: &OwnerSecrets) -> Bytes {
-    encode_secrets_with(secrets, FORMAT_V1)
-}
-
-/// Deserializes a secret bundle (v1 or v2).
+/// Deserializes a v2 secret bundle.
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] on malformed input, including
-/// [`CodecError::MixedVersion`] when the vault version and the embedded
-/// model's format version disagree.
+/// [`CodecError::BadVersion`] for any vault version but v2 and
+/// [`CodecError::MixedVersion`] when the embedded model's format
+/// version disagrees with the vault's.
 pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
     let mut r = Reader::new(bytes, Section::Vault);
     r.magic(MAGIC)?;
     let version = r.u32("secrets version")?;
-    if version != FORMAT_V1 && version != FORMAT_V2 {
+    if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
     let config = r.watermark_config()?;
@@ -664,37 +649,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_vault_still_decodes_and_reencodes_at_v2() {
-        let original = secrets();
-        let v1_bytes = encode_secrets_v1(&original);
-        let restored = decode_secrets(&v1_bytes).expect("v1 decode");
-        assert!(restored.original.same_weights(&original.original));
-        assert_eq!(restored.signature, original.signature);
-        // Re-encoding migrates to the current version.
-        let v2_bytes = encode_secrets(&restored);
-        assert_eq!(&v2_bytes[4..8], &VERSION.to_le_bytes());
-        let again = decode_secrets(&v2_bytes).expect("v2 decode");
-        assert!(again.original.same_weights(&original.original));
-    }
-
-    #[test]
     fn mixed_version_vault_is_rejected_with_a_clear_error() {
         let original = secrets();
-        // A v2 vault whose embedded model was downgraded to v1 — the
-        // splice a buggy migration tool would produce.
-        let good = encode_secrets(&original).to_vec();
-        let v1_model = encode_model_v1(&original.original);
-        let v2_model = encode_model(&original.original);
-        let model_start = good.len() - v2_model.len();
-        let mut spliced = good[..model_start - 4].to_vec();
-        spliced.extend_from_slice(&(v1_model.len() as u32).to_le_bytes());
-        spliced.extend_from_slice(&v1_model);
+        // A v2 vault whose embedded model carries a version-1 header —
+        // the splice a buggy downgrade tool would produce.
+        let mut spliced = encode_secrets(&original).to_vec();
+        let model_start = spliced.len() - encode_model(&original.original).len();
+        spliced[model_start + 4..model_start + 8].copy_from_slice(&1u32.to_le_bytes());
         let err = decode_secrets(&spliced).expect_err("mixed vault must fail");
         assert_eq!(
             err,
             CodecError::MixedVersion {
                 outer: FORMAT_V2,
-                inner: FORMAT_V1
+                inner: 1
             }
         );
         assert!(err.to_string().contains("mixed-version"), "{err}");
@@ -771,16 +738,15 @@ mod tests {
                 "cut at {cut} must not decode"
             );
         }
-        // Splice a v1 artifact into the first slot.
+        // Give the first slot's artifact a version-1 header.
         let mut spliced_devices = devices.clone();
-        spliced_devices[0].artifact =
-            encode_model_v1(&decode_model(&devices[0].artifact).expect("decode")).to_vec();
+        spliced_devices[0].artifact[4..8].copy_from_slice(&1u32.to_le_bytes());
         let spliced = encode_fleet_bundle(&fp_cfg, &spliced_devices);
         assert_eq!(
             decode_fleet_bundle(&spliced).expect_err("mixed bundle must fail"),
             CodecError::MixedVersion {
                 outer: FORMAT_V2,
-                inner: FORMAT_V1
+                inner: 1
             }
         );
         // An invalid fingerprint config is rejected before any artifact.

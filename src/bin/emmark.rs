@@ -9,7 +9,7 @@
 //!                                                   stamp pipeline, one layer
 //!                                                   resident at a time)
 //! emmark verify --secrets FILE --suspect FILE       ownership proof (Eqs. 6–8);
-//!                                                   v2 artifacts are probed sparsely
+//!                                                   the artifact is probed sparsely
 //! emmark inspect --model FILE [--json]              layer/scheme/bit summary from the
 //!                                                   v2 header index; .emfb fleet
 //!                                                   bundles get a streamed device/
@@ -76,16 +76,13 @@
 //! [`emmark::core::telemetry`].
 
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
-use emmark::core::deploy::{
-    artifact_version, decode_model, encode_model, encode_model_into, SparseArtifact, FORMAT_V2,
-};
+use emmark::core::deploy::{decode_model, encode_model, encode_model_into, SparseArtifact};
 use emmark::core::fleet::{
     decode_registry, encode_registry, FleetError, FleetVerdict, FleetVerifier,
 };
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
-    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into,
-    IndexedFleetVerifier, LeakIndex,
+    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into, LeakIndex,
 };
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
 use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
@@ -501,25 +498,14 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     let secrets =
         decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
     let suspect_bytes = read_file(required(opts, "suspect")?)?;
-    // v2 artifacts are probed sparsely: only the header index and the
-    // few hundred watermark cells are read. v1 falls back to a full
-    // decode; both paths produce the same report bit for bit.
-    let report = if artifact_version(&suspect_bytes).map_err(|e| e.to_string())? == FORMAT_V2 {
-        let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
-        println!(
-            "suspect : v2 artifact ({} KiB), sparse random-access extraction",
-            suspect_bytes.len() / 1024
-        );
-        secrets.verify(&sparse)
-    } else {
-        println!(
-            "suspect : v1 artifact ({} KiB), full decode (compatibility shim)",
-            suspect_bytes.len() / 1024
-        );
-        let suspect = decode_model(&suspect_bytes).map_err(|e| e.to_string())?;
-        secrets.verify(&suspect)
-    }
-    .map_err(|e| e.to_string())?;
+    // The artifact is probed sparsely: only the header index and the
+    // few hundred watermark cells are read.
+    let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
+    println!(
+        "suspect : v2 artifact ({} KiB), sparse random-access extraction",
+        suspect_bytes.len() / 1024
+    );
+    let report = secrets.verify(&sparse).map_err(|e| e.to_string())?;
     println!(
         "matched {} / {} bits  (WER {:.1}%)",
         report.matched_bits,
@@ -538,7 +524,7 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-/// One row of the inspect report, format-version independent.
+/// One row of the inspect report.
 struct LayerSummary {
     in_features: usize,
     out_features: usize,
@@ -600,45 +586,25 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     let bytes = read_file(path)?;
-    let version = artifact_version(&bytes).map_err(|e| e.to_string())?;
-    // v2: everything comes from the header index without materializing
-    // a model; grids are scanned in place for the clamp census. v1
-    // artifacts decode fully (compatibility shim).
-    let (cfg, scheme, layers) = if version == FORMAT_V2 {
-        let sparse = SparseArtifact::open(&bytes).map_err(|e| e.to_string())?;
-        let layers = (0..sparse.layer_count())
-            .map(|l| {
-                let view = sparse.layer_grid(l);
-                let entry = &sparse.layer_index()[l];
-                LayerSummary {
-                    in_features: view.in_features(),
-                    out_features: view.out_features(),
-                    bits: view.bits(),
-                    granularity: format!("{:?}", entry.granularity),
-                    granularity_json: granularity_json(entry.granularity),
-                    clamped: (0..view.len()).filter(|&f| view.is_clamped_flat(f)).count(),
-                }
-            })
-            .collect::<Vec<_>>();
-        (sparse.config().clone(), sparse.scheme().to_string(), layers)
-    } else {
-        let model = decode_model(&bytes).map_err(|e| e.to_string())?;
-        let layers = model
-            .layers
-            .iter()
-            .map(|layer| LayerSummary {
-                in_features: layer.in_features(),
-                out_features: layer.out_features(),
-                bits: layer.bits(),
-                granularity: format!("{:?}", layer.granularity()),
-                granularity_json: granularity_json(layer.granularity()),
-                clamped: (0..layer.len())
-                    .filter(|&f| layer.is_clamped_flat(f))
-                    .count(),
-            })
-            .collect::<Vec<_>>();
-        (model.cfg.clone(), model.scheme.clone(), layers)
-    };
+    // Everything comes from the header index without materializing a
+    // model; grids are scanned in place for the clamp census.
+    let sparse = SparseArtifact::open(&bytes).map_err(|e| e.to_string())?;
+    let version = sparse.format_version();
+    let (cfg, scheme) = (sparse.config(), sparse.scheme());
+    let layers = (0..sparse.layer_count())
+        .map(|l| {
+            let view = sparse.layer_grid(l);
+            let entry = &sparse.layer_index()[l];
+            LayerSummary {
+                in_features: view.in_features(),
+                out_features: view.out_features(),
+                bits: view.bits(),
+                granularity: format!("{:?}", entry.granularity),
+                granularity_json: granularity_json(entry.granularity),
+                clamped: (0..view.len()).filter(|&f| view.is_clamped_flat(f)).count(),
+            }
+        })
+        .collect::<Vec<_>>();
     let total_cells: usize = layers.iter().map(|l| l.in_features * l.out_features).sum();
     let clamped: usize = layers.iter().map(|l| l.clamped).sum();
 
@@ -659,7 +625,7 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
              \"d_model\":{},\"n_blocks\":{},\"n_heads\":{},\"d_ff\":{},\"vocab_size\":{},\
              \"total_cells\":{total_cells},\"clamped_cells\":{clamped},\"layers\":[{}]}}",
             json_escape(&cfg.name),
-            json_escape(&scheme),
+            json_escape(scheme),
             cfg.d_model,
             cfg.n_layers,
             cfg.n_heads,
@@ -1091,8 +1057,11 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
         ),
     }
     let start = std::time::Instant::now();
-    let verifier =
+    let mut verifier =
         FleetVerifier::from_parts(secrets, fp_cfg, devices).map_err(|e| e.to_string())?;
+    if let Some(ix) = index {
+        verifier = verifier.with_index(ix).map_err(|e| e.to_string())?;
+    }
     let cache_time = start.elapsed();
 
     let start = std::time::Instant::now();
@@ -1106,15 +1075,10 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
                 .verify_bundle_stream(&mut stream, threshold, jobs, ring)
                 .map_err(|e| e.to_string())?
         }
-        FleetSource::Dir(names, artifacts) => {
-            let batch = match index {
-                Some(ix) => IndexedFleetVerifier::new(verifier, ix)
-                    .map_err(|e| e.to_string())?
-                    .verify_batch(&artifacts, threshold, jobs),
-                None => verifier.verify_batch(&artifacts, threshold, jobs),
-            };
-            names.into_iter().zip(batch).collect()
-        }
+        FleetSource::Dir(names, artifacts) => names
+            .into_iter()
+            .zip(verifier.verify_batch(&artifacts, threshold, jobs))
+            .collect(),
     };
     let verify_time = start.elapsed();
 
@@ -1186,23 +1150,14 @@ fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
         start.elapsed().as_secs_f64() * 1e3
     );
 
-    // v2 artifacts are probed sparsely (only the indexed fingerprint
-    // cells are read); v1 falls back to a full decode.
+    // The suspect is probed sparsely: only the indexed fingerprint
+    // cells are read.
     let start = std::time::Instant::now();
-    let traced = if artifact_version(&suspect_bytes).map_err(|e| e.to_string())? == FORMAT_V2 {
-        let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
-        if linear {
-            verifier.verifier().identify_leak(&sparse, threshold)
-        } else {
-            verifier.identify_leak(&sparse, threshold)
-        }
+    let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
+    let traced = if linear {
+        verifier.identify_leak_linear(&sparse, threshold)
     } else {
-        let suspect = decode_model(&suspect_bytes).map_err(|e| e.to_string())?;
-        if linear {
-            verifier.verifier().identify_leak(&suspect, threshold)
-        } else {
-            verifier.identify_leak(&suspect, threshold)
-        }
+        verifier.identify_leak(&sparse, threshold)
     }
     .map_err(|e| e.to_string())?
     .map(|(d, r)| (d.clone(), r));
@@ -1304,7 +1259,8 @@ fn serve_stdio(service: &Service) -> Result<(), String> {
 
 /// Serves framed requests over a Unix socket, one handler thread per
 /// connection. A shutdown request (from any connection) drains the
-/// queue, stops the pool, and unblocks the accept loop.
+/// queue, stops the pool, unblocks the accept loop, and closes every
+/// connection still open so idle clients cannot keep the daemon alive.
 fn serve_socket(service: Service, path: &str) -> Result<(), String> {
     use std::os::unix::fs::FileTypeExt as _;
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -1344,7 +1300,11 @@ fn serve_socket(service: Service, path: &str) -> Result<(), String> {
             .map_err(|e| format!("spawning waker thread: {e}"))?
     };
 
-    let mut handlers = Vec::new();
+    // Each live handler beside a weak handle on its connection, so the
+    // drain below can unblock a handler parked in read_frame. Weak, so a
+    // handler that ends still closes its end of the socket as before.
+    type Handler = (std::thread::JoinHandle<()>, std::sync::Weak<UnixStream>);
+    let mut handlers: Vec<Handler> = Vec::new();
     for conn in listener.incoming() {
         if service.is_stopped() {
             break;
@@ -1356,26 +1316,35 @@ fn serve_socket(service: Service, path: &str) -> Result<(), String> {
                 continue;
             }
         };
+        let conn = std::sync::Arc::new(conn);
+        let peer = std::sync::Arc::downgrade(&conn);
         let service = std::sync::Arc::clone(&service);
         let handle = std::thread::Builder::new()
             .name("emmarkd-conn".into())
             .stack_size(512 * 1024)
             .spawn(move || serve_conn(&service, conn))
             .map_err(|e| format!("spawning connection thread: {e}"))?;
-        handlers.push(handle);
+        handlers.push((handle, peer));
         // Reap handles whose connections already hung up, so a long-lived
         // daemon holds one JoinHandle per live connection, not per
         // connection ever served.
         let mut i = 0;
         while i < handlers.len() {
-            if handlers[i].is_finished() {
-                let _ = handlers.swap_remove(i).join();
+            if handlers[i].0.is_finished() {
+                let _ = handlers.swap_remove(i).0.join();
             } else {
                 i += 1;
             }
         }
     }
-    for handle in handlers {
+    // The pool has stopped, so every reply (ShutdownComplete included)
+    // is already written. A client that keeps its connection open would
+    // leave its handler blocked in read_frame forever; shutting the
+    // connection down makes that read return EOF.
+    for (handle, peer) in handlers {
+        if let Some(conn) = peer.upgrade() {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
         let _ = handle.join();
     }
     let _ = waker.join();
@@ -1384,7 +1353,7 @@ fn serve_socket(service: Service, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn serve_conn(service: &Service, conn: std::os::unix::net::UnixStream) {
+fn serve_conn(service: &Service, conn: std::sync::Arc<std::os::unix::net::UnixStream>) {
     let writer = match conn.try_clone() {
         Ok(w) => std::sync::Arc::new(std::sync::Mutex::new(w)),
         Err(e) => {
@@ -1392,7 +1361,7 @@ fn serve_conn(service: &Service, conn: std::os::unix::net::UnixStream) {
             return;
         }
     };
-    let mut reader = BufReader::new(conn);
+    let mut reader = BufReader::new(&*conn);
     loop {
         match read_frame(&mut reader) {
             Ok(Some(payload)) => {

@@ -1,13 +1,15 @@
 //! Property-based coverage of the EMQM v2 indexed codec: encode/decode
 //! round-trips over randomized grids and quantizer settings, truncation
-//! at *every* section boundary the layer index names, and v1/v2
-//! cross-version behavior (shim decode, vault migration).
+//! at *every* section boundary the layer index names, and the refusal
+//! of retired v1 artifacts and vaults by every reader.
 
 use emmark::core::deploy::{
-    artifact_version, decode_model, encode_model, encode_model_v1, CodecError, SparseArtifact,
-    FORMAT_V1, FORMAT_V2,
+    artifact_version, decode_model, encode_model, CodecError, SparseArtifact, FORMAT_V2,
 };
-use emmark::core::vault::{decode_secrets, encode_secrets, encode_secrets_v1};
+use emmark::core::fleet::{FleetError, FleetVerifier};
+use emmark::core::service::{Blob, Request, Response, Service, ServiceConfig};
+use emmark::core::store::{ArtifactLayerStore, StoreError};
+use emmark::core::vault::{decode_secrets, encode_secrets};
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
 use emmark::quant::rtn::quantize_linear_rtn;
@@ -107,53 +109,95 @@ proptest! {
         }
     }
 
-    /// v1 encodings of the same model decode to the same weights via
-    /// the compatibility shim.
-    #[test]
-    fn v1_shim_agrees_with_v2(
-        bits in prop::sample::select(vec![4u8, 8]),
-        seed in 0u64..1_000_000,
-    ) {
-        let model = build_model(bits, Granularity::PerOutChannel, ActQuant::None, seed);
-        let v1 = encode_model_v1(&model);
-        let v2 = encode_model(&model);
-        prop_assert_eq!(artifact_version(&v1).unwrap(), FORMAT_V1);
-        let from_v1 = decode_model(&v1).expect("v1");
-        let from_v2 = decode_model(&v2).expect("v2");
-        prop_assert!(from_v1.same_weights(&from_v2));
-        prop_assert_eq!(&from_v1.cfg, &from_v2.cfg);
-        prop_assert_eq!(&from_v1.scheme, &from_v2.scheme);
-    }
+}
+
+/// `bytes` (an EMQM artifact or an EMWS vault) behind a retired
+/// version-1 header.
+fn with_version_1(bytes: &[u8]) -> Vec<u8> {
+    let mut v1 = bytes.to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    v1
 }
 
 #[test]
-fn vault_migration_v1_to_v2_preserves_proof_power() {
+fn retired_v1_artifacts_and_vaults_are_refused_with_bad_version() {
     let model = build_model(8, Granularity::PerOutChannel, ActQuant::None, 42);
     let mut fp = TransformerModel::new({
         let mut c = ModelConfig::tiny_test();
         c.init_seed = 42;
         c
     });
-    let calib = vec![vec![1u32, 2, 3, 4, 5, 6, 7, 8]];
-    let stats = fp.collect_activation_stats(&calib);
+    let stats = fp.collect_activation_stats(&[vec![1u32, 2, 3, 4, 5, 6, 7, 8]]);
     let cfg = WatermarkConfig {
         bits_per_layer: 4,
         pool_ratio: 10,
         ..Default::default()
     };
     let secrets = OwnerSecrets::new(model, stats, cfg, 0x5EC2);
-    let deployed = secrets.watermark_for_deployment().expect("insert");
+    let deployed = encode_model(&secrets.watermark_for_deployment().expect("insert"));
+    let vault = encode_secrets(&secrets);
+    let v1_artifact = with_version_1(&deployed);
+    let v1_vault = with_version_1(&vault);
+    let verifier = FleetVerifier::from_parts(secrets, cfg, Vec::new()).expect("verifier");
+    let service = Service::start(ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    });
+    let service_verify = |secrets: &[u8], suspect: &[u8]| match service.request(
+        1,
+        &Request::Verify {
+            secrets: Blob::Inline(secrets.to_vec()),
+            suspect: Blob::Inline(suspect.to_vec()),
+            log10_threshold: -9.0,
+        },
+    ) {
+        Response::Error { message } => Some(message),
+        _ => None,
+    };
 
-    // v1 vault → decode → re-encode (v2) → decode: proof power intact.
-    let migrated = decode_secrets(&encode_secrets_v1(&secrets)).expect("v1 vault");
-    let v2_bytes = encode_secrets(&migrated);
-    let restored = decode_secrets(&v2_bytes).expect("v2 vault");
-    let report = restored.verify(&deployed).expect("verify");
-    assert_eq!(report.wer(), 100.0);
-
-    // And the sparse path proves ownership from the migrated secrets.
-    let artifact = encode_model(&deployed);
-    let sparse = SparseArtifact::open(&artifact).expect("open");
-    let sparse_report = restored.verify(&sparse).expect("sparse verify");
-    assert_eq!(sparse_report, report);
+    let refusals: Vec<(&str, Option<String>)> = vec![
+        (
+            "decode_model",
+            decode_model(&v1_artifact).err().map(|e| e.to_string()),
+        ),
+        (
+            "decode_secrets",
+            decode_secrets(&v1_vault).err().map(|e| e.to_string()),
+        ),
+        (
+            "SparseArtifact::open",
+            SparseArtifact::open(&v1_artifact)
+                .err()
+                .map(|e| e.to_string()),
+        ),
+        (
+            "ArtifactLayerStore::open",
+            match ArtifactLayerStore::open(std::io::Cursor::new(&v1_artifact)) {
+                Err(StoreError::Codec(e)) => Some(e.to_string()),
+                _ => None,
+            },
+        ),
+        (
+            "FleetVerifier::verify_artifact",
+            match verifier.verify_artifact(&v1_artifact, -6.0) {
+                Err(FleetError::Codec(e)) => Some(e.to_string()),
+                _ => None,
+            },
+        ),
+        (
+            "service Verify (v1 suspect)",
+            service_verify(&vault, &v1_artifact),
+        ),
+        (
+            "service Verify (v1 vault)",
+            service_verify(&v1_vault, &deployed),
+        ),
+    ];
+    let expected = CodecError::BadVersion(1).to_string();
+    for (reader, refusal) in refusals {
+        assert_eq!(refusal.as_deref(), Some(expected.as_str()), "{reader}");
+    }
+    // The same inputs at version 2 are accepted.
+    assert_eq!(artifact_version(&deployed).expect("version"), FORMAT_V2);
+    assert_eq!(service_verify(&vault, &deployed), None);
 }

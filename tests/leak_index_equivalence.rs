@@ -48,19 +48,20 @@ fn all_schemes() -> (Vec<QuantizedModel>, ActivationStats) {
 /// match cannot clear it).
 const THRESHOLDS: &[f64] = &[0.0, -3.0, -6.0, -40.0, -1000.0];
 
+/// `verifier` carries its leak index, so `identify_leak` takes the
+/// indexed path and `identify_leak_linear` is the oracle.
 fn assert_indexed_matches_linear<S: GridSource>(
     verifier: &FleetVerifier,
-    index: &emmark::core::registry::LeakIndex,
     suspect: &S,
     label: &str,
 ) {
     for &t in THRESHOLDS {
         let linear = verifier
-            .identify_leak(suspect, t)
+            .identify_leak_linear(suspect, t)
             .expect("linear identify")
             .map(|(d, r)| (d.device_id.clone(), r));
         let indexed = verifier
-            .identify_leak_indexed(index, suspect, t)
+            .identify_leak(suspect, t)
             .expect("indexed identify")
             .map(|(d, r)| (d.device_id.clone(), r));
         // Same device *and* the same report — matched-bit counts
@@ -101,13 +102,16 @@ fn indexed_and_linear_identification_agree_on_every_scheme() {
             .collect();
         let verifier = provisioner.verifier(fingerprints);
         let index = verifier.leak_index();
+        let verifier = verifier
+            .with_index(index)
+            .expect("index covers the registry");
 
         // Honest suspects: every device's own deployment traces back to
         // it through both paths.
         for (id, leaked) in ids.iter().zip(&deployments) {
-            assert_indexed_matches_linear(&verifier, &index, leaked, &format!("{scheme}/{id}"));
+            assert_indexed_matches_linear(&verifier, leaked, &format!("{scheme}/{id}"));
             let traced = verifier
-                .identify_leak_indexed(&index, leaked, -6.0)
+                .identify_leak(leaked, -6.0)
                 .expect("identify")
                 .expect("traced");
             assert_eq!(&traced.0.device_id, id, "{scheme}: wrong device");
@@ -121,10 +125,10 @@ fn indexed_and_linear_identification_agree_on_every_scheme() {
         // no fingerprint) and the pristine original must not be traced
         // to any device — by either path.
         for (label, suspect) in [("base-only", &base_only), ("pristine", &pristine)] {
-            assert_indexed_matches_linear(&verifier, &index, suspect, &format!("{scheme}/{label}"));
+            assert_indexed_matches_linear(&verifier, suspect, &format!("{scheme}/{label}"));
             assert!(
                 verifier
-                    .identify_leak_indexed(&index, suspect, -6.0)
+                    .identify_leak(suspect, -6.0)
                     .expect("identify")
                     .is_none(),
                 "{scheme}/{label}: must not be traced"
@@ -138,12 +142,7 @@ fn indexed_and_linear_identification_agree_on_every_scheme() {
         for (a, b) in [(0usize, 1usize), (2, 3), (4, 5)] {
             let mut splice = deployments[a].clone();
             splice.layers[n / 2..].clone_from_slice(&deployments[b].layers[n / 2..]);
-            assert_indexed_matches_linear(
-                &verifier,
-                &index,
-                &splice,
-                &format!("{scheme}/splice-{a}-{b}"),
-            );
+            assert_indexed_matches_linear(&verifier, &splice, &format!("{scheme}/splice-{a}-{b}"));
         }
 
         // Attacked device deployment: partial fingerprint damage.
@@ -155,7 +154,7 @@ fn indexed_and_linear_identification_agree_on_every_scheme() {
                 seed: 7,
             },
         );
-        assert_indexed_matches_linear(&verifier, &index, &attacked, &format!("{scheme}/attacked"));
+        assert_indexed_matches_linear(&verifier, &attacked, &format!("{scheme}/attacked"));
     }
 }
 
@@ -210,7 +209,7 @@ fn persisted_manifest_index_matches_the_freshly_built_one() {
         .expect("identify")
         .map(|(d, r)| (d.device_id.clone(), r));
     let linear = verifier
-        .identify_leak(&leaked, -6.0)
+        .identify_leak_linear(&leaked, -6.0)
         .expect("linear")
         .map(|(d, r)| (d.device_id.clone(), r));
     assert_eq!(traced, linear);
@@ -241,9 +240,8 @@ fn index_over_a_different_population_is_rejected() {
         .collect();
     let small = provisioner.verifier(few);
     let big = provisioner.verifier(many);
-    let suspect = provisioner.base_deployed().clone();
     let err = big
-        .identify_leak_indexed(&small.leak_index(), &suspect, -6.0)
+        .with_index(small.leak_index())
         .expect_err("population mismatch");
     assert!(err.to_string().contains("devices"), "{err}");
 }

@@ -3,13 +3,10 @@
 //! [`SparseArtifact`](emmark::core::deploy::SparseArtifact) (random
 //! byte access into the v2 artifact) must produce the *bit-identical*
 //! [`ExtractionReport`] the full-decode path produces — on watermarked,
-//! pristine, and attacked suspects — and the fleet engine must return
-//! the same verdicts for v1 and v2 encodings of the same model.
+//! pristine, and attacked suspects.
 
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
-use emmark::core::deploy::{decode_model, encode_model, encode_model_v1, SparseArtifact};
-use emmark::core::fingerprint::Fleet;
-use emmark::core::fleet::FleetVerifier;
+use emmark::core::deploy::{decode_model, encode_model, SparseArtifact};
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::model::ActivationStats;
 use emmark::nanolm::{ModelConfig, TransformerModel};
@@ -87,42 +84,6 @@ fn sparse_and_full_decode_extraction_agree_on_every_scheme() {
                 "{scheme}/{label}: sparse and in-memory reports diverged"
             );
         }
-    }
-}
-
-#[test]
-fn fleet_verdicts_are_identical_for_v1_and_v2_encodings() {
-    let (models, stats) = all_schemes();
-    // AWQ INT4 — the paper's main scheme — through the full fleet flow.
-    let base = OwnerSecrets::new(models[1].clone(), stats, wm_cfg(), 0xF1EE7);
-    let fp_cfg = WatermarkConfig {
-        bits_per_layer: 3,
-        pool_ratio: 10,
-        selection_seed: 0xDE11CE,
-        ..Default::default()
-    };
-    let mut fleet = Fleet::new(base, fp_cfg);
-    let deployments: Vec<QuantizedModel> = ["alpha", "beta", "gamma"]
-        .iter()
-        .map(|id| fleet.provision(id).expect("provision"))
-        .collect();
-    let verifier = FleetVerifier::new(&fleet).expect("cache");
-
-    let v2: Vec<Vec<u8>> = deployments
-        .iter()
-        .map(|m| encode_model(m).to_vec())
-        .collect();
-    let v1: Vec<Vec<u8>> = deployments
-        .iter()
-        .map(|m| encode_model_v1(m).to_vec())
-        .collect();
-    let v2_verdicts = verifier.verify_batch(&v2, -6.0, Some(2));
-    let v1_verdicts = verifier.verify_batch(&v1, -6.0, Some(2));
-    assert_eq!(v2_verdicts, v1_verdicts, "v1 shim must match sparse path");
-    for (i, verdict) in v2_verdicts.iter().enumerate() {
-        let v = verdict.as_ref().expect("verdict");
-        assert_eq!(v.ownership.wer(), 100.0, "artifact {i}");
-        assert!(v.attribution.is_some(), "artifact {i} must be traced");
     }
 }
 

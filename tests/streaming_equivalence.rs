@@ -4,8 +4,8 @@
 //!
 //! * `stream_watermark` (score → insert → encode, one layer resident)
 //!   vs `insert_watermark` + `encode_model`;
-//! * the file-backed [`ArtifactLayerStore`] and the spill-to-disk
-//!   [`ShardStore`] as sources, against the in-memory store;
+//! * the file-backed [`ArtifactLayerStore`] as a source, against the
+//!   in-memory store;
 //! * the streaming fleet emitters (`provision_artifact_into`,
 //!   `provision_bundle_into`) vs their buffered counterparts;
 //! * the `WatermarkScheme::insert_into` trait path (EmMark's streaming
@@ -15,9 +15,7 @@ use emmark::core::deploy::encode_model;
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::scheme::{EmMarkScheme, WatermarkScheme};
 use emmark::core::signature::Signature;
-use emmark::core::store::{
-    copy_store, ArtifactLayerStore, ArtifactSink, ModelSink, ShardSink, ShardStore,
-};
+use emmark::core::store::{ArtifactLayerStore, ArtifactSink, ModelSink};
 use emmark::core::vault::encode_fleet_bundle;
 use emmark::core::watermark::{
     insert_watermark, stream_watermark, stream_watermark_reference, OwnerSecrets, WatermarkConfig,
@@ -32,7 +30,6 @@ use emmark::quant::smoothquant::{smoothquant, SmoothQuantConfig};
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::path::PathBuf;
 
 const SCHEMES: [&str; 5] = ["rtn", "awq", "gptq", "smoothquant", "llm_int8"];
 
@@ -66,19 +63,12 @@ fn wm_cfg() -> WatermarkConfig {
     }
 }
 
-fn temp_dir(tag: &str, case: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "emmark-streamtest-{tag}-{case}-{}",
-        std::process::id()
-    ))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The streaming pipeline is byte-identical to the buffered path
-    /// for every scheme, from the in-memory store, the file-backed
-    /// artifact store, and the spill-to-disk shard store alike.
+    /// for every scheme, from the in-memory store and the file-backed
+    /// artifact store alike.
     #[test]
     fn streaming_stamp_is_byte_identical_across_all_stores(
         scheme in prop::sample::select(SCHEMES.to_vec()),
@@ -141,23 +131,6 @@ proptest! {
         )
         .expect("stream from artifact store");
         prop_assert_eq!(&from_artifact, &buffered, "artifact store diverged ({})", scheme);
-
-        // Spill-to-disk shard store → streaming sink.
-        let dir = temp_dir(scheme, seed);
-        let mut spill = ShardSink::create(&dir).expect("create shards");
-        copy_store(&original, &mut spill).expect("spill");
-        let shard_store = ShardStore::open(&dir).expect("open shards");
-        let mut from_shards = Vec::new();
-        stream_watermark(
-            &shard_store,
-            &stats,
-            &sig,
-            &cfg,
-            &mut ArtifactSink::new(&mut from_shards),
-        )
-        .expect("stream from shard store");
-        shard_store.remove().expect("cleanup");
-        prop_assert_eq!(&from_shards, &buffered, "shard store diverged ({})", scheme);
     }
 
     /// Streaming into a `ModelSink` materializes exactly the model the
