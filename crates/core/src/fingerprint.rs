@@ -276,10 +276,21 @@ impl FamilyCache {
         device_id: &str,
     ) -> (DeviceFingerprint, Signature, Locations) {
         let fp = derive_device(fingerprint_config, device_id);
+        let (sig, locs) = self.fingerprint_material(fingerprint_config, &fp);
+        (fp, sig, locs)
+    }
+
+    /// The signature and sampled locations of an already-registered
+    /// fingerprint — a pure function of its seeds and the shared pools.
+    pub(crate) fn fingerprint_material(
+        &self,
+        fingerprint_config: &WatermarkConfig,
+        fp: &DeviceFingerprint,
+    ) -> (Signature, Locations) {
         let n = self.base_deployed.layer_count();
         let sig = Signature::generate(fingerprint_config.signature_len(n), fp.signature_seed);
         let locs = sample_from_pools(&self.pools, fingerprint_config, fp.selection_seed);
-        (fp, sig, locs)
+        (sig, locs)
     }
 }
 

@@ -35,7 +35,7 @@
 //! and `tests/fleet_engine.rs` pin that equivalence.
 
 use crate::deploy::{CodecError, Section, SparseArtifact};
-use crate::fingerprint::{derive_device, sample_from_pools, DeviceFingerprint, FamilyCache, Fleet};
+use crate::fingerprint::{derive_device, DeviceFingerprint, FamilyCache, Fleet};
 use crate::registry::LeakIndex;
 use crate::signature::Signature;
 use crate::telemetry::{self, Telemetry};
@@ -44,9 +44,8 @@ use crate::watermark::{
     ProofCutoff, WatermarkConfig, WatermarkError,
 };
 use bytes::{BufMut, Bytes, BytesMut};
-use emmark_quant::QuantizedModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Errors of fleet verification: a suspect artifact that fails to
 /// decode, or watermark extraction failing on the decoded model.
@@ -113,24 +112,27 @@ impl FleetVerdict {
 /// Batch verification engine over a registry of device fingerprints.
 ///
 /// Construction pays the device-independent costs once (ownership
-/// locations, base-watermarked reference, fingerprint candidate pools,
-/// per-device signatures and locations); every verification afterwards
-/// is read-only, so batches parallelize freely. An attached
-/// [`LeakIndex`] makes leak identification sublinear in fleet size.
+/// locations, base-watermarked reference, fingerprint candidate pools)
+/// and nothing per device: a device's signature and locations are a
+/// pure function of its seeds, derived when a check needs them. Indexed
+/// identification and [`Self::device_report`] derive only the devices
+/// they score, so their cost follows the candidates, not the fleet; the
+/// linear scan and [`Self::leak_index`] derive the whole table once, on
+/// first use. Verification is otherwise read-only, so batches
+/// parallelize freely. An attached [`LeakIndex`] makes leak
+/// identification sublinear in fleet size.
 #[derive(Debug, Clone)]
 pub struct FleetVerifier {
     base: OwnerSecrets,
     fingerprint_config: WatermarkConfig,
     devices: Vec<DeviceFingerprint>,
-    /// Cached ownership watermark locations (Eq. 2–4 scoring, once).
-    base_locations: Locations,
-    /// Cached base-watermarked reference weights (fingerprint diffs are
-    /// taken against this shared state).
-    base_deployed: QuantizedModel,
-    /// Cached per-layer fingerprint candidate pools, base-excluded.
-    pools: Vec<Vec<usize>>,
-    /// Per registered device: its signature and sampled locations.
-    device_material: Vec<(Signature, Locations)>,
+    /// Ownership locations, base-watermarked reference weights (the
+    /// state fingerprint diffs are taken against) and base-excluded
+    /// fingerprint pools — Eqs. 2–4 scoring, once.
+    cache: FamilyCache,
+    /// Per registered device: its signature and sampled locations,
+    /// filled on first use by the linear scan or [`Self::leak_index`].
+    device_material: OnceLock<Vec<(Signature, Locations)>>,
     /// The fingerprint-cell inverted index over `devices`, when one is
     /// attached; [`Self::identify_leak`] then probes it instead of
     /// scanning every device.
@@ -179,30 +181,37 @@ impl FleetVerifier {
         devices: Vec<DeviceFingerprint>,
         cache: FamilyCache,
     ) -> Self {
-        let FamilyCache {
-            base_locations,
-            base_deployed,
-            pools,
-        } = cache;
-        let n = base_deployed.layer_count();
-        let device_material = devices
-            .iter()
-            .map(|d| {
-                let sig =
-                    Signature::generate(fingerprint_config.signature_len(n), d.signature_seed);
-                let locs = sample_from_pools(&pools, &fingerprint_config, d.selection_seed);
-                (sig, locs)
-            })
-            .collect();
         Self {
             base,
             fingerprint_config,
             devices,
-            base_locations,
-            base_deployed,
-            pools,
-            device_material,
+            cache,
+            device_material: OnceLock::new(),
             index: None,
+        }
+    }
+
+    /// One device's signature and sampled locations, derived from its
+    /// seeds and the cached pools.
+    fn material(&self, device: &DeviceFingerprint) -> (Signature, Locations) {
+        self.cache
+            .fingerprint_material(&self.fingerprint_config, device)
+    }
+
+    /// Every registered device's material in registration order, derived
+    /// once on first call.
+    fn all_material(&self) -> &[(Signature, Locations)] {
+        self.device_material
+            .get_or_init(|| self.devices.iter().map(|d| self.material(d)).collect())
+    }
+
+    /// Without an index every identification in a batch scans the whole
+    /// material table: derive it up front on the calling thread, before
+    /// the batch's artifacts and workers are resident, instead of in
+    /// whichever worker gets there first while the rest block on it.
+    fn prime_linear_batch(&self) {
+        if self.index.is_none() {
+            self.all_material();
         }
     }
 
@@ -253,14 +262,14 @@ impl FleetVerifier {
         extract_with_locations(
             suspect,
             &self.base.original,
-            &self.base_locations,
+            &self.cache.base_locations,
             &self.base.signature,
         )
     }
 
-    /// Fingerprint extraction for one device — bit-for-bit the report
-    /// [`Fleet::device_report`] produces, using the cached pools instead
-    /// of re-scoring every layer.
+    /// Fingerprint extraction for one device, registered or not —
+    /// bit-for-bit the report [`Fleet::device_report`] produces, using
+    /// the cached pools instead of re-scoring every layer.
     ///
     /// # Errors
     ///
@@ -274,24 +283,8 @@ impl FleetVerifier {
         if Telemetry::enabled() {
             telemetry::FLEET_REPORTS.incr();
         }
-        match self.devices.iter().position(|d| d == device) {
-            Some(i) => {
-                let (sig, locs) = &self.device_material[i];
-                extract_with_locations(leaked, &self.base_deployed, locs, sig)
-            }
-            None => {
-                // Unregistered fingerprint: derive its material on the
-                // fly from the shared pools.
-                let n = self.base_deployed.layer_count();
-                let sig = Signature::generate(
-                    self.fingerprint_config.signature_len(n),
-                    device.signature_seed,
-                );
-                let locs =
-                    sample_from_pools(&self.pools, &self.fingerprint_config, device.selection_seed);
-                extract_with_locations(leaked, &self.base_deployed, &locs, &sig)
-            }
-        }
+        let (sig, locs) = self.material(device);
+        extract_with_locations(leaked, &self.cache.base_deployed, &locs, &sig)
     }
 
     /// Traces a leaked model to the registered device whose fingerprint
@@ -334,8 +327,8 @@ impl FleetVerifier {
         // devices — almost all of them — then cost an integer compare
         // instead of a binomial tail.
         let mut cutoff = ProofCutoff::new(log10_threshold);
-        for (device, (sig, locs)) in self.devices.iter().zip(&self.device_material) {
-            let report = extract_with_locations(leaked, &self.base_deployed, locs, sig)?;
+        for (device, (sig, locs)) in self.devices.iter().zip(self.all_material()) {
+            let report = extract_with_locations(leaked, &self.cache.base_deployed, locs, sig)?;
             if !cutoff.clears(&report) {
                 continue;
             }
@@ -363,10 +356,10 @@ impl FleetVerifier {
     /// suspect's deltas at the index's cells are read once, bucket
     /// lookups count exact per-device matched bits, and only the devices
     /// whose counts clear the [`ProofCutoff`] — typically zero or one of
-    /// N — get the full Eq. 8 extraction. Verdicts (device *and* report,
-    /// matched-bit counts included) are bit-identical to
-    /// [`Self::identify_leak_linear`]; the index only narrows, Eq. 8
-    /// decides.
+    /// N — have their material derived and get the full Eq. 8
+    /// extraction. Verdicts (device *and* report, matched-bit counts
+    /// included) are bit-identical to [`Self::identify_leak_linear`];
+    /// the index only narrows, Eq. 8 decides.
     ///
     /// # Errors
     ///
@@ -385,17 +378,19 @@ impl FleetVerifier {
             // registry; neither may the index path.
             return Ok(None);
         }
-        check_same_grid(leaked, &self.base_deployed)?;
+        let base_deployed = &self.cache.base_deployed;
+        check_same_grid(leaked, base_deployed)?;
         // A hand-edited manifest could name cells outside the grid;
         // reject it up front instead of panicking mid-count.
-        if let Some((l, f)) = index.cell_out_of_bounds(&self.base_deployed) {
+        if let Some((l, f)) = index.cell_out_of_bounds(base_deployed) {
             return Err(WatermarkError::InvalidConfig(format!(
                 "leak index references cell (layer {l}, flat {f}) outside the registry's layer grid"
             )));
         }
         let mut cutoff = ProofCutoff::new(log10_threshold);
-        let n = self.base_deployed.layer_count();
-        let total_bits = self.fingerprint_config.signature_len(n);
+        let total_bits = self
+            .fingerprint_config
+            .signature_len(base_deployed.layer_count());
         let Some(min_matched) = cutoff.min_matched(total_bits) else {
             // Even a perfect fingerprint match cannot clear the
             // threshold — the linear scan skips every device.
@@ -407,10 +402,10 @@ impl FleetVerifier {
         // Candidates come back in registration order, so tie-breaking
         // (strictly-better wins, first registration kept) matches the
         // linear scan exactly.
-        for d in index.candidates(leaked, &self.base_deployed, min_matched) {
+        for d in index.candidates(leaked, base_deployed, min_matched) {
             candidates += 1;
-            let (sig, locs) = &self.device_material[d];
-            let report = extract_with_locations(leaked, &self.base_deployed, locs, sig)?;
+            let (sig, locs) = self.material(&self.devices[d]);
+            let report = extract_with_locations(leaked, base_deployed, &locs, &sig)?;
             if !cutoff.clears(&report) {
                 continue;
             }
@@ -437,8 +432,8 @@ impl FleetVerifier {
     pub fn leak_index(&self) -> LeakIndex {
         LeakIndex::from_material(
             self.devices.len(),
-            self.base_deployed.layer_count(),
-            self.device_material.iter(),
+            self.cache.base_deployed.layer_count(),
+            self.all_material(),
         )
     }
 
@@ -492,6 +487,7 @@ impl FleetVerifier {
         log10_threshold: f64,
         jobs: Option<usize>,
     ) -> Vec<Result<FleetVerdict, FleetError>> {
+        self.prime_linear_batch();
         par_map(artifacts, jobs, |a| {
             self.verify_artifact(a.as_ref(), log10_threshold)
         })
@@ -519,6 +515,7 @@ impl FleetVerifier {
         jobs: Option<usize>,
         max_resident: usize,
     ) -> Result<BundleVerdicts, crate::store::StoreError> {
+        self.prime_linear_batch();
         let ring = max_resident.max(1);
         let mut out = Vec::new();
         loop {
@@ -746,6 +743,38 @@ mod tests {
             assert_eq!(cached_dev, serial_dev, "artifact {i}");
             assert_eq!(cached_rep, serial_rep, "artifact {i}");
         }
+    }
+
+    #[test]
+    fn indexed_paths_derive_only_candidate_material() {
+        let ids: Vec<String> = (0..6).map(|i| format!("edge-{i:02}")).collect();
+        let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        let (fleet, artifacts) = fleet_with_devices(&id_refs);
+        let oracle = FleetVerifier::new(&fleet).expect("cache");
+        let lazy = FleetVerifier::new(&fleet)
+            .expect("cache")
+            .with_index(oracle.leak_index())
+            .expect("index");
+        for artifact in &artifacts {
+            let leaked = decode_model(artifact).expect("decode");
+            let indexed = lazy.identify_leak(&leaked, -6.0).expect("indexed");
+            let linear = oracle.identify_leak_linear(&leaked, -6.0).expect("linear");
+            assert!(linear.is_some());
+            assert_eq!(indexed, linear);
+            for device in fleet.devices() {
+                assert_eq!(
+                    lazy.device_report(device, &leaked).expect("lazy"),
+                    oracle.device_report(device, &leaked).expect("oracle"),
+                    "device {}",
+                    device.device_id
+                );
+            }
+        }
+        assert!(
+            lazy.device_material.get().is_none(),
+            "indexed identification and device reports must not build the full table"
+        );
+        assert!(oracle.device_material.get().is_some());
     }
 
     #[test]

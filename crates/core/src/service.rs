@@ -24,6 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as IoRead, Write as IoWrite};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -41,9 +42,9 @@ use crate::registry::{decode_manifest, load_sharded_registry};
 use crate::store::StoreError;
 use crate::telemetry::{
     Span, Telemetry, SERVICE_CACHE_HITS, SERVICE_CACHE_MISSES, SERVICE_EVICTIONS,
-    SERVICE_IDENTIFY_NS, SERVICE_INSPECT_NS, SERVICE_MALFORMED, SERVICE_PROVISION_NS,
-    SERVICE_QUEUE_DEPTH, SERVICE_REJECTED, SERVICE_REQUESTS, SERVICE_RESIDENT_BYTES,
-    SERVICE_VERIFY_NS,
+    SERVICE_IDENTIFY_NS, SERVICE_INSPECT_NS, SERVICE_MALFORMED, SERVICE_PANICS,
+    SERVICE_PROVISION_NS, SERVICE_QUEUE_DEPTH, SERVICE_REJECTED, SERVICE_REQUESTS,
+    SERVICE_RESIDENT_BYTES, SERVICE_VERIFY_NS,
 };
 use crate::vault::{decode_secrets, FleetBundleStream};
 use crate::watermark::{
@@ -744,6 +745,8 @@ fn fp_key(cfg: &WatermarkConfig) -> FpKey {
 }
 
 /// Everything kept warm for one owner vault (one model family).
+/// `verifiers` is keyed by registry content; a registry path rewritten
+/// under a new stamp evicts the verifier of its previous content.
 struct FamilyEntry {
     secrets: OwnerSecrets,
     locations: Locations,
@@ -824,11 +827,16 @@ fn cache_key(bytes: &[u8]) -> CacheKey {
     (fxhash(bytes), h2)
 }
 
-/// Identity stamp for a vault file: modification time plus length.
-/// While the stamp is unchanged, a path blob resolves to its previously
-/// hashed cache key without re-reading the file, so the warm-path cost
-/// of a request does not scale with vault size.
+/// Identity stamp for a vault or registry file: modification time plus
+/// length. While the stamp is unchanged, a path blob resolves to its
+/// previously hashed cache key without re-reading the file, so the
+/// warm-path cost of a request does not scale with vault or manifest
+/// size.
 type PathStamp = (u128, u64);
+
+/// A path blob's stamp as of the start of a request (`None` for inline
+/// blobs and paths that cannot be stat'ed).
+type Stamped<'a> = Option<(&'a str, PathStamp)>;
 
 fn stat_stamp(path: &str) -> Option<PathStamp> {
     let meta = std::fs::metadata(path).ok()?;
@@ -846,8 +854,8 @@ fn stat_stamp(path: &str) -> Option<PathStamp> {
 const PATH_KEY_CAP: usize = 1024;
 
 /// A small LRU of warm [`FamilyEntry`]s keyed by the vault byte hash,
-/// with a path→key side table that lets unchanged vault files skip the
-/// read-and-hash on every warm request.
+/// with a path→key side table that lets unchanged vault and registry
+/// files skip the read-and-hash on every warm request.
 struct FamilyLru {
     capacity: usize,
     tick: u64,
@@ -1216,11 +1224,36 @@ fn process_job(inner: &Arc<Inner>, payload: &[u8], stopped_flag: &Arc<AtomicBool
             drop(state);
             Response::ShutdownComplete
         }
-        other => handle_request(inner, other).unwrap_or_else(|e| Response::Error {
-            message: e.to_string(),
-        }),
+        other => answer(|| handle_request(inner, other)),
     };
     encode_response(id, &response)
+}
+
+/// Runs one request handler and renders its outcome as the response. A
+/// handler error becomes [`Response::Error`]; so does a handler panic,
+/// counted in `emmark_service_panics_total`, so the worker survives, the
+/// client still gets its reply, and the job's `in_flight` slot is
+/// released as usual.
+fn answer(handler: impl FnOnce() -> Result<Response, ServiceError>) -> Response {
+    match catch_unwind(AssertUnwindSafe(handler)) {
+        Ok(Ok(response)) => response,
+        Ok(Err(e)) => Response::Error {
+            message: e.to_string(),
+        },
+        Err(payload) => {
+            if Telemetry::enabled() {
+                SERVICE_PANICS.incr();
+            }
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Response::Error {
+                message: format!("internal error: request handler panicked: {what}"),
+            }
+        }
+    }
 }
 
 fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, ServiceError> {
@@ -1265,13 +1298,17 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
         } => {
             let _span = Span::enter(&SERVICE_IDENTIFY_NS);
             let family = load_family(inner, &secrets, &mut lease)?;
-            let verifier = load_verifier(&family, &registry, &mut lease)?;
+            let verifier = load_verifier(inner, &family, &registry, &mut lease)?;
             let bytes = load_blob(&suspect, "suspect artifact", &mut lease)?;
             let matched = identify_suspect(&verifier, &bytes, log10_threshold, linear)?;
             Ok(Response::Identify { matched })
         }
         Request::Inspect { target } => {
             let _span = Span::enter(&SERVICE_INSPECT_NS);
+            #[cfg(test)]
+            if matches!(&target, Blob::Path(p) if p == tests::PANIC_PATH) {
+                panic!("injected handler panic");
+            }
             inspect_target(&target, &mut lease).map(Response::Inspect)
         }
         Request::Ping | Request::Shutdown => unreachable!("handled by process_job"),
@@ -1302,13 +1339,52 @@ fn load_blob(
     Ok(bytes)
 }
 
-fn remember_path_key(lru: &mut FamilyLru, stamped: &Option<(&str, PathStamp)>, key: CacheKey) {
-    if let Some((path, stamp)) = stamped {
-        if lru.path_keys.len() >= PATH_KEY_CAP && !lru.path_keys.contains_key(*path) {
-            lru.path_keys.clear();
-        }
-        lru.path_keys.insert((*path).to_string(), (*stamp, key));
+/// Stats a path blob and returns its stamp together with the cache key
+/// its bytes hashed to the last time the file carried that same stamp —
+/// so an unchanged file resolves after one `stat`, without a
+/// read-and-hash.
+fn stamp_lookup<'a>(inner: &Inner, blob: &'a Blob) -> (Stamped<'a>, Option<CacheKey>) {
+    let Blob::Path(path) = blob else {
+        return (None, None);
+    };
+    let Some(stamp) = stat_stamp(path) else {
+        return (None, None);
+    };
+    let known = inner
+        .cache
+        .lock()
+        .expect("family cache lock poisoned")
+        .path_keys
+        .get(path.as_str())
+        .and_then(|(s, key)| (*s == stamp).then_some(*key));
+    (Some((path, stamp)), known)
+}
+
+/// Records that the stamped path's bytes hash to `key`. Returns the key
+/// the path was recorded under before when that differs: the file was
+/// rewritten, and whatever is cached under the old key is superseded.
+fn remember_path_key(inner: &Inner, stamped: Stamped<'_>, key: CacheKey) -> Option<CacheKey> {
+    let (path, stamp) = stamped?;
+    let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+    if lru.path_keys.len() >= PATH_KEY_CAP && !lru.path_keys.contains_key(path) {
+        lru.path_keys.clear();
     }
+    let (_, previous) = lru.path_keys.insert(path.to_string(), (stamp, key))?;
+    (previous != key).then_some(previous)
+}
+
+/// The warm family for `key`, refreshing its LRU tick and counting the
+/// hit.
+fn family_hit(inner: &Inner, key: CacheKey) -> Option<Arc<FamilyEntry>> {
+    let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+    lru.tick += 1;
+    let tick = lru.tick;
+    let (at, entry) = lru.entries.get_mut(&key)?;
+    *at = tick;
+    if Telemetry::enabled() {
+        SERVICE_CACHE_HITS.incr();
+    }
+    Some(Arc::clone(entry))
 }
 
 fn load_family(
@@ -1316,45 +1392,17 @@ fn load_family(
     secrets: &Blob,
     lease: &mut BudgetLease<'_>,
 ) -> Result<Arc<FamilyEntry>, ServiceError> {
-    // Fast path for path blobs: an unchanged (mtime, length) stamp
-    // resolves to the previously hashed key without reading the vault,
-    // so a warm hit costs a stat, not a half-megabyte read-and-hash.
-    let stamped = match secrets {
-        Blob::Path(path) => stat_stamp(path).map(|s| (path.as_str(), s)),
-        Blob::Inline(_) => None,
-    };
-    if let Some((path, stamp)) = &stamped {
-        let mut lru = inner.cache.lock().unwrap();
-        lru.tick += 1;
-        let tick = lru.tick;
-        if let Some(key) = lru
-            .path_keys
-            .get(*path)
-            .and_then(|(s, key)| (s == stamp).then_some(*key))
-        {
-            if let Some((at, entry)) = lru.entries.get_mut(&key) {
-                *at = tick;
-                if Telemetry::enabled() {
-                    SERVICE_CACHE_HITS.incr();
-                }
-                return Ok(Arc::clone(entry));
-            }
-        }
+    // An unchanged vault path costs a stat, not a half-megabyte
+    // read-and-hash.
+    let (stamped, known) = stamp_lookup(inner, secrets);
+    if let Some(entry) = known.and_then(|key| family_hit(inner, key)) {
+        return Ok(entry);
     }
     let bytes = load_blob(secrets, "owner vault", lease)?;
     let key = cache_key(&bytes);
-    {
-        let mut lru = inner.cache.lock().unwrap();
-        lru.tick += 1;
-        let tick = lru.tick;
-        remember_path_key(&mut lru, &stamped, key);
-        if let Some((at, entry)) = lru.entries.get_mut(&key) {
-            *at = tick;
-            if Telemetry::enabled() {
-                SERVICE_CACHE_HITS.incr();
-            }
-            return Ok(Arc::clone(entry));
-        }
+    remember_path_key(inner, stamped, key);
+    if let Some(entry) = family_hit(inner, key) {
+        return Ok(entry);
     }
     // Build the entry outside the LRU lock: locate_watermark is the
     // expensive cold-start step and must not serialize unrelated families.
@@ -1362,7 +1410,7 @@ fn load_family(
         SERVICE_CACHE_MISSES.incr();
     }
     let built = Arc::new(FamilyEntry::load(&bytes)?);
-    let mut lru = inner.cache.lock().unwrap();
+    let mut lru = inner.cache.lock().expect("family cache lock poisoned");
     lru.tick += 1;
     let tick = lru.tick;
     if let Some((stamp, existing)) = lru.entries.get_mut(&key) {
@@ -1401,18 +1449,47 @@ fn identify_suspect(
     Ok(matched.map(|(fp, report)| (fp.clone(), ReportSummary::from(&report))))
 }
 
+/// The family's verifier for `key`, counting the hit.
+fn verifier_hit(family: &FamilyEntry, key: CacheKey) -> Option<Arc<FleetVerifier>> {
+    let verifier = Arc::clone(
+        family
+            .verifiers
+            .lock()
+            .expect("verifier cache lock poisoned")
+            .get(&key)?,
+    );
+    if Telemetry::enabled() {
+        SERVICE_CACHE_HITS.incr();
+    }
+    Some(verifier)
+}
+
 fn load_verifier(
+    inner: &Inner,
     family: &Arc<FamilyEntry>,
     registry: &Blob,
     lease: &mut BudgetLease<'_>,
 ) -> Result<Arc<FleetVerifier>, ServiceError> {
+    // An unchanged registry path (a multi-megabyte manifest, typically)
+    // costs a stat, not a read-and-hash.
+    let (stamped, known) = stamp_lookup(inner, registry);
+    if let Some(verifier) = known.and_then(|key| verifier_hit(family, key)) {
+        return Ok(verifier);
+    }
     let bytes = load_blob(registry, "fleet registry", lease)?;
     let key = cache_key(&bytes);
-    if let Some(verifier) = family.verifiers.lock().unwrap().get(&key) {
-        if Telemetry::enabled() {
-            SERVICE_CACHE_HITS.incr();
-        }
-        return Ok(Arc::clone(verifier));
+    if let Some(superseded) = remember_path_key(inner, stamped, key) {
+        // The path was rewritten: drop its previous content's verifier
+        // rather than keep it resident for the life of the family. A
+        // client still sending the old bytes simply rebuilds it.
+        family
+            .verifiers
+            .lock()
+            .expect("verifier cache lock poisoned")
+            .remove(&superseded);
+    }
+    if let Some(verifier) = verifier_hit(family, key) {
+        return Ok(verifier);
     }
     if Telemetry::enabled() {
         SERVICE_CACHE_MISSES.incr();
@@ -1459,10 +1536,11 @@ fn build_verifier(
                 .unwrap_or_default();
             let sharded = load_sharded_registry(bytes, |shard| std::fs::read(dir.join(shard)))?;
             // Copied, not moved out with `into_parts`: the originals freed
-            // here leave heap space that the per-request suspect and
-            // manifest buffers then reuse. Moving them doubled the daemon's
-            // minor page faults per request under mixed traffic and raised
-            // warm verify/identify latency (glibc malloc, 2-vCPU host).
+            // here leave heap space that the per-request suspect buffers
+            // then reuse. In the serve-warm mix, moving them saved 3.5 MiB
+            // of peak RSS but raised p90 latency from 4.9 to 7.7 ms and
+            // cut sustained throughput by a tenth (glibc malloc, 2-vCPU
+            // host).
             let fp_cfg = *sharded.fingerprint_config();
             let devices = sharded.devices().to_vec();
             let index = sharded.index().clone();
@@ -1905,5 +1983,116 @@ mod tests {
         assert_eq!(*budget.used.lock().unwrap(), 10_000);
         drop(b);
         assert_eq!(*budget.used.lock().unwrap(), 0);
+    }
+
+    /// An Inspect target that makes `handle_request` panic.
+    pub(super) const PANIC_PATH: &str = "\0emmark-test-panic";
+
+    #[test]
+    fn handler_panics_are_answered_and_the_pool_still_drains() {
+        Telemetry::set_enabled(true);
+        let before = SERVICE_PANICS.get();
+        let caught = answer(|| panic!("boom"));
+        assert!(
+            matches!(&caught, Response::Error { message } if message.ends_with("panicked: boom")),
+            "{caught:?}"
+        );
+        // One worker: if a panic killed it, nothing would answer the
+        // requests that follow.
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let req = Request::Inspect {
+            target: Blob::Path(PANIC_PATH.to_string()),
+        };
+        for id in 0..2 {
+            match service.request(id, &req) {
+                Response::Error { message } => {
+                    assert!(message.contains("injected handler panic"), "{message}")
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert_eq!(service.request(2, &Request::Ping), Response::Pong);
+        // Shutdown waits for in_flight to drop to itself: it completes
+        // only if the panicking jobs released their slots.
+        assert_eq!(
+            service.request(3, &Request::Shutdown),
+            Response::ShutdownComplete
+        );
+        service.wait_stopped();
+        assert_eq!(SERVICE_PANICS.get(), before + 3);
+    }
+
+    #[test]
+    fn rewriting_a_registry_path_evicts_the_superseded_verifier() {
+        use crate::fleet::encode_registry;
+        use crate::vault::encode_secrets;
+        use emmark_nanolm::config::ModelConfig;
+        use emmark_nanolm::TransformerModel;
+        use emmark_quant::awq::{awq, AwqConfig};
+
+        let mut model = TransformerModel::new(ModelConfig::tiny_test());
+        let calib: Vec<Vec<u32>> = (0..4u32)
+            .map(|s| (0..16u32).map(|i| (i * 7 + s) % 31).collect())
+            .collect();
+        let stats = model.collect_activation_stats(&calib);
+        let qm = awq(&model, &stats, &AwqConfig::default());
+        let base_cfg = WatermarkConfig {
+            bits_per_layer: 4,
+            pool_ratio: 10,
+            ..Default::default()
+        };
+        let secrets = OwnerSecrets::new(qm, stats, base_cfg, 0x5E7);
+        let fp_cfg = WatermarkConfig {
+            bits_per_layer: 3,
+            pool_ratio: 10,
+            selection_seed: 0xDE11CE,
+            ..Default::default()
+        };
+        let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
+        let registry_path = std::env::temp_dir().join(format!(
+            "emmark-svc-unit-{}-registry.emfr",
+            std::process::id()
+        ));
+        let registry = registry_path.display().to_string();
+        let vault = Blob::Inline(encode_secrets(&secrets).to_vec());
+
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        for (round, size) in [2usize, 3].into_iter().enumerate() {
+            let ids: Vec<String> = (0..size).map(|i| format!("r{round}-{i}")).collect();
+            let devices: Vec<_> = ids
+                .iter()
+                .map(|id| provisioner.provision_artifact(id))
+                .collect();
+            let fingerprints: Vec<_> = devices.iter().map(|d| d.fingerprint.clone()).collect();
+            std::fs::write(&registry_path, encode_registry(&fp_cfg, &fingerprints))
+                .expect("write registry");
+            let req = Request::IdentifyLeak {
+                secrets: vault.clone(),
+                registry: Blob::Path(registry.clone()),
+                suspect: Blob::Inline(devices[1].artifact.clone()),
+                log10_threshold: -6.0,
+                linear: false,
+            };
+            match service.request(round as u64, &req) {
+                Response::Identify {
+                    matched: Some((fp, _)),
+                } => assert_eq!(fp.device_id, ids[1], "round {round}"),
+                other => panic!("round {round}: unexpected response {other:?}"),
+            }
+            let lru = service.inner.cache.lock().unwrap();
+            let (_, family) = lru.entries.values().next().expect("one family");
+            assert_eq!(
+                family.verifiers.lock().unwrap().len(),
+                1,
+                "round {round}: the rewritten registry's old verifier must be evicted"
+            );
+        }
+        let _ = std::fs::remove_file(&registry_path);
     }
 }

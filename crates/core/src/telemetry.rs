@@ -385,6 +385,10 @@ registry! {
         /// Families dropped from the LRU to make room.
         SERVICE_EVICTIONS: "emmark_service_family_cache_evictions_total" =>
             "Families evicted from the emmarkd LRU";
+        /// Request handlers that panicked; each was answered with an
+        /// error response instead of taking its worker down.
+        SERVICE_PANICS: "emmark_service_panics_total" =>
+            "Request handler panics caught by emmarkd workers";
     }
     gauges {
         /// Requests waiting in the emmarkd bounded queue right now.

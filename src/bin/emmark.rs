@@ -99,7 +99,36 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Keeps every thread on glibc's main malloc arena when the process runs
+/// under an address-space cap (`ulimit -v`). glibc reserves 64 MiB of
+/// address space for each extra arena; under a smaller cap that
+/// reservation fails, and a worker thread then pays one `mmap` — a whole
+/// page of address space — per allocation, so a daemon worker holding a
+/// few thousand registry entries exhausts a cap the data fits in many
+/// times over. Uncapped processes keep glibc's per-thread arenas.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn share_malloc_arena_under_address_cap() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    let capped = std::fs::read_to_string("/proc/self/limits").is_ok_and(|limits| {
+        limits
+            .lines()
+            .any(|l| l.starts_with("Max address space") && !l.contains("unlimited"))
+    });
+    if capped {
+        // SAFETY: mallopt only tunes the allocator, and runs before this
+        // process starts any thread.
+        unsafe { mallopt(M_ARENA_MAX, 1) };
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn share_malloc_arena_under_address_cap() {}
+
 fn main() -> ExitCode {
+    share_malloc_arena_under_address_cap();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");

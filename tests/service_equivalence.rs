@@ -12,6 +12,7 @@
 use emmark::core::deploy::encode_model;
 use emmark::core::fleet::{encode_registry, FleetVerifier};
 use emmark::core::provision::FleetProvisioner;
+use emmark::core::registry::{encode_manifest, load_sharded_registry, provision_sharded};
 use emmark::core::service::{
     decode_response, encode_request, Blob, ReportSummary, Request, Response, Service, ServiceConfig,
 };
@@ -245,6 +246,68 @@ fn rewriting_a_vault_path_invalidates_the_stamp_cache() {
         }
     }
     let _ = std::fs::remove_file(&vault_path);
+}
+
+#[test]
+fn rewriting_a_manifest_path_invalidates_the_registry_stamp() {
+    // Warm identify requests skip re-reading a registry path while its
+    // (mtime, length) stamp is unchanged; provisioning a different
+    // fleet over the same manifest path must flip the stamp and trace
+    // against the NEW fleet, not the cached verifier.
+    let family = build_family("awq", 503);
+    let secrets = emmark::core::vault::decode_secrets(&family.secrets_bytes).expect("decode");
+    let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg()).expect("cache");
+    let dir = std::env::temp_dir().join(format!("emmark-svctest-emfm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let manifest_path = dir.join("fleet.emfm");
+    let manifest = manifest_path.display().to_string();
+
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    // Different fleet sizes, so the manifest length (and the stamp)
+    // differs even on a filesystem with coarse mtimes.
+    for (round, size) in [3usize, 5].into_iter().enumerate() {
+        let ids: Vec<String> = (0..size).map(|i| format!("fleet{round}-{i:02}")).collect();
+        let fleet = provision_sharded(&provisioner, &ids, 2, None).expect("provision");
+        for (name, bytes) in &fleet.shards {
+            std::fs::write(dir.join(name), bytes).expect("write shard");
+        }
+        std::fs::write(&manifest_path, encode_manifest(&fleet.manifest)).expect("write manifest");
+        let leak = provisioner.provision_artifact(&ids[size - 1]);
+        let one_shot = load_sharded_registry(&encode_manifest(&fleet.manifest), |name| {
+            std::fs::read(dir.join(name))
+        })
+        .expect("load")
+        .into_verifier(secrets.clone())
+        .expect("verifier")
+        .identify_leak(&SparseArtifact::open(&leak.artifact).expect("open"), -6.0)
+        .expect("identify")
+        .map(|(d, r)| (d.clone(), ReportSummary::from(&r)));
+        assert_eq!(
+            one_shot.as_ref().map(|(d, _)| d.device_id.as_str()),
+            Some(ids[size - 1].as_str())
+        );
+        let req = Request::IdentifyLeak {
+            secrets: Blob::Inline(family.secrets_bytes.clone()),
+            registry: Blob::Path(manifest.clone()),
+            suspect: Blob::Inline(leak.artifact.clone()),
+            log10_threshold: -6.0,
+            linear: false,
+        };
+        // Twice per round: the second request exercises the stamp hit.
+        for attempt in 0..2 {
+            match service.request(round as u64 * 2 + attempt, &req) {
+                Response::Identify { matched } => assert_eq!(
+                    matched, one_shot,
+                    "round {round} attempt {attempt}: traced against the wrong fleet"
+                ),
+                other => panic!("round {round}: unexpected response {other:?}"),
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
