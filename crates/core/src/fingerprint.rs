@@ -19,6 +19,7 @@ use crate::watermark::{
 use emmark_quant::QuantizedModel;
 use emmark_tensor::rng::{SplitMix64, Xoshiro256};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A registered device fingerprint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,18 +150,27 @@ impl Fleet {
         let mut cutoff = ProofCutoff::new(log10_threshold);
         for device in &self.devices {
             let report = self.device_report(device, leaked)?;
-            if !cutoff.clears(&report) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, b)) => report.log10_p_chance() < b.log10_p_chance(),
-            };
-            if better {
-                best = Some((device, report));
-            }
+            keep_best(&mut best, &mut cutoff, device, report);
         }
         Ok(best)
+    }
+}
+
+/// One step of a leak scan: `report` becomes the attribution when it
+/// clears `cutoff` with a strictly smaller chance-match probability than
+/// the best so far, so ties keep the first-registered device.
+pub(crate) fn keep_best<'a>(
+    best: &mut Option<(&'a DeviceFingerprint, ExtractionReport)>,
+    cutoff: &mut ProofCutoff,
+    device: &'a DeviceFingerprint,
+    report: ExtractionReport,
+) {
+    if cutoff.clears(&report)
+        && best
+            .as_ref()
+            .is_none_or(|(_, b)| report.log10_p_chance() < b.log10_p_chance())
+    {
+        *best = Some((device, report));
     }
 }
 
@@ -203,20 +213,67 @@ pub(crate) fn fingerprint_pools(
     Ok(pools)
 }
 
-/// Everything about a model family that is *device-independent*: the
-/// ownership watermark locations, the base-watermarked reference model,
-/// and the per-layer fingerprint candidate pools (base-excluded).
+/// One owner's model family, located once: the validated secrets and
+/// their ownership locations (Eqs. 2–4), a pure function of the secrets
+/// (DESIGN.md §5, invariant 2). Every engine over the family shares one
+/// `Arc` of it instead of re-deriving and cloning its own.
+#[derive(Debug)]
+pub(crate) struct Family {
+    pub(crate) secrets: OwnerSecrets,
+    pub(crate) locations: Locations,
+}
+
+impl Family {
+    /// Validates the secret bundle and locates its ownership watermark;
+    /// a mis-sized signature is [`WatermarkError::SignatureLength`].
+    pub(crate) fn new(secrets: OwnerSecrets) -> Result<Self, WatermarkError> {
+        // Corrupt or hand-edited vaults must surface as errors here, once,
+        // not as panics inside batch workers or on every warm request.
+        let expected = secrets.config.signature_len(secrets.original.layer_count());
+        if secrets.signature.len() != expected {
+            return Err(WatermarkError::SignatureLength {
+                expected,
+                got: secrets.signature.len(),
+            });
+        }
+        let locations = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)?;
+        Ok(Self { secrets, locations })
+    }
+
+    /// Ownership extraction (Eqs. 6–8) against the located cells —
+    /// bit-for-bit [`OwnerSecrets::verify`]; see
+    /// [`crate::fleet::FleetVerifier::ownership_report`].
+    pub(crate) fn ownership_report<S: GridSource + ?Sized>(
+        &self,
+        suspect: &S,
+    ) -> Result<ExtractionReport, WatermarkError> {
+        let _span = crate::telemetry::Span::enter(&crate::telemetry::FLEET_VERIFY_NS);
+        if crate::telemetry::Telemetry::enabled() {
+            crate::telemetry::FLEET_REPORTS.incr();
+        }
+        extract_with_locations(
+            suspect,
+            &self.secrets.original,
+            &self.locations,
+            &self.secrets.signature,
+        )
+    }
+}
+
+/// A [`Family`] extended for one fingerprint config: the
+/// base-watermarked reference model every device starts from and the
+/// per-layer fingerprint candidate pools (base-excluded).
 ///
-/// Building it pays the full Eqs. 2–4 scoring cost exactly once; both
-/// halves of the fleet pipeline — [`crate::provision::FleetProvisioner`]
-/// (score-once/insert-many) and [`crate::fleet::FleetVerifier`]
-/// (score-once/verify-many) — are thin device loops over this cache,
-/// which is what makes their outputs bit-identical to the serial
-/// [`Fleet`] path by construction.
-#[derive(Debug, Clone)]
+/// Both halves of the fleet pipeline —
+/// [`crate::provision::FleetProvisioner`] (score-once/insert-many) and
+/// [`crate::fleet::FleetVerifier`] (score-once/verify-many) — hold an
+/// `Arc` of it and are thin device loops over it, which is what makes
+/// their outputs bit-identical to the serial [`Fleet`] path by
+/// construction.
+#[derive(Debug)]
 pub(crate) struct FamilyCache {
-    /// Ownership watermark locations (Eq. 2–4 scoring, once).
-    pub(crate) base_locations: Locations,
+    pub(crate) family: Arc<Family>,
+    pub(crate) fingerprint_config: WatermarkConfig,
     /// The base-watermarked reference model every device starts from.
     pub(crate) base_deployed: QuantizedModel,
     /// Per-layer fingerprint candidate pools, base-excluded.
@@ -224,44 +281,30 @@ pub(crate) struct FamilyCache {
 }
 
 impl FamilyCache {
-    /// Validates the secret bundle and derives the cache.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an inconsistent bundle
-    /// ([`WatermarkError::SignatureLength`],
-    /// [`WatermarkError::InvalidConfig`]) and propagates
-    /// location-reproduction errors.
-    pub(crate) fn build(
-        base: &OwnerSecrets,
-        fingerprint_config: &WatermarkConfig,
+    /// Extends a located family for `fingerprint_config`, rejecting an
+    /// invalid config or a layer that cannot fill its pool.
+    pub(crate) fn new(
+        family: Arc<Family>,
+        fingerprint_config: WatermarkConfig,
     ) -> Result<Self, WatermarkError> {
-        // Corrupt or hand-edited inputs (vault, registry) must surface
-        // as errors here, not panics inside batch workers.
         fingerprint_config.validate()?;
-        let expected = base.config.signature_len(base.original.layer_count());
-        if base.signature.len() != expected {
-            return Err(WatermarkError::SignatureLength {
-                expected,
-                got: base.signature.len(),
-            });
-        }
-        let base_locations = locate_watermark(&base.original, &base.stats, &base.config)?;
-        // Apply the base watermark at the cached locations (identical to
+        let base = &family.secrets;
+        // Apply the base watermark at the located cells (identical to
         // `OwnerSecrets::watermark_for_deployment`, without re-locating).
         let mut base_deployed = base.original.clone();
-        apply_bits_at(&mut base_deployed, &base_locations, &base.signature);
+        apply_bits_at(&mut base_deployed, &family.locations, &base.signature);
         let pools = fingerprint_pools(
             &base_deployed,
             &base.stats,
-            &base_locations,
-            fingerprint_config,
+            &family.locations,
+            &fingerprint_config,
         )?;
         if crate::telemetry::Telemetry::enabled() {
             crate::telemetry::FLEET_CACHE_MISSES.incr();
         }
         Ok(Self {
-            base_locations,
+            family,
+            fingerprint_config,
             base_deployed,
             pools,
         })
@@ -272,24 +315,20 @@ impl FamilyCache {
     /// work, no scoring.
     pub(crate) fn device_material(
         &self,
-        fingerprint_config: &WatermarkConfig,
         device_id: &str,
     ) -> (DeviceFingerprint, Signature, Locations) {
-        let fp = derive_device(fingerprint_config, device_id);
-        let (sig, locs) = self.fingerprint_material(fingerprint_config, &fp);
+        let fp = derive_device(&self.fingerprint_config, device_id);
+        let (sig, locs) = self.fingerprint_material(&fp);
         (fp, sig, locs)
     }
 
     /// The signature and sampled locations of an already-registered
     /// fingerprint — a pure function of its seeds and the shared pools.
-    pub(crate) fn fingerprint_material(
-        &self,
-        fingerprint_config: &WatermarkConfig,
-        fp: &DeviceFingerprint,
-    ) -> (Signature, Locations) {
+    pub(crate) fn fingerprint_material(&self, fp: &DeviceFingerprint) -> (Signature, Locations) {
+        let cfg = &self.fingerprint_config;
         let n = self.base_deployed.layer_count();
-        let sig = Signature::generate(fingerprint_config.signature_len(n), fp.signature_seed);
-        let locs = sample_from_pools(&self.pools, fingerprint_config, fp.selection_seed);
+        let sig = Signature::generate(cfg.signature_len(n), fp.signature_seed);
+        let locs = sample_from_pools(&self.pools, cfg, fp.selection_seed);
         (sig, locs)
     }
 }

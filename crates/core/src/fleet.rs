@@ -11,15 +11,12 @@
 //! (score + sort every layer) and rebuilding the base-watermarked
 //! reference model.
 //!
-//! [`FleetVerifier`] hoists everything device-independent into a
-//! one-time cache per model family:
-//!
-//! * the ownership watermark locations,
-//! * the base-watermarked reference weights, and
-//! * the per-layer fingerprint candidate pools (base-excluded),
-//!
-//! after which verifying one artifact is pure PRNG sampling plus integer
-//! diffs, and a batch of artifacts fans out across a thread pool.
+//! [`FleetVerifier`] reads everything device-independent (ownership
+//! locations, base-watermarked reference, fingerprint pools) from one
+//! family cache, built once per (family, fingerprint config) and shared
+//! with [`crate::provision::FleetProvisioner`]; verifying one artifact is
+//! then pure PRNG sampling plus integer diffs, and a batch of artifacts
+//! fans out across a thread pool.
 //! Artifacts are opened as [`SparseArtifact`]s, so a worker reads only
 //! the header and the probed watermark cells — per-artifact work scales
 //! with watermark length, not parameter count. The suspect lives only
@@ -35,7 +32,7 @@
 //! and `tests/fleet_engine.rs` pin that equivalence.
 
 use crate::deploy::{CodecError, Section, SparseArtifact};
-use crate::fingerprint::{derive_device, DeviceFingerprint, FamilyCache, Fleet};
+use crate::fingerprint::{derive_device, keep_best, DeviceFingerprint, Family, FamilyCache, Fleet};
 use crate::registry::LeakIndex;
 use crate::signature::Signature;
 use crate::telemetry::{self, Telemetry};
@@ -45,7 +42,7 @@ use crate::watermark::{
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Errors of fleet verification: a suspect artifact that fails to
 /// decode, or watermark extraction failing on the decoded model.
@@ -111,10 +108,12 @@ impl FleetVerdict {
 
 /// Batch verification engine over a registry of device fingerprints.
 ///
-/// Construction pays the device-independent costs once (ownership
-/// locations, base-watermarked reference, fingerprint candidate pools)
-/// and nothing per device: a device's signature and locations are a
-/// pure function of its seeds, derived when a check needs them. Indexed
+/// The device-independent state (ownership locations, base-watermarked
+/// reference, fingerprint candidate pools) is one shared family cache:
+/// [`Self::from_parts`] builds it, [`crate::provision::FleetProvisioner::verifier`]
+/// shares the provisioner's. Nothing is paid per device: a device's
+/// signature and locations are a pure function of its seeds, derived
+/// when a check needs them. Indexed
 /// identification and [`Self::device_report`] derive only the devices
 /// they score, so their cost follows the candidates, not the fleet; the
 /// linear scan and [`Self::leak_index`] derive the whole table once, on
@@ -123,13 +122,10 @@ impl FleetVerdict {
 /// identification sublinear in fleet size.
 #[derive(Debug, Clone)]
 pub struct FleetVerifier {
-    base: OwnerSecrets,
-    fingerprint_config: WatermarkConfig,
+    /// Eqs. 2–4 scoring, once; fingerprint diffs are taken against its
+    /// base-watermarked reference.
+    pub(crate) cache: Arc<FamilyCache>,
     devices: Vec<DeviceFingerprint>,
-    /// Ownership locations, base-watermarked reference weights (the
-    /// state fingerprint diffs are taken against) and base-excluded
-    /// fingerprint pools — Eqs. 2–4 scoring, once.
-    cache: FamilyCache,
     /// Per registered device: its signature and sampled locations,
     /// filled on first use by the linear scan or [`Self::leak_index`].
     device_material: OnceLock<Vec<(Signature, Locations)>>,
@@ -167,42 +163,31 @@ impl FleetVerifier {
         fingerprint_config: WatermarkConfig,
         devices: Vec<DeviceFingerprint>,
     ) -> Result<Self, WatermarkError> {
-        let cache = FamilyCache::build(&base, &fingerprint_config)?;
-        Ok(Self::from_cache(base, fingerprint_config, devices, cache))
+        let family = Arc::new(Family::new(base)?);
+        let cache = FamilyCache::new(family, fingerprint_config)?;
+        Ok(Self::from_cache(Arc::new(cache), devices))
     }
 
-    /// Builds the engine around an already-derived [`FamilyCache`] —
-    /// the provision→verify flow ([`crate::provision::FleetProvisioner`])
-    /// reuses its cache here instead of paying the Eqs. 2–4 scoring a
+    /// Builds the engine around an already-built [`FamilyCache`] — the
+    /// provision→verify flow ([`crate::provision::FleetProvisioner`])
+    /// shares its cache here instead of paying the Eqs. 2–4 scoring a
     /// second time.
-    pub(crate) fn from_cache(
-        base: OwnerSecrets,
-        fingerprint_config: WatermarkConfig,
-        devices: Vec<DeviceFingerprint>,
-        cache: FamilyCache,
-    ) -> Self {
+    pub(crate) fn from_cache(cache: Arc<FamilyCache>, devices: Vec<DeviceFingerprint>) -> Self {
         Self {
-            base,
-            fingerprint_config,
-            devices,
             cache,
+            devices,
             device_material: OnceLock::new(),
             index: None,
         }
     }
 
-    /// One device's signature and sampled locations, derived from its
-    /// seeds and the cached pools.
-    fn material(&self, device: &DeviceFingerprint) -> (Signature, Locations) {
-        self.cache
-            .fingerprint_material(&self.fingerprint_config, device)
-    }
-
     /// Every registered device's material in registration order, derived
     /// once on first call.
     fn all_material(&self) -> &[(Signature, Locations)] {
-        self.device_material
-            .get_or_init(|| self.devices.iter().map(|d| self.material(d)).collect())
+        self.device_material.get_or_init(|| {
+            let material = |d| self.cache.fingerprint_material(d);
+            self.devices.iter().map(material).collect()
+        })
     }
 
     /// Without an index every identification in a batch scans the whole
@@ -241,7 +226,7 @@ impl FleetVerifier {
 
     /// The fingerprint parameters the registry was provisioned with.
     pub fn fingerprint_config(&self) -> &WatermarkConfig {
-        &self.fingerprint_config
+        &self.cache.fingerprint_config
     }
 
     /// Ownership watermark extraction against the cached locations —
@@ -255,16 +240,7 @@ impl FleetVerifier {
         &self,
         suspect: &S,
     ) -> Result<ExtractionReport, WatermarkError> {
-        let _span = telemetry::Span::enter(&telemetry::FLEET_VERIFY_NS);
-        if Telemetry::enabled() {
-            telemetry::FLEET_REPORTS.incr();
-        }
-        extract_with_locations(
-            suspect,
-            &self.base.original,
-            &self.cache.base_locations,
-            &self.base.signature,
-        )
+        self.cache.family.ownership_report(suspect)
     }
 
     /// Fingerprint extraction for one device, registered or not —
@@ -283,7 +259,7 @@ impl FleetVerifier {
         if Telemetry::enabled() {
             telemetry::FLEET_REPORTS.incr();
         }
-        let (sig, locs) = self.material(device);
+        let (sig, locs) = self.cache.fingerprint_material(device);
         extract_with_locations(leaked, &self.cache.base_deployed, &locs, &sig)
     }
 
@@ -329,16 +305,7 @@ impl FleetVerifier {
         let mut cutoff = ProofCutoff::new(log10_threshold);
         for (device, (sig, locs)) in self.devices.iter().zip(self.all_material()) {
             let report = extract_with_locations(leaked, &self.cache.base_deployed, locs, sig)?;
-            if !cutoff.clears(&report) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, b)) => report.log10_p_chance() < b.log10_p_chance(),
-            };
-            if better {
-                best = Some((device, report));
-            }
+            keep_best(&mut best, &mut cutoff, device, report);
         }
         if Telemetry::enabled() {
             // The linear scan extracts against every registered device —
@@ -389,6 +356,7 @@ impl FleetVerifier {
         }
         let mut cutoff = ProofCutoff::new(log10_threshold);
         let total_bits = self
+            .cache
             .fingerprint_config
             .signature_len(base_deployed.layer_count());
         let Some(min_matched) = cutoff.min_matched(total_bits) else {
@@ -404,18 +372,9 @@ impl FleetVerifier {
         // linear scan exactly.
         for d in index.candidates(leaked, base_deployed, min_matched) {
             candidates += 1;
-            let (sig, locs) = self.material(&self.devices[d]);
+            let (sig, locs) = self.cache.fingerprint_material(&self.devices[d]);
             let report = extract_with_locations(leaked, base_deployed, &locs, &sig)?;
-            if !cutoff.clears(&report) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, b)) => report.log10_p_chance() < b.log10_p_chance(),
-            };
-            if better {
-                best = Some((&self.devices[d], report));
-            }
+            keep_best(&mut best, &mut cutoff, &self.devices[d], report);
         }
         if Telemetry::enabled() {
             telemetry::IDENTIFY_DEVICES.add(self.devices.len() as u64);
@@ -541,11 +500,18 @@ pub fn registry_entry(fingerprint_config: &WatermarkConfig, device_id: &str) -> 
     derive_device(fingerprint_config, device_id)
 }
 
+/// Stack per worker thread, here and in emmarkd's pool: small, because
+/// stacks count against an address-space cap (`ulimit -v` in CI).
+pub(crate) const WORKER_STACK_BYTES: usize = 512 * 1024;
+
 /// Order-preserving parallel map over a slice: a work queue drained by
-/// `jobs` scoped threads (`None` = one per available core; the offline
-/// stand-in for `rayon`'s `par_iter`, see DESIGN.md §6). Shared by
-/// batch verification and batch provisioning ([`crate::provision`]),
-/// so the two engines' threading policy cannot drift apart.
+/// `jobs` threads, the calling thread among them (`None` = one per
+/// available core; the offline stand-in for `rayon`'s `par_iter`, see
+/// DESIGN.md §6). A helper thread the OS refuses to spawn only means
+/// fewer helpers — the calling thread drains whatever is left — never a
+/// panic or a lost item. Shared by batch verification and batch
+/// provisioning ([`crate::provision`]), so the two engines' threading
+/// policy cannot drift apart.
 pub(crate) fn par_map<T, U, F>(items: &[T], jobs: Option<usize>, f: F) -> Vec<U>
 where
     T: Sync,
@@ -563,21 +529,28 @@ where
     }
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    local.push((i, f(item)));
-                }
-                collected
-                    .lock()
-                    .expect("fleet worker panicked")
-                    .extend(local);
-            });
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            local.push((i, f(item)));
         }
+        collected
+            .lock()
+            .expect("fleet worker panicked")
+            .extend(local);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            let helper = std::thread::Builder::new()
+                .stack_size(WORKER_STACK_BYTES)
+                .spawn_scoped(scope, work);
+            if helper.is_err() {
+                break;
+            }
+        }
+        work();
     });
     let mut indexed = collected.into_inner().expect("fleet worker panicked");
     indexed.sort_unstable_by_key(|&(i, _)| i);

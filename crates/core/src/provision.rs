@@ -9,17 +9,11 @@
 //! ownership locations and the fingerprint candidate pools, and a full
 //! [`crate::deploy::encode_model`] pass to produce the device artifact.
 //!
-//! [`FleetProvisioner`] hoists everything device-independent into a
-//! one-time cache per model family (the same
-//! [`FamilyCache`](crate::fingerprint) the batch verifier uses):
-//!
-//! * the ownership watermark locations and the base-watermarked
-//!   reference model,
-//! * the per-layer fingerprint candidate pools (base-excluded), and
-//! * the base artifact's **v2 encoding plus its layer-offset index**,
-//!
-//! after which provisioning one device is pure PRNG sampling plus a
-//! delta patch: the device artifact is the base artifact with the
+//! [`FleetProvisioner`] holds the family cache its verifiers share
+//! (ownership locations, base-watermarked reference, fingerprint pools)
+//! plus the base artifact's **v2 encoding and layer-offset index**, so
+//! provisioning one device is pure PRNG sampling plus a delta patch:
+//! the device artifact is the base artifact with the
 //! fingerprinted cells poked through the offset index
 //! ([`crate::deploy::patch_artifact`]) — one buffer copy and
 //! O(fingerprint bits) byte writes instead of an O(params) re-encode.
@@ -32,15 +26,15 @@
 //! `tests/provision_equivalence.rs` pin both equivalences.
 
 use crate::deploy::{encode_model, splice_patches, CellPatch, LayerIndexEntry, SparseArtifact};
-use crate::fingerprint::{DeviceFingerprint, FamilyCache, Fleet};
+use crate::fingerprint::{DeviceFingerprint, Family, FamilyCache, Fleet};
 use crate::fleet::{encode_registry, par_map, FleetVerifier};
-use crate::signature::Signature;
 use crate::store::StoreError;
 use crate::telemetry::{self, Telemetry};
 use crate::vault::FleetBundleWriter;
-use crate::watermark::{apply_bits_at, Locations, OwnerSecrets, WatermarkConfig, WatermarkError};
+use crate::watermark::{apply_bits_at, OwnerSecrets, WatermarkConfig, WatermarkError};
 use bytes::Bytes;
 use emmark_quant::QuantizedModel;
+use std::sync::Arc;
 
 /// One provisioned device: its registry entry and its deployable v2
 /// artifact (byte-identical to encoding the serially fingerprinted
@@ -62,9 +56,8 @@ pub struct ProvisionedDevice {
 /// parallelize freely.
 #[derive(Debug, Clone)]
 pub struct FleetProvisioner {
-    base: OwnerSecrets,
-    fingerprint_config: WatermarkConfig,
-    cache: FamilyCache,
+    /// Shared with every verifier [`Self::verifier`] hands out.
+    cache: Arc<FamilyCache>,
     /// The base-watermarked model encoded to v2 bytes, once.
     base_artifact: Bytes,
     /// The base artifact's layer-offset table, parsed once — the delta
@@ -86,16 +79,23 @@ impl FleetProvisioner {
         base: OwnerSecrets,
         fingerprint_config: WatermarkConfig,
     ) -> Result<Self, WatermarkError> {
-        let cache = FamilyCache::build(&base, &fingerprint_config)?;
+        Self::for_family(Arc::new(Family::new(base)?), fingerprint_config)
+    }
+
+    /// Builds the engine over an already-located family (emmarkd's
+    /// path); errors as [`FamilyCache::new`].
+    pub(crate) fn for_family(
+        family: Arc<Family>,
+        fingerprint_config: WatermarkConfig,
+    ) -> Result<Self, WatermarkError> {
+        let cache = FamilyCache::new(family, fingerprint_config)?;
         let base_artifact = encode_model(&cache.base_deployed);
         let index = SparseArtifact::open(&base_artifact)
             .expect("freshly encoded artifact is well-formed")
             .layer_index()
             .to_vec();
         Ok(Self {
-            base,
-            fingerprint_config,
-            cache,
+            cache: Arc::new(cache),
             base_artifact,
             index,
         })
@@ -103,12 +103,12 @@ impl FleetProvisioner {
 
     /// The fingerprint parameters devices are provisioned with.
     pub fn fingerprint_config(&self) -> &WatermarkConfig {
-        &self.fingerprint_config
+        &self.cache.fingerprint_config
     }
 
     /// The shared family cache — sharded registry provisioning
     /// ([`crate::registry`]) derives per-device material through it.
-    pub(crate) fn family_cache(&self) -> &FamilyCache {
+    pub(crate) fn family_cache(&self) -> &Arc<FamilyCache> {
         &self.cache
     }
 
@@ -127,18 +127,17 @@ impl FleetProvisioner {
     /// [`Fleet::provision`] for the same device id, without mutating a
     /// registry.
     pub fn provision_model(&self, device_id: &str) -> (DeviceFingerprint, QuantizedModel) {
-        let (fp, sig, locs) = self
-            .cache
-            .device_material(&self.fingerprint_config, device_id);
+        let (fp, sig, locs) = self.cache.device_material(device_id);
         let mut deployed = self.cache.base_deployed.clone();
         apply_bits_at(&mut deployed, &locs, &sig);
         (fp, deployed)
     }
 
-    /// The delta a device's fingerprint makes against the base
-    /// artifact: one [`CellPatch`] per signature bit. Shared by the
-    /// buffered and streaming artifact emitters.
-    fn device_patches(&self, sig: &Signature, locs: &Locations) -> Vec<CellPatch> {
+    /// A device's registry entry and the delta its fingerprint makes
+    /// against the base artifact: one [`CellPatch`] per signature bit.
+    /// Shared by the buffered and streaming artifact emitters.
+    fn device_delta(&self, device_id: &str) -> (DeviceFingerprint, Vec<CellPatch>) {
+        let (fingerprint, sig, locs) = self.cache.device_material(device_id);
         let n = self.cache.base_deployed.layer_count();
         let mut patches = Vec::with_capacity(sig.len());
         for (l, layer_locs) in locs.iter().enumerate() {
@@ -154,7 +153,7 @@ impl FleetProvisioner {
                 });
             }
         }
-        patches
+        (fingerprint, patches)
     }
 
     /// Provisions one device as a deployable artifact via the delta
@@ -163,10 +162,7 @@ impl FleetProvisioner {
     /// `encode_model(&fleet.provision(device_id))`, at one buffer copy
     /// plus O(fingerprint bits) cost.
     pub fn provision_artifact(&self, device_id: &str) -> ProvisionedDevice {
-        let (fingerprint, sig, locs) = self
-            .cache
-            .device_material(&self.fingerprint_config, device_id);
-        let patches = self.device_patches(&sig, &locs);
+        let (fingerprint, patches) = self.device_delta(device_id);
         let artifact = crate::deploy::patch_artifact(&self.base_artifact, &self.index, &patches)
             .expect("pool-derived patches are always in range");
         if Telemetry::enabled() {
@@ -194,10 +190,7 @@ impl FleetProvisioner {
         device_id: &str,
         out: W,
     ) -> Result<DeviceFingerprint, StoreError> {
-        let (fingerprint, sig, locs) = self
-            .cache
-            .device_material(&self.fingerprint_config, device_id);
-        let patches = self.device_patches(&sig, &locs);
+        let (fingerprint, patches) = self.device_delta(device_id);
         splice_patches(&self.base_artifact, &self.index, &patches, out)?;
         if Telemetry::enabled() {
             telemetry::PROVISION_DEVICES.incr();
@@ -222,13 +215,10 @@ impl FleetProvisioner {
         device_ids: &[S],
         out: W,
     ) -> Result<Vec<DeviceFingerprint>, StoreError> {
-        let mut writer = FleetBundleWriter::new(out, &self.fingerprint_config, device_ids.len())?;
+        let mut writer = FleetBundleWriter::new(out, self.fingerprint_config(), device_ids.len())?;
         let mut devices = Vec::with_capacity(device_ids.len());
         for id in device_ids {
-            let (fingerprint, sig, locs) = self
-                .cache
-                .device_material(&self.fingerprint_config, id.as_ref());
-            let patches = self.device_patches(&sig, &locs);
+            let (fingerprint, patches) = self.device_delta(id.as_ref());
             writer.append_streamed(&fingerprint, self.base_artifact.len(), |w| {
                 splice_patches(&self.base_artifact, &self.index, &patches, w)
             })?;
@@ -259,29 +249,25 @@ impl FleetProvisioner {
     pub fn registry(&self, provisioned: &[ProvisionedDevice]) -> Bytes {
         let devices: Vec<DeviceFingerprint> =
             provisioned.iter().map(|p| p.fingerprint.clone()).collect();
-        encode_registry(&self.fingerprint_config, &devices)
+        encode_registry(self.fingerprint_config(), &devices)
     }
 
-    /// A [`FleetVerifier`] over the same family cache — the
-    /// provision→verify flow without paying the Eqs. 2–4 scoring a
-    /// second time. Verdicts are bit-identical to
-    /// [`FleetVerifier::from_parts`] on the same inputs.
+    /// A [`FleetVerifier`] sharing this provisioner's family cache — the
+    /// provision→verify flow without re-scoring or copying anything.
+    /// Verdicts are bit-identical to [`FleetVerifier::from_parts`] on the
+    /// same inputs.
     pub fn verifier(&self, devices: Vec<DeviceFingerprint>) -> FleetVerifier {
         if Telemetry::enabled() {
             telemetry::FLEET_CACHE_HITS.incr();
         }
-        FleetVerifier::from_cache(
-            self.base.clone(),
-            self.fingerprint_config,
-            devices,
-            self.cache.clone(),
-        )
+        FleetVerifier::from_cache(Arc::clone(&self.cache), devices)
     }
 
     /// Converts into the serial [`Fleet`] API with `devices` already
     /// registered (e.g. to keep provisioning incrementally).
     pub fn into_fleet(self, devices: Vec<DeviceFingerprint>) -> Fleet {
-        Fleet::with_devices(self.base, self.fingerprint_config, devices)
+        let secrets = self.cache.family.secrets.clone();
+        Fleet::with_devices(secrets, *self.fingerprint_config(), devices)
     }
 }
 
@@ -380,6 +366,18 @@ mod tests {
             let (device, _) = verdict.attribution.expect("attributed");
             assert_eq!(device.device_id, ids[i], "artifact {i}");
         }
+    }
+
+    #[test]
+    fn verifier_shares_the_provisioner_family_cache() {
+        let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");
+        let verifier = provisioner.verifier(Vec::new());
+        assert!(Arc::ptr_eq(provisioner.family_cache(), &verifier.cache));
+        // A clone of either engine is one more handle on the same cache.
+        assert!(Arc::ptr_eq(
+            provisioner.clone().family_cache(),
+            &verifier.clone().cache
+        ));
     }
 
     #[test]

@@ -556,9 +556,7 @@ where
     let mut first = 0u64;
     for (i, chunk_ids) in device_ids.chunks(per_shard).enumerate() {
         let stamp_span = telemetry::Span::enter(&telemetry::SHARD_STAMP_NS);
-        let chunk = par_map(chunk_ids, jobs, |id| {
-            cache.device_material(cfg, id.as_ref())
-        });
+        let chunk = par_map(chunk_ids, jobs, |id| cache.device_material(id.as_ref()));
         drop(stamp_span);
         let index_span = telemetry::Span::enter(&telemetry::SHARD_INDEX_NS);
         let mut fingerprints = Vec::with_capacity(chunk.len());

@@ -17,17 +17,18 @@
 //! either inline bytes or a filesystem path resolved server-side — so large
 //! artifacts need not cross the socket at all.
 //!
-//! Responses are bit-identical to the one-shot CLI for the same inputs: the
-//! warm path caches `locate_watermark` output and replays
-//! [`extract_with_locations`], which is deterministic given the same
-//! artifact bytes.
+//! Responses are bit-identical to the one-shot CLI for the same inputs: a
+//! warm family is one located `Family` (the vault's secrets and ownership
+//! locations) shared by every engine built over it, and each request
+//! replays deterministic extraction against it.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use bytes::{BufMut, BytesMut};
@@ -35,8 +36,8 @@ use bytes::{BufMut, BytesMut};
 use crate::deploy::{
     put_string, put_watermark_config, CodecError, Reader, Section, SparseArtifact,
 };
-use crate::fingerprint::{fxhash, DeviceFingerprint};
-use crate::fleet::{decode_registry, FleetVerifier};
+use crate::fingerprint::{fxhash, DeviceFingerprint, Family};
+use crate::fleet::{decode_registry, FleetVerifier, WORKER_STACK_BYTES};
 use crate::provision::FleetProvisioner;
 use crate::registry::{decode_manifest, load_sharded_registry};
 use crate::store::StoreError;
@@ -47,10 +48,7 @@ use crate::telemetry::{
     SERVICE_RESIDENT_BYTES, SERVICE_VERIFY_NS,
 };
 use crate::vault::{decode_secrets, FleetBundleStream};
-use crate::watermark::{
-    extract_with_locations, locate_watermark, ExtractionReport, GridSource, Locations,
-    OwnerSecrets, WatermarkConfig, WatermarkError,
-};
+use crate::watermark::{ExtractionReport, GridSource, WatermarkConfig, WatermarkError};
 
 /// Protocol version carried in every frame payload.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -166,7 +164,8 @@ impl From<&ExtractionReport> for ReportSummary {
 pub enum InspectSummary {
     /// A quantized artifact (`EMQM`).
     Artifact {
-        /// Container format version (1 dense, 2 sparse-indexed).
+        /// Container format version: always 2 (sparse-indexed), because
+        /// every reader refuses the retired v1.
         format_version: u32,
         /// Quantization scheme string.
         scheme: String,
@@ -401,7 +400,7 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
         }
         Request::Shutdown => buf.put_u8(OP_SHUTDOWN),
     }
-    buf.to_vec()
+    buf.into()
 }
 
 /// Decodes a request payload into its id and [`Request`].
@@ -562,7 +561,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
             put_string(&mut buf, message);
         }
     }
-    buf.to_vec()
+    buf.into()
 }
 
 /// Decodes a response payload into its id and [`Response`].
@@ -744,68 +743,89 @@ fn fp_key(cfg: &WatermarkConfig) -> FpKey {
     )
 }
 
-/// Everything kept warm for one owner vault (one model family).
+/// A cached value that concurrent requests build at most once: the first
+/// request to need it builds it, outside every lock, and the others wait
+/// on the same cell. A failed build goes to every request waiting on it,
+/// then [`forget`] drops the slot so a later request retries; a panicking
+/// build leaves the cell empty for the next request.
+type Slot<T> = Arc<OnceLock<Result<Arc<T>, String>>>;
+
+/// The slot's value when a build has succeeded, counted as a cache hit.
+fn built<T>(slot: &Slot<T>) -> Option<Arc<T>> {
+    let value = slot.get()?.as_ref().ok().cloned()?;
+    if Telemetry::enabled() {
+        SERVICE_CACHE_HITS.incr();
+    }
+    Some(value)
+}
+
+/// The slot's value, built by `build` unless another request has built
+/// it or is building it; counts the service-cache hit or miss.
+fn resolve<T>(
+    slot: &Slot<T>,
+    build: impl FnOnce() -> Result<T, ServiceError>,
+) -> Result<Arc<T>, ServiceError> {
+    let mut missed = false;
+    let value = slot.get_or_init(|| {
+        missed = true;
+        build().map(Arc::new).map_err(|e| e.to_string())
+    });
+    if Telemetry::enabled() {
+        if missed {
+            SERVICE_CACHE_MISSES.incr();
+        } else {
+            SERVICE_CACHE_HITS.incr();
+        }
+    }
+    value.clone().map_err(ServiceError::Other)
+}
+
+/// `map`'s slot for `key`, inserted empty when absent.
+fn slot<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T> {
+    let mut map = map.lock().expect("service cache lock poisoned");
+    Arc::clone(map.entry(key).or_default())
+}
+
+/// Drops `map`'s slot for `key` if it is still `slot`: a failed build is
+/// not cached.
+fn forget<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: &K, slot: &Slot<T>) {
+    let mut map = map.lock().expect("service cache lock poisoned");
+    if map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+        map.remove(key);
+    }
+}
+
+/// Everything kept warm for one owner vault: the located [`Family`], and
+/// per fingerprint config one provisioner, whose family cache every
+/// verifier of that config shares — so a (vault, fingerprint config)
+/// pair is scored once, whichever operation asks for it first.
 /// `verifiers` is keyed by registry content; a registry path rewritten
 /// under a new stamp evicts the verifier of its previous content.
 struct FamilyEntry {
-    secrets: OwnerSecrets,
-    locations: Locations,
-    provisioners: Mutex<HashMap<FpKey, Arc<FleetProvisioner>>>,
-    verifiers: Mutex<HashMap<CacheKey, Arc<FleetVerifier>>>,
+    family: Arc<Family>,
+    provisioners: Mutex<HashMap<FpKey, Slot<FleetProvisioner>>>,
+    verifiers: Mutex<HashMap<CacheKey, Slot<FleetVerifier>>>,
 }
 
 impl FamilyEntry {
     fn load(bytes: &[u8]) -> Result<Self, ServiceError> {
-        let secrets = decode_secrets(bytes)?;
-        // Mirror extract_watermark's precondition so a bad vault fails here,
-        // once, instead of on every warm request.
-        let expected = secrets.config.signature_len(secrets.original.layer_count());
-        if secrets.signature.len() != expected {
-            return Err(WatermarkError::SignatureLength {
-                expected,
-                got: secrets.signature.len(),
-            }
-            .into());
-        }
-        let locations = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)?;
         Ok(FamilyEntry {
-            secrets,
-            locations,
+            family: Arc::new(Family::new(decode_secrets(bytes)?)?),
             provisioners: Mutex::new(HashMap::new()),
             verifiers: Mutex::new(HashMap::new()),
         })
     }
 
-    /// Warm-path verification: replay extraction over the cached ownership
-    /// locations. Bit-identical to [`OwnerSecrets::verify`] because
-    /// [`locate_watermark`] is deterministic for fixed inputs.
-    fn verify<S: GridSource + ?Sized>(
-        &self,
-        suspect: &S,
-    ) -> Result<ExtractionReport, WatermarkError> {
-        extract_with_locations(
-            suspect,
-            &self.secrets.original,
-            &self.locations,
-            &self.secrets.signature,
-        )
-    }
-
     fn provisioner(&self, fp_cfg: &WatermarkConfig) -> Result<Arc<FleetProvisioner>, ServiceError> {
         let key = fp_key(fp_cfg);
-        if let Some(p) = self.provisioners.lock().unwrap().get(&key) {
-            if Telemetry::enabled() {
-                SERVICE_CACHE_HITS.incr();
-            }
-            return Ok(Arc::clone(p));
-        }
-        if Telemetry::enabled() {
-            SERVICE_CACHE_MISSES.incr();
-        }
-        // Build outside the lock; on a race the first insert wins.
-        let built = Arc::new(FleetProvisioner::new(self.secrets.clone(), *fp_cfg)?);
-        let mut map = self.provisioners.lock().unwrap();
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
+        let slot = slot(&self.provisioners, key);
+        resolve(&slot, || {
+            Ok(FleetProvisioner::for_family(
+                Arc::clone(&self.family),
+                *fp_cfg,
+            )?)
+        })
+        .inspect_err(|_| forget(&self.provisioners, &key, &slot))
     }
 }
 
@@ -834,9 +854,9 @@ fn cache_key(bytes: &[u8]) -> CacheKey {
 /// size.
 type PathStamp = (u128, u64);
 
-/// A path blob's stamp as of the start of a request (`None` for inline
-/// blobs and paths that cannot be stat'ed).
-type Stamped<'a> = Option<(&'a str, PathStamp)>;
+/// A path blob's path and stamp as of the start of a request (`None` for
+/// inline blobs and paths that cannot be stat'ed).
+type Stamped = Option<(String, PathStamp)>;
 
 fn stat_stamp(path: &str) -> Option<PathStamp> {
     let meta = std::fs::metadata(path).ok()?;
@@ -859,7 +879,7 @@ const PATH_KEY_CAP: usize = 1024;
 struct FamilyLru {
     capacity: usize,
     tick: u64,
-    entries: HashMap<CacheKey, (u64, Arc<FamilyEntry>)>,
+    entries: HashMap<CacheKey, (u64, Slot<FamilyEntry>)>,
     path_keys: HashMap<String, (PathStamp, CacheKey)>,
 }
 
@@ -1017,9 +1037,7 @@ impl Service {
             let flag = Arc::clone(&stopped_flag);
             let handle = std::thread::Builder::new()
                 .name(format!("emmarkd-worker-{i}"))
-                // Small stacks: CI smokes run under a 12 MiB address-space
-                // cap and thread stacks count against it.
-                .stack_size(512 * 1024)
+                .stack_size(WORKER_STACK_BYTES)
                 .spawn(move || worker_loop(&inner, &flag))
                 .expect("spawning an emmarkd worker thread");
             workers.push(handle);
@@ -1265,9 +1283,11 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             log10_threshold,
         } => {
             let _span = Span::enter(&SERVICE_VERIFY_NS);
-            let family = load_family(inner, &secrets, &mut lease)?;
-            let bytes = load_blob(&suspect, "suspect artifact", &mut lease)?;
-            let report = verify_suspect(&family, &bytes)?;
+            let family = load_family(inner, secrets, &mut lease)?;
+            let bytes = load_blob(suspect, "suspect artifact", &mut lease)?;
+            let report = family
+                .family
+                .ownership_report(&SparseArtifact::open(&bytes)?)?;
             let proved = report.proves_ownership(log10_threshold);
             Ok(Response::Verify {
                 report: ReportSummary::from(&report),
@@ -1280,7 +1300,7 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             device_id,
         } => {
             let _span = Span::enter(&SERVICE_PROVISION_NS);
-            let family = load_family(inner, &secrets, &mut lease)?;
+            let family = load_family(inner, secrets, &mut lease)?;
             let provisioner = family.provisioner(&fingerprint_config)?;
             let device = provisioner.provision_artifact(&device_id);
             lease.charge(device.artifact.len() as u64);
@@ -1297,10 +1317,16 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             linear,
         } => {
             let _span = Span::enter(&SERVICE_IDENTIFY_NS);
-            let family = load_family(inner, &secrets, &mut lease)?;
-            let verifier = load_verifier(inner, &family, &registry, &mut lease)?;
-            let bytes = load_blob(&suspect, "suspect artifact", &mut lease)?;
-            let matched = identify_suspect(&verifier, &bytes, log10_threshold, linear)?;
+            let family = load_family(inner, secrets, &mut lease)?;
+            let verifier = load_verifier(inner, &family, registry, &mut lease)?;
+            let bytes = load_blob(suspect, "suspect artifact", &mut lease)?;
+            let sparse = SparseArtifact::open(&bytes)?;
+            let matched = if linear {
+                verifier.identify_leak_linear(&sparse, log10_threshold)?
+            } else {
+                verifier.identify_leak(&sparse, log10_threshold)?
+            };
+            let matched = matched.map(|(fp, r)| (fp.clone(), ReportSummary::from(&r)));
             Ok(Response::Identify { matched })
         }
         Request::Inspect { target } => {
@@ -1309,7 +1335,7 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             if matches!(&target, Blob::Path(p) if p == tests::PANIC_PATH) {
                 panic!("injected handler panic");
             }
-            inspect_target(&target, &mut lease).map(Response::Inspect)
+            inspect_target(target, &mut lease).map(Response::Inspect)
         }
         Request::Ping | Request::Shutdown => unreachable!("handled by process_job"),
     }
@@ -1326,14 +1352,12 @@ fn read_path(path: &str, what: &str) -> Result<Vec<u8>, ServiceError> {
     })
 }
 
-fn load_blob(
-    blob: &Blob,
-    what: &str,
-    lease: &mut BudgetLease<'_>,
-) -> Result<Vec<u8>, ServiceError> {
+/// The blob's bytes, charged to the lease: an inline blob's are moved
+/// out of the request, a path blob's are read.
+fn load_blob(blob: Blob, what: &str, lease: &mut BudgetLease<'_>) -> Result<Vec<u8>, ServiceError> {
     let bytes = match blob {
-        Blob::Inline(bytes) => bytes.clone(),
-        Blob::Path(path) => read_path(path, what)?,
+        Blob::Inline(bytes) => bytes,
+        Blob::Path(path) => read_path(&path, what)?,
     };
     lease.charge(bytes.len() as u64);
     Ok(bytes)
@@ -1343,7 +1367,7 @@ fn load_blob(
 /// its bytes hashed to the last time the file carried that same stamp —
 /// so an unchanged file resolves after one `stat`, without a
 /// read-and-hash.
-fn stamp_lookup<'a>(inner: &Inner, blob: &'a Blob) -> (Stamped<'a>, Option<CacheKey>) {
+fn stamp_lookup(inner: &Inner, blob: &Blob) -> (Stamped, Option<CacheKey>) {
     let Blob::Path(path) = blob else {
         return (None, None);
     };
@@ -1357,151 +1381,132 @@ fn stamp_lookup<'a>(inner: &Inner, blob: &'a Blob) -> (Stamped<'a>, Option<Cache
         .path_keys
         .get(path.as_str())
         .and_then(|(s, key)| (*s == stamp).then_some(*key));
-    (Some((path, stamp)), known)
+    (Some((path.clone(), stamp)), known)
 }
 
 /// Records that the stamped path's bytes hash to `key`. Returns the key
 /// the path was recorded under before when that differs: the file was
 /// rewritten, and whatever is cached under the old key is superseded.
-fn remember_path_key(inner: &Inner, stamped: Stamped<'_>, key: CacheKey) -> Option<CacheKey> {
+fn remember_path_key(inner: &Inner, stamped: Stamped, key: CacheKey) -> Option<CacheKey> {
     let (path, stamp) = stamped?;
     let mut lru = inner.cache.lock().expect("family cache lock poisoned");
-    if lru.path_keys.len() >= PATH_KEY_CAP && !lru.path_keys.contains_key(path) {
+    if lru.path_keys.len() >= PATH_KEY_CAP && !lru.path_keys.contains_key(&path) {
         lru.path_keys.clear();
     }
-    let (_, previous) = lru.path_keys.insert(path.to_string(), (stamp, key))?;
+    let (_, previous) = lru.path_keys.insert(path, (stamp, key))?;
     (previous != key).then_some(previous)
 }
 
-/// The warm family for `key`, refreshing its LRU tick and counting the
-/// hit.
-fn family_hit(inner: &Inner, key: CacheKey) -> Option<Arc<FamilyEntry>> {
+/// The LRU's slot for `key`, its tick refreshed; with `insert`, an empty
+/// slot is added when there is none.
+fn family_slot(inner: &Inner, key: CacheKey, insert: bool) -> Option<Slot<FamilyEntry>> {
     let mut lru = inner.cache.lock().expect("family cache lock poisoned");
     lru.tick += 1;
     let tick = lru.tick;
-    let (at, entry) = lru.entries.get_mut(&key)?;
+    let (at, slot) = if insert {
+        lru.entries.entry(key).or_default()
+    } else {
+        lru.entries.get_mut(&key)?
+    };
     *at = tick;
-    if Telemetry::enabled() {
-        SERVICE_CACHE_HITS.incr();
-    }
-    Some(Arc::clone(entry))
+    Some(Arc::clone(slot))
 }
 
 fn load_family(
     inner: &Arc<Inner>,
-    secrets: &Blob,
+    secrets: Blob,
     lease: &mut BudgetLease<'_>,
 ) -> Result<Arc<FamilyEntry>, ServiceError> {
     // An unchanged vault path costs a stat, not a half-megabyte
     // read-and-hash.
-    let (stamped, known) = stamp_lookup(inner, secrets);
-    if let Some(entry) = known.and_then(|key| family_hit(inner, key)) {
+    let (stamped, known) = stamp_lookup(inner, &secrets);
+    if let Some(entry) = known.and_then(|key| built(&family_slot(inner, key, false)?)) {
         return Ok(entry);
     }
     let bytes = load_blob(secrets, "owner vault", lease)?;
     let key = cache_key(&bytes);
     remember_path_key(inner, stamped, key);
-    if let Some(entry) = family_hit(inner, key) {
-        return Ok(entry);
-    }
-    // Build the entry outside the LRU lock: locate_watermark is the
-    // expensive cold-start step and must not serialize unrelated families.
-    if Telemetry::enabled() {
-        SERVICE_CACHE_MISSES.incr();
-    }
-    let built = Arc::new(FamilyEntry::load(&bytes)?);
-    let mut lru = inner.cache.lock().expect("family cache lock poisoned");
-    lru.tick += 1;
-    let tick = lru.tick;
-    if let Some((stamp, existing)) = lru.entries.get_mut(&key) {
-        // Lost a build race; keep the incumbent.
-        *stamp = tick;
-        return Ok(Arc::clone(existing));
-    }
-    if lru.entries.len() >= lru.capacity {
-        if let Some((&evict, _)) = lru.entries.iter().min_by_key(|(_, (stamp, _))| *stamp) {
-            lru.entries.remove(&evict);
+    let slot = family_slot(inner, key, true).expect("inserted");
+    // Locating the family is the expensive cold-start step: it runs in the
+    // slot, outside the LRU lock, so it never serializes unrelated
+    // families and runs once however many requests race for this one.
+    resolve(&slot, || {
+        let entry = FamilyEntry::load(&bytes)?;
+        let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+        while lru.entries.len() > lru.capacity {
+            let Some((&oldest, _)) = lru.entries.iter().min_by_key(|(_, (at, _))| *at) else {
+                break;
+            };
+            lru.entries.remove(&oldest);
             if Telemetry::enabled() {
                 SERVICE_EVICTIONS.incr();
             }
         }
-    }
-    lru.entries.insert(key, (tick, Arc::clone(&built)));
-    Ok(built)
-}
-
-fn verify_suspect(family: &FamilyEntry, bytes: &[u8]) -> Result<ExtractionReport, ServiceError> {
-    Ok(family.verify(&SparseArtifact::open(bytes)?)?)
-}
-
-fn identify_suspect(
-    verifier: &FleetVerifier,
-    bytes: &[u8],
-    log10_threshold: f64,
-    linear: bool,
-) -> Result<Option<(DeviceFingerprint, ReportSummary)>, ServiceError> {
-    let sparse = SparseArtifact::open(bytes)?;
-    let matched = if linear {
-        verifier.identify_leak_linear(&sparse, log10_threshold)?
-    } else {
-        verifier.identify_leak(&sparse, log10_threshold)?
-    };
-    Ok(matched.map(|(fp, report)| (fp.clone(), ReportSummary::from(&report))))
-}
-
-/// The family's verifier for `key`, counting the hit.
-fn verifier_hit(family: &FamilyEntry, key: CacheKey) -> Option<Arc<FleetVerifier>> {
-    let verifier = Arc::clone(
-        family
-            .verifiers
-            .lock()
-            .expect("verifier cache lock poisoned")
-            .get(&key)?,
-    );
-    if Telemetry::enabled() {
-        SERVICE_CACHE_HITS.incr();
-    }
-    Some(verifier)
+        Ok(entry)
+    })
+    .inspect_err(|_| {
+        let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+        if lru
+            .entries
+            .get(&key)
+            .is_some_and(|(_, s)| Arc::ptr_eq(s, &slot))
+        {
+            lru.entries.remove(&key);
+        }
+    })
 }
 
 fn load_verifier(
     inner: &Inner,
-    family: &Arc<FamilyEntry>,
-    registry: &Blob,
+    family: &FamilyEntry,
+    registry: Blob,
     lease: &mut BudgetLease<'_>,
 ) -> Result<Arc<FleetVerifier>, ServiceError> {
     // An unchanged registry path (a multi-megabyte manifest, typically)
     // costs a stat, not a read-and-hash.
-    let (stamped, known) = stamp_lookup(inner, registry);
-    if let Some(verifier) = known.and_then(|key| verifier_hit(family, key)) {
+    let (stamped, known) = stamp_lookup(inner, &registry);
+    let verifiers = &family.verifiers;
+    let hit = |key| {
+        built(
+            verifiers
+                .lock()
+                .expect("verifier cache lock poisoned")
+                .get(&key)?,
+        )
+    };
+    if let Some(verifier) = known.and_then(hit) {
         return Ok(verifier);
     }
+    // Shard files resolve beside a manifest path; an inline registry has
+    // no directory to resolve them in.
+    let shard_dir = match &registry {
+        Blob::Path(path) => Some(
+            Path::new(path)
+                .parent()
+                .map(PathBuf::from)
+                .unwrap_or_default(),
+        ),
+        Blob::Inline(_) => None,
+    };
     let bytes = load_blob(registry, "fleet registry", lease)?;
     let key = cache_key(&bytes);
     if let Some(superseded) = remember_path_key(inner, stamped, key) {
         // The path was rewritten: drop its previous content's verifier
         // rather than keep it resident for the life of the family. A
         // client still sending the old bytes simply rebuilds it.
-        family
-            .verifiers
+        verifiers
             .lock()
             .expect("verifier cache lock poisoned")
             .remove(&superseded);
     }
-    if let Some(verifier) = verifier_hit(family, key) {
-        return Ok(verifier);
-    }
-    if Telemetry::enabled() {
-        SERVICE_CACHE_MISSES.incr();
-    }
-    let built = Arc::new(build_verifier(family, registry, &bytes)?);
-    let mut map = family.verifiers.lock().unwrap();
-    Ok(Arc::clone(map.entry(key).or_insert(built)))
+    let slot = slot(verifiers, key);
+    resolve(&slot, || build_verifier(family, shard_dir, &bytes))
+        .inspect_err(|_| forget(verifiers, &key, &slot))
 }
 
 fn build_verifier(
-    family: &Arc<FamilyEntry>,
-    registry: &Blob,
+    family: &FamilyEntry,
+    shard_dir: Option<PathBuf>,
     bytes: &[u8],
 ) -> Result<FleetVerifier, ServiceError> {
     if bytes.len() < 4 {
@@ -1509,10 +1514,10 @@ fn build_verifier(
             "registry input is too short to carry a container magic".to_string(),
         ));
     }
-    match &bytes[..4] {
+    let (fp_cfg, devices, index) = match &bytes[..4] {
         b"EMFR" => {
             let (fp_cfg, devices) = decode_registry(bytes)?;
-            fleet_engine(family, &fp_cfg, devices)
+            (fp_cfg, devices, None)
         }
         b"EMFB" => {
             let mut stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
@@ -1520,20 +1525,16 @@ fn build_verifier(
             let devices = (&mut stream)
                 .map(|d| d.map(|dev| dev.fingerprint))
                 .collect::<Result<Vec<_>, _>>()?;
-            fleet_engine(family, &fp_cfg, devices)
+            (fp_cfg, devices, None)
         }
         b"EMFM" => {
-            let Blob::Path(manifest_path) = registry else {
+            let Some(dir) = shard_dir else {
                 return Err(ServiceError::Other(
                     "shard manifests must be passed as a path blob so shard files can be \
                      resolved relative to the manifest"
                         .to_string(),
                 ));
             };
-            let dir = Path::new(manifest_path)
-                .parent()
-                .map(PathBuf::from)
-                .unwrap_or_default();
             let sharded = load_sharded_registry(bytes, |shard| std::fs::read(dir.join(shard)))?;
             // Copied, not moved out with `into_parts`: the originals freed
             // here leave heap space that the per-request suspect buffers
@@ -1542,39 +1543,34 @@ fn build_verifier(
             // cut sustained throughput by a tenth (glibc malloc, 2-vCPU
             // host).
             let fp_cfg = *sharded.fingerprint_config();
-            let devices = sharded.devices().to_vec();
-            let index = sharded.index().clone();
-            Ok(fleet_engine(family, &fp_cfg, devices)?.with_index(index)?)
+            (
+                fp_cfg,
+                sharded.devices().to_vec(),
+                Some(sharded.index().clone()),
+            )
         }
-        magic => Err(ServiceError::Other(format!(
-            "unrecognised registry container magic {:?} (expected EMFR, EMFB, or EMFM)",
-            String::from_utf8_lossy(magic)
-        ))),
-    }
-}
-
-/// Builds a fleet verifier, reusing a warm provisioner's family cache when
-/// one exists for the same fingerprint configuration.
-fn fleet_engine(
-    family: &Arc<FamilyEntry>,
-    fp_cfg: &WatermarkConfig,
-    devices: Vec<DeviceFingerprint>,
-) -> Result<FleetVerifier, ServiceError> {
-    if let Some(provisioner) = family.provisioners.lock().unwrap().get(&fp_key(fp_cfg)) {
-        return Ok(provisioner.verifier(devices));
-    }
-    Ok(FleetVerifier::from_parts(
-        family.secrets.clone(),
-        *fp_cfg,
-        devices,
-    )?)
+        magic => {
+            return Err(ServiceError::Other(format!(
+                "unrecognised registry container magic {:?} (expected EMFR, EMFB, or EMFM)",
+                String::from_utf8_lossy(magic)
+            )))
+        }
+    };
+    // Every verifier of a fingerprint config shares its provisioner's
+    // family cache, so the config is scored once whether a provision or
+    // an identify asks for it first.
+    let verifier = family.provisioner(&fp_cfg)?.verifier(devices);
+    Ok(match index {
+        Some(index) => verifier.with_index(index)?,
+        None => verifier,
+    })
 }
 
 fn inspect_target(
-    target: &Blob,
+    target: Blob,
     lease: &mut BudgetLease<'_>,
 ) -> Result<InspectSummary, ServiceError> {
-    if let Blob::Path(path) = target {
+    if let Blob::Path(path) = &target {
         // Sniff the magic first so fleet bundles stream instead of loading
         // whole into memory.
         let mut head = [0u8; 4];
@@ -1588,11 +1584,7 @@ fn inspect_target(
                 source,
             })?;
         if &head == b"EMFB" {
-            let file = std::fs::File::open(path).map_err(|source| ServiceError::Io {
-                what: format!("opening {path} for inspection"),
-                source,
-            })?;
-            let stream = FleetBundleStream::open(std::io::BufReader::new(file))?;
+            let stream = FleetBundleStream::open(std::io::BufReader::new(head.chain(file)))?;
             return Ok(InspectSummary::Bundle {
                 device_count: stream.device_count() as u32,
                 fingerprint_config: *stream.fingerprint_config(),
@@ -2025,10 +2017,9 @@ mod tests {
         assert_eq!(SERVICE_PANICS.get(), before + 3);
     }
 
-    #[test]
-    fn rewriting_a_registry_path_evicts_the_superseded_verifier() {
-        use crate::fleet::encode_registry;
-        use crate::vault::encode_secrets;
+    /// A tiny owner vault's secrets and the fingerprint config the
+    /// service tests provision with.
+    fn family_fixture() -> (crate::watermark::OwnerSecrets, WatermarkConfig) {
         use emmark_nanolm::config::ModelConfig;
         use emmark_nanolm::TransformerModel;
         use emmark_quant::awq::{awq, AwqConfig};
@@ -2044,13 +2035,94 @@ mod tests {
             pool_ratio: 10,
             ..Default::default()
         };
-        let secrets = OwnerSecrets::new(qm, stats, base_cfg, 0x5E7);
+        let secrets = crate::watermark::OwnerSecrets::new(qm, stats, base_cfg, 0x5E7);
         let fp_cfg = WatermarkConfig {
             bits_per_layer: 3,
             pool_ratio: 10,
             selection_seed: 0xDE11CE,
             ..Default::default()
         };
+        (secrets, fp_cfg)
+    }
+
+    #[test]
+    fn identify_provision_and_verify_share_one_family_and_one_cache() {
+        use crate::fleet::encode_registry;
+        use crate::vault::encode_secrets;
+
+        let (secrets, fp_cfg) = family_fixture();
+        let oracle = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
+        let devices: Vec<_> = ["a", "b"]
+            .iter()
+            .map(|id| oracle.provision_artifact(id))
+            .collect();
+        let fingerprints: Vec<_> = devices.iter().map(|d| d.fingerprint.clone()).collect();
+        let vault = Blob::Inline(encode_secrets(&secrets).to_vec());
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        // Identify before any provision: it builds the config's
+        // provisioner, which the provision and the verify then reuse.
+        let identify = Request::IdentifyLeak {
+            secrets: vault.clone(),
+            registry: Blob::Inline(encode_registry(&fp_cfg, &fingerprints).to_vec()),
+            suspect: Blob::Inline(devices[1].artifact.clone()),
+            log10_threshold: -6.0,
+            linear: false,
+        };
+        match service.request(1, &identify) {
+            Response::Identify {
+                matched: Some((fp, _)),
+            } => assert_eq!(fp, fingerprints[1]),
+            other => panic!("unexpected identify response {other:?}"),
+        }
+        let provision = Request::Provision {
+            secrets: vault.clone(),
+            fingerprint_config: fp_cfg,
+            device_id: "c".to_string(),
+        };
+        match service.request(2, &provision) {
+            Response::Provision { artifact, .. } => {
+                assert_eq!(artifact, oracle.provision_artifact("c").artifact)
+            }
+            other => panic!("unexpected provision response {other:?}"),
+        }
+        let verify = Request::Verify {
+            secrets: vault,
+            suspect: Blob::Inline(devices[0].artifact.clone()),
+            log10_threshold: -9.0,
+        };
+        assert!(matches!(
+            service.request(3, &verify),
+            Response::Verify { proved: true, .. }
+        ));
+
+        let lru = service.inner.cache.lock().unwrap();
+        assert_eq!(lru.entries.len(), 1, "one vault, one family entry");
+        let entry = built(&lru.entries.values().next().expect("one family").1).unwrap();
+        let provisioners = entry.provisioners.lock().unwrap();
+        let verifiers = entry.verifiers.lock().unwrap();
+        assert_eq!((provisioners.len(), verifiers.len()), (1, 1));
+        let provisioner = built(provisioners.values().next().unwrap()).unwrap();
+        let cache = provisioner.family_cache();
+        let verifier = built(verifiers.values().next().unwrap()).unwrap();
+        assert!(
+            Arc::ptr_eq(cache, &verifier.cache),
+            "the verifier must share its provisioner's family cache"
+        );
+        assert!(
+            Arc::ptr_eq(&cache.family, &entry.family),
+            "the cache must extend the entry's located family"
+        );
+    }
+
+    #[test]
+    fn rewriting_a_registry_path_evicts_the_superseded_verifier() {
+        use crate::fleet::encode_registry;
+        use crate::vault::encode_secrets;
+
+        let (secrets, fp_cfg) = family_fixture();
         let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
         let registry_path = std::env::temp_dir().join(format!(
             "emmark-svc-unit-{}-registry.emfr",
@@ -2086,7 +2158,7 @@ mod tests {
                 other => panic!("round {round}: unexpected response {other:?}"),
             }
             let lru = service.inner.cache.lock().unwrap();
-            let (_, family) = lru.entries.values().next().expect("one family");
+            let family = built(&lru.entries.values().next().expect("one family").1).unwrap();
             assert_eq!(
                 family.verifiers.lock().unwrap().len(),
                 1,

@@ -166,48 +166,63 @@ fn provisioning_and_leak_identification_match_the_one_shot_engines() {
         .expect("identify")
         .map(|(d, r)| (d.clone(), ReportSummary::from(&r)));
 
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
-
     // Provisioning through the warm cache is bit-identical, and the
     // same family entry serves every request.
-    for (i, id) in ids.iter().enumerate() {
-        let req = Request::Provision {
-            secrets: Blob::Inline(family.secrets_bytes.clone()),
-            fingerprint_config: fp_cfg(),
-            device_id: id.clone(),
-        };
-        match service.request(i as u64, &req) {
-            Response::Provision {
-                fingerprint,
-                artifact,
-            } => {
-                assert_eq!(fingerprint, expected[i].fingerprint, "{id}: fingerprint");
-                assert_eq!(artifact, expected[i].artifact, "{id}: artifact bytes");
+    let provision_all = |service: &Service| {
+        for (i, id) in ids.iter().enumerate() {
+            let req = Request::Provision {
+                secrets: Blob::Inline(family.secrets_bytes.clone()),
+                fingerprint_config: fp_cfg(),
+                device_id: id.clone(),
+            };
+            match service.request(i as u64, &req) {
+                Response::Provision {
+                    fingerprint,
+                    artifact,
+                } => {
+                    assert_eq!(fingerprint, expected[i].fingerprint, "{id}: fingerprint");
+                    assert_eq!(artifact, expected[i].artifact, "{id}: artifact bytes");
+                }
+                other => panic!("{id}: unexpected response {other:?}"),
             }
-            other => panic!("{id}: unexpected response {other:?}"),
         }
-    }
-
+    };
     // Leak identification (linear and indexed-capable registry blob)
     // traces the same device with the same extraction stats.
-    for linear in [false, true] {
-        let req = Request::IdentifyLeak {
-            secrets: Blob::Inline(family.secrets_bytes.clone()),
-            registry: Blob::Inline(registry_bytes.clone()),
-            suspect: Blob::Inline(leak.artifact.clone()),
-            log10_threshold: -6.0,
-            linear,
-        };
-        match service.request(10 + linear as u64, &req) {
-            Response::Identify { matched } => {
-                assert_eq!(matched, one_shot, "linear={linear}: attribution diverged");
-                let (device, _) = matched.expect("the leaked artifact must trace");
-                assert_eq!(device.device_id, "edge-01");
+    let identify_both = |service: &Service| {
+        for linear in [false, true] {
+            let req = Request::IdentifyLeak {
+                secrets: Blob::Inline(family.secrets_bytes.clone()),
+                registry: Blob::Inline(registry_bytes.clone()),
+                suspect: Blob::Inline(leak.artifact.clone()),
+                log10_threshold: -6.0,
+                linear,
+            };
+            match service.request(10 + linear as u64, &req) {
+                Response::Identify { matched } => {
+                    assert_eq!(matched, one_shot, "linear={linear}: attribution diverged");
+                    let (device, _) = matched.expect("the leaked artifact must trace");
+                    assert_eq!(device.device_id, "edge-01");
+                }
+                other => panic!("linear={linear}: unexpected response {other:?}"),
             }
-            other => panic!("linear={linear}: unexpected response {other:?}"),
+        }
+    };
+
+    // Both orders on a fresh service: identify reusing the cache that
+    // provisioning built, and identify before any provision (it builds
+    // the config's cache, which provisioning then reuses).
+    for identify_first in [false, true] {
+        let service = Service::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        if identify_first {
+            identify_both(&service);
+            provision_all(&service);
+        } else {
+            provision_all(&service);
+            identify_both(&service);
         }
     }
 }

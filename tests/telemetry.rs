@@ -58,11 +58,12 @@ impl Write for SharedBuf {
     }
 }
 
-/// Runs the streaming stamp from a file-format store (real loads, so
-/// the prefetch worker participates) and returns the layer count.
-fn run_streaming_stamp() -> usize {
+/// A small RTN-int8 owner family of width `d_model`.
+fn rtn_secrets(d_model: usize) -> OwnerSecrets {
     let mut cfg = ModelConfig::tiny_test();
     cfg.init_seed = 7;
+    cfg.d_model = d_model;
+    cfg.d_ff = 2 * d_model;
     let mut model = TransformerModel::new(cfg);
     let calib: Vec<Vec<u32>> = (0..4u32)
         .map(|s| (0..16u32).map(|i| (i * 7 + s * 3) % 31).collect())
@@ -71,8 +72,7 @@ fn run_streaming_stamp() -> usize {
     let qm = QuantizedModel::quantize_with(&model, "rtn-int8", |_, lin| {
         quantize_linear_rtn(lin, 8, Granularity::PerOutChannel, ActQuant::None)
     });
-    let n_layers = qm.layers.len();
-    let secrets = OwnerSecrets::new(
+    OwnerSecrets::new(
         qm,
         stats,
         WatermarkConfig {
@@ -81,7 +81,14 @@ fn run_streaming_stamp() -> usize {
             ..Default::default()
         },
         2024,
-    );
+    )
+}
+
+/// Runs the streaming stamp from a file-format store (real loads, so
+/// the prefetch worker participates) and returns the layer count.
+fn run_streaming_stamp() -> usize {
+    let secrets = rtn_secrets(16);
+    let n_layers = secrets.original.layers.len();
     let artifact = emmark::core::deploy::encode_model(&secrets.original);
     let store = ArtifactLayerStore::open(Cursor::new(artifact)).expect("open artifact store");
     let mut out = Vec::new();
@@ -415,4 +422,60 @@ fn disabled_mode_records_nothing() {
         assert_eq!(h.count, 0, "{} recorded while disabled", h.name);
         assert_eq!(h.sum, 0, "{} recorded while disabled", h.name);
     }
+}
+
+#[test]
+fn concurrent_cold_requests_locate_and_pool_one_family_once() {
+    use emmark::core::service::{
+        decode_response, encode_request, Blob, Request, Response, Service, ServiceConfig,
+    };
+    use emmark::core::telemetry::{FLEET_CACHE_MISSES, SERVICE_CACHE_MISSES};
+
+    let _guard = lock();
+    Telemetry::reset();
+    Telemetry::set_enabled(true);
+    // Wide enough that locating and pooling it outlasts a worker wakeup.
+    let vault = emmark::core::vault::encode_secrets(&rtn_secrets(128)).to_vec();
+    let fingerprint_config = WatermarkConfig {
+        bits_per_layer: 2,
+        pool_ratio: 10,
+        selection_seed: 0xDE11CE,
+        ..Default::default()
+    };
+    // Cold provisions for one vault and one fingerprint config on two
+    // workers: whatever the interleaving, a request that finds a build in
+    // progress waits for it instead of running its own. (The wide model
+    // makes the builds overlap, so a service that builds per request
+    // fails here.)
+    let service = Service::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    for id in 0..4u64 {
+        let tx = tx.clone();
+        let req = Request::Provision {
+            secrets: Blob::Inline(vault.clone()),
+            fingerprint_config,
+            device_id: format!("edge-{id}"),
+        };
+        service.submit(
+            encode_request(id, &req),
+            Box::new(move |payload| {
+                let _ = tx.send(payload);
+            }),
+        );
+    }
+    for _ in 0..4 {
+        let (id, resp) = decode_response(&rx.recv().expect("reply")).expect("decode");
+        assert!(matches!(resp, Response::Provision { .. }), "{id}: {resp:?}");
+    }
+    assert_eq!(FLEET_CACHE_MISSES.get(), 1, "one family cache build");
+    assert_eq!(
+        SERVICE_CACHE_MISSES.get(),
+        2,
+        "one family entry and one provisioner"
+    );
+    Telemetry::set_enabled(false);
+    Telemetry::reset();
 }
