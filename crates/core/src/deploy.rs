@@ -24,6 +24,9 @@ use emmark_nanolm::config::{MlpKind, ModelConfig, NormKind, OutlierProfile};
 use emmark_nanolm::layers::{Embedding, LayerNorm, Norm, RmsNorm};
 use emmark_quant::{ActQuant, Granularity, QuantizedLinear, QuantizedModel};
 use emmark_tensor::Matrix;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
+use std::sync::{Arc, OnceLock};
 
 pub(crate) const MAGIC: &[u8; 4] = b"EMQM";
 
@@ -782,13 +785,133 @@ impl<'a> Reader<'a> {
         }
         Ok(index)
     }
+}
+
+/// The v2 prefix — magic, version, config, scheme and layer index —
+/// parsed out of `prefix`, with index extents validated against the
+/// artifact's true `total_len`. Returns the parsed pieces plus the
+/// offset where the body (embeddings) begins. Shared by every reader
+/// that opens an artifact: in-memory, file-backed sparse, and
+/// [`crate::store::ArtifactLayerStore`].
+pub(crate) type ParsedHeader = (ModelConfig, String, Vec<LayerIndexEntry>, usize);
+
+pub(crate) fn parse_v2_header(prefix: &[u8], total_len: usize) -> Result<ParsedHeader, CodecError> {
+    let mut r = Reader::new(prefix, Section::Header);
+    r.magic(MAGIC)?;
+    let version = r.u32("version")?;
+    if version != FORMAT_V2 {
+        return Err(CodecError::BadVersion(version));
+    }
+    let cfg = r.config()?;
+    let scheme = r.string("scheme")?;
+    let index = r.layer_index_bounded(cfg.quant_layer_count(), total_len)?;
+    Ok((cfg, scheme, index, r.offset()))
+}
+
+/// [`parse_v2_header`] over an artifact too large to hold: `read(n)`
+/// returns its first `n` bytes. The header has no length prefix, so a
+/// prefix window is read and widened until the parse no longer runs out
+/// of bytes. Returns the parse and the last window read.
+pub(crate) fn parse_v2_header_windowed<E: From<CodecError>>(
+    total_len: usize,
+    initial: usize,
+    mut read: impl FnMut(usize) -> Result<Vec<u8>, E>,
+) -> Result<(ParsedHeader, Vec<u8>), E> {
+    let mut want = initial.min(total_len);
+    loop {
+        let prefix = read(want)?;
+        match parse_v2_header(&prefix, total_len) {
+            Ok(parsed) => return Ok((parsed, prefix)),
+            Err(CodecError::Truncated { .. }) if want < total_len => {
+                want = want.saturating_mul(2).min(total_len);
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// A byte source the v2 structural walk reads through: borrowed for an
+/// in-memory artifact, positioned reads for a file.
+trait Fetch {
+    /// What a failed fetch reports; codec errors convert into it.
+    type Error: From<CodecError>;
+
+    /// Total artifact length in bytes.
+    fn total_len(&self) -> usize;
+
+    /// Bytes `[offset, offset + len)`, already bounds-checked against
+    /// [`Self::total_len`] by the caller.
+    fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], Self::Error>;
+}
+
+impl Fetch for &[u8] {
+    type Error = CodecError;
+
+    fn total_len(&self) -> usize {
+        self.len()
+    }
+
+    fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], CodecError> {
+        Ok(&self[offset..offset + len])
+    }
+}
+
+/// Cursor of the v2 structural walk: absolute offsets, the section being
+/// checked, and a [`Fetch`] source. Length words and tags are fetched;
+/// grids, scales and embeddings are skipped by their length words and
+/// never read.
+struct Walk<F> {
+    src: F,
+    pos: usize,
+    section: Section,
+}
+
+impl<F: Fetch> Walk<F> {
+    fn corrupt(&self, msg: impl Into<String>) -> CodecError {
+        CodecError::Corrupt {
+            section: self.section,
+            offset: self.pos,
+            msg: msg.into(),
+        }
+    }
+
+    fn need(&self, n: usize, what: &'static str) -> Result<(), CodecError> {
+        if self.src.total_len() - self.pos < n {
+            return Err(CodecError::Truncated {
+                section: self.section,
+                what,
+                offset: self.pos,
+            });
+        }
+        Ok(())
+    }
+
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], F::Error> {
+        self.need(N, what)?;
+        let bytes = self.src.fetch(self.pos, N)?;
+        let out = bytes
+            .try_into()
+            .expect("fetch returns the requested length");
+        self.pos += N;
+        Ok(out)
+    }
+
+    fn u8(&mut self, what: &'static str) -> Result<u8, F::Error> {
+        Ok(self.take::<1>(what)?[0])
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, F::Error> {
+        Ok(u32::from_le_bytes(self.take::<4>(what)?))
+    }
 
     fn skip(&mut self, n: usize, what: &'static str) -> Result<(), CodecError> {
-        self.take(n, what).map(|_| ())
+        self.need(n, what)?;
+        self.pos += n;
+        Ok(())
     }
 
     /// Skips a matrix, returning its dimensions.
-    fn skip_matrix(&mut self, what: &'static str) -> Result<(usize, usize), CodecError> {
+    fn skip_matrix(&mut self, what: &'static str) -> Result<(usize, usize), F::Error> {
         let rows = self.u32(what)? as usize;
         let cols = self.u32(what)? as usize;
         let byte_len = rows
@@ -800,7 +923,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skips an f32 vector, returning its length.
-    fn skip_f32_vec(&mut self, what: &'static str) -> Result<usize, CodecError> {
+    fn skip_f32_vec(&mut self, what: &'static str) -> Result<usize, F::Error> {
         let len = self.u32(what)? as usize;
         let byte_len = len
             .checked_mul(4)
@@ -809,7 +932,7 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
-    fn skip_opt_f32_vec(&mut self, what: &'static str) -> Result<Option<usize>, CodecError> {
+    fn skip_opt_f32_vec(&mut self, what: &'static str) -> Result<Option<usize>, F::Error> {
         if self.u8(what)? == 1 {
             Ok(Some(self.skip_f32_vec(what)?))
         } else {
@@ -817,7 +940,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn skip_norm(&mut self) -> Result<(), CodecError> {
+    fn skip_norm(&mut self) -> Result<(), F::Error> {
         match self.u8("norm tag")? {
             0 => {
                 self.skip_matrix("layernorm gain")?;
@@ -828,7 +951,7 @@ impl<'a> Reader<'a> {
                 self.skip_matrix("rmsnorm gain")?;
                 Ok(())
             }
-            t => Err(self.corrupt(format!("unknown norm tag {t}"))),
+            t => Err(self.corrupt(format!("unknown norm tag {t}")).into()),
         }
     }
 
@@ -843,17 +966,19 @@ impl<'a> Reader<'a> {
         &mut self,
         cfg: &ModelConfig,
         index: &[LayerIndexEntry],
-    ) -> Result<(), CodecError> {
-        self.enter(Section::Embeddings);
+    ) -> Result<(), F::Error> {
+        self.section = Section::Embeddings;
         self.skip_matrix("token table")?;
         self.skip_matrix("position table")?;
-        self.enter(Section::Norms);
+        self.section = Section::Norms;
         let n_pairs = self.u32("norm pair count")? as usize;
         if n_pairs != cfg.n_layers {
-            return Err(self.corrupt(format!(
-                "norm pair count {n_pairs} does not match n_layers {}",
-                cfg.n_layers
-            )));
+            return Err(self
+                .corrupt(format!(
+                    "norm pair count {n_pairs} does not match n_layers {}",
+                    cfg.n_layers
+                ))
+                .into());
         }
         for _ in 0..n_pairs {
             self.skip_norm()?;
@@ -861,13 +986,14 @@ impl<'a> Reader<'a> {
         }
         self.skip_norm()?;
         for (l, entry) in index.iter().enumerate() {
-            self.enter(Section::Layer(l));
-            if self.offset() != entry.record_offset {
-                return Err(self.corrupt(format!(
-                    "record starts at byte {} but the index promises {}",
-                    self.offset(),
-                    entry.record_offset
-                )));
+            self.section = Section::Layer(l);
+            if self.pos != entry.record_offset {
+                return Err(self
+                    .corrupt(format!(
+                        "record starts at byte {} but the index promises {}",
+                        self.pos, entry.record_offset
+                    ))
+                    .into());
             }
             let in_f = self.u32("layer in")? as usize;
             let out_f = self.u32("layer out")? as usize;
@@ -881,29 +1007,39 @@ impl<'a> Reader<'a> {
                 || bits != entry.bits
                 || granularity != entry.granularity
             {
-                return Err(self.corrupt("record disagrees with its layer-index entry"));
+                return Err(self
+                    .corrupt("record disagrees with its layer-index entry")
+                    .into());
             }
             let n_scales = self.skip_f32_vec("scales")?;
             if Some(n_scales) != expected_scale_count(in_f, out_f, granularity) {
-                return Err(self.corrupt(format!("{n_scales} scales do not match the layout")));
+                return Err(self
+                    .corrupt(format!("{n_scales} scales do not match the layout"))
+                    .into());
             }
             let q_len = self.u32("q length")? as usize;
-            if q_len != entry.cells() || self.offset() != entry.q_offset {
-                return Err(self.corrupt("grid does not sit where the index promises"));
+            if q_len != entry.cells() || self.pos != entry.q_offset {
+                return Err(self
+                    .corrupt("grid does not sit where the index promises")
+                    .into());
             }
             self.skip(q_len, "q grid")?;
             let input_scale = self.skip_opt_f32_vec("input scale")?;
             if input_scale.is_some_and(|n| n != in_f) {
-                return Err(self.corrupt("input scale length does not match layer width"));
+                return Err(self
+                    .corrupt("input scale length does not match layer width")
+                    .into());
             }
-            self.enter(Section::Outliers(l));
+            self.section = Section::Outliers(l);
             let n_outliers = self.u32("outlier count")? as usize;
             self.need(n_outliers.saturating_mul(4), "outlier rows")?;
             let mut rows = Vec::with_capacity(n_outliers);
             for _ in 0..n_outliers {
                 let row = self.u32("outlier row")? as usize;
                 if row >= in_f {
-                    return Err(self.corrupt(format!("outlier row {row} out of range")));
+                    return Err(self
+                        .corrupt(format!("outlier row {row} out of range"))
+                        .into());
                 }
                 rows.push(row);
             }
@@ -912,19 +1048,23 @@ impl<'a> Reader<'a> {
                 rows.sort_unstable();
                 rows.dedup();
                 if shape != (rows.len(), out_f) {
-                    return Err(self.corrupt("outlier weights shape does not match rows"));
+                    return Err(self
+                        .corrupt("outlier weights shape does not match rows")
+                        .into());
                 }
             } else if n_outliers > 0 {
-                return Err(self.corrupt("outlier rows without weights"));
+                return Err(self.corrupt("outlier rows without weights").into());
             }
-            self.enter(Section::Layer(l));
+            self.section = Section::Layer(l);
             let bias = self.skip_opt_f32_vec("bias")?;
             if bias.is_some_and(|n| n != out_f) {
-                return Err(self.corrupt("bias length does not match layer width"));
+                return Err(self
+                    .corrupt("bias length does not match layer width")
+                    .into());
             }
             let act = self.u8("act quant")?;
             if act > 1 {
-                return Err(self.corrupt(format!("unknown act-quant tag {act}")));
+                return Err(self.corrupt(format!("unknown act-quant tag {act}")).into());
             }
         }
         Ok(())
@@ -1017,10 +1157,10 @@ impl LayerIndexEntry {
 }
 
 /// Random-access view of one layer's integer grid inside a
-/// [`SparseArtifact`] — reads cells straight out of the artifact bytes.
+/// [`SparseArtifact`] — reads cells straight out of the artifact.
 #[derive(Debug, Clone, Copy)]
 pub struct LayerGridView<'a> {
-    data: &'a [u8],
+    source: &'a Source<'a>,
     entry: LayerIndexEntry,
 }
 
@@ -1051,7 +1191,8 @@ impl LayerGridView<'_> {
     }
 
     /// Integer value at flat index `f` (`row = f / out`, `col = f % out`)
-    /// — one byte read, no decoding.
+    /// — one byte read, no decoding. A file-backed read that fails
+    /// returns 0 and latches the error ([`SparseArtifact::check_reads`]).
     ///
     /// # Panics
     ///
@@ -1062,7 +1203,7 @@ impl LayerGridView<'_> {
             telemetry::SPARSE_CELLS.incr();
             telemetry::SPARSE_BYTES.incr();
         }
-        self.data[self.entry.q_offset + f] as i8
+        self.source.cell(self.entry.q_offset + f)
     }
 
     /// Largest representable magnitude of the grid (`2^{N-1} − 1`).
@@ -1078,13 +1219,131 @@ impl LayerGridView<'_> {
     }
 }
 
+/// Where a [`SparseArtifact`]'s bytes live.
+#[derive(Debug, Clone)]
+enum Source<'a> {
+    /// Borrowed in-memory bytes.
+    Slice(&'a [u8]),
+    /// A file, read by positioned reads (shared by clones, error latch
+    /// included).
+    File(Arc<FileSource>),
+}
+
+impl Source<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Source::Slice(data) => data.len(),
+            Source::File(file) => file.len,
+        }
+    }
+
+    /// The byte at `offset`, which the index has placed in bounds.
+    fn cell(&self, offset: usize) -> i8 {
+        match self {
+            Source::Slice(data) => data[offset] as i8,
+            Source::File(file) => file.cell(offset),
+        }
+    }
+}
+
+/// A v2 artifact file behind positioned reads, with the first I/O error
+/// any read hits latched.
+#[derive(Debug)]
+struct FileSource {
+    file: File,
+    len: usize,
+    error: OnceLock<std::io::Error>,
+}
+
+impl FileSource {
+    fn read_at(&self, offset: usize, buf: &mut [u8]) -> std::io::Result<()> {
+        self.file.read_exact_at(buf, offset as u64)?;
+        if Telemetry::enabled() {
+            telemetry::SPARSE_FILE_BYTES.add(buf.len() as u64);
+        }
+        Ok(())
+    }
+
+    /// One probed cell. A failed read (the file shrank or the device
+    /// failed after open) latches its error and reads as 0; once an
+    /// error is latched no further reads are issued.
+    fn cell(&self, offset: usize) -> i8 {
+        if self.error.get().is_some() {
+            return 0;
+        }
+        let mut byte = [0u8];
+        match self.read_at(offset, &mut byte) {
+            Ok(()) => byte[0] as i8,
+            Err(e) => {
+                let _ = self.error.set(e);
+                0
+            }
+        }
+    }
+}
+
+/// First prefix window a file-backed open reads: the header, config,
+/// and a 13-layer index fit in it, and it doubles until the parse fits.
+const HEAD_WINDOW: usize = 512;
+
+/// Positioned-read window of the structural walk: one read covers a
+/// record's fixed head, or the length words and tags between two
+/// skipped payloads.
+const WALK_WINDOW: usize = 32;
+
+/// The file-backed [`Fetch`]: serves the walk from one small window,
+/// refilled by a positioned read whenever a request leaves it.
+struct FileWindow<'s> {
+    src: &'s FileSource,
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl Fetch for FileWindow<'_> {
+    type Error = StoreError;
+
+    fn total_len(&self) -> usize {
+        self.src.len
+    }
+
+    fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], StoreError> {
+        let end = offset + len;
+        if offset < self.start || end > self.start + self.buf.len() {
+            let n = len.max(WALK_WINDOW).min(self.src.len - offset);
+            self.buf.resize(n, 0);
+            self.src
+                .read_at(offset, &mut self.buf)
+                .map_err(|source| StoreError::Io {
+                    what: "reading the artifact body structure",
+                    source,
+                })?;
+            self.start = offset;
+        }
+        Ok(&self.buf[offset - self.start..end - self.start])
+    }
+}
+
 /// Indexed reader over a **v2** EMQM artifact: parses the header,
 /// config, and per-layer offset table, and walks (without
-/// materializing) the body structure — borrowing the input, no copy
-/// taken. It then serves individual `(layer, flat_index)` cells and
-/// layer metadata by direct byte access: opening costs the header plus
-/// a length-word walk, and a watermark extraction costs exactly the
-/// cells it probes — no float parsing, no grid copies, ever.
+/// materializing) the body structure. It then serves individual
+/// `(layer, flat_index)` cells and layer metadata by direct byte
+/// access: opening costs the header plus a length-word walk, and a
+/// watermark extraction costs exactly the cells it probes — no float
+/// parsing, no grid copies, ever.
+///
+/// Two sources, one structural walk:
+///
+/// * [`Self::open`] borrows in-memory bytes (no copy taken);
+/// * [`Self::open_file`] reads a file with positioned reads: a prefix
+///   window for the header and index, small windows for the length
+///   words and tags the walk checks, and one byte per probed cell. The
+///   grids, scales, and embeddings are never read, so what it holds is
+///   the index plus one window ([`Self::held_bytes`]).
+///
+/// Cell reads are infallible ([`GridSource::q_at`]), so a file read that
+/// fails after open — the file was truncated, the device failed — reads
+/// as 0 and *latches* its error. [`Self::check_reads`] reports it; every
+/// caller of a file-backed artifact checks it before using a verdict.
 ///
 /// Implements [`GridSource`], so [`crate::watermark::extract_with_locations`]
 /// and the fleet engine consume it interchangeably with a fully decoded
@@ -1094,14 +1353,15 @@ impl LayerGridView<'_> {
 /// reads never interpret.
 #[derive(Debug, Clone)]
 pub struct SparseArtifact<'a> {
-    data: &'a [u8],
+    source: Source<'a>,
     cfg: ModelConfig,
     scheme: String,
     index: Vec<LayerIndexEntry>,
+    held: usize,
 }
 
 impl<'a> SparseArtifact<'a> {
-    /// Opens a v2 artifact for sparse reads.
+    /// Opens an in-memory v2 artifact for sparse reads.
     ///
     /// # Errors
     ///
@@ -1109,33 +1369,48 @@ impl<'a> SparseArtifact<'a> {
     /// and the usual codec errors for malformed headers or an index
     /// whose offsets fall outside the artifact.
     pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes, Section::Header);
-        r.magic(MAGIC)?;
-        let version = r.u32("version")?;
-        if version != FORMAT_V2 {
-            return Err(CodecError::BadVersion(version));
-        }
-        let cfg = r.config()?;
-        let scheme = r.string("scheme")?;
-        let index = r.layer_index(cfg.quant_layer_count())?;
-        let head_bytes = r.offset() as u64;
+        let (cfg, scheme, index, body_start) = parse_v2_header(bytes, bytes.len())?;
         // Walk the body structure (length words, tags, record offsets)
         // without materializing it, so structurally corrupt or
         // truncated artifacts fail here the way they fail decode_model
         // — never at probe time, never silently.
-        r.validate_v2_body(&cfg, &index)?;
+        Walk {
+            src: bytes,
+            pos: body_start,
+            section: Section::Embeddings,
+        }
+        .validate_v2_body(&cfg, &index)?;
+        Ok(Self::opened(
+            Source::Slice(bytes),
+            cfg,
+            scheme,
+            index,
+            body_start,
+            bytes.len(),
+        ))
+    }
+
+    fn opened(
+        source: Source<'a>,
+        cfg: ModelConfig,
+        scheme: String,
+        index: Vec<LayerIndexEntry>,
+        head_bytes: usize,
+        held: usize,
+    ) -> Self {
         if Telemetry::enabled() {
             telemetry::SPARSE_ARTIFACTS.incr();
             // Opening costs the header, config, and offset table;
             // subsequent cell probes account for themselves.
-            telemetry::SPARSE_BYTES.add(head_bytes);
+            telemetry::SPARSE_BYTES.add(head_bytes as u64);
         }
-        Ok(Self {
-            data: bytes,
+        Self {
+            source,
             cfg,
             scheme,
             index,
-        })
+            held,
+        }
     }
 
     /// The artifact's format version (always [`FORMAT_V2`]).
@@ -1165,7 +1440,35 @@ impl<'a> SparseArtifact<'a> {
 
     /// Total artifact size in bytes.
     pub fn byte_len(&self) -> usize {
-        self.data.len()
+        self.source.len()
+    }
+
+    /// Bytes this reader holds resident: the borrowed input for an
+    /// in-memory artifact; for a file, the index plus the largest window
+    /// open read through — never the grids.
+    pub fn held_bytes(&self) -> usize {
+        self.held
+    }
+
+    /// The first I/O error a file-backed cell read hit since open, as a
+    /// [`StoreError::Io`]; always `Ok` for in-memory artifacts. A
+    /// failed read serves 0, so a verdict computed over this artifact
+    /// is only valid when this returns `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// The latched read error.
+    pub fn check_reads(&self) -> Result<(), StoreError> {
+        match &self.source {
+            Source::File(file) => match file.error.get() {
+                Some(e) => Err(StoreError::Io {
+                    what: "reading a probed cell",
+                    source: std::io::Error::new(e.kind(), e.to_string()),
+                }),
+                None => Ok(()),
+            },
+            Source::Slice(_) => Ok(()),
+        }
     }
 
     /// Random-access view of layer `l`'s integer grid.
@@ -1173,9 +1476,9 @@ impl<'a> SparseArtifact<'a> {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
-    pub fn layer_grid(&self, l: usize) -> LayerGridView<'a> {
+    pub fn layer_grid(&self, l: usize) -> LayerGridView<'_> {
         LayerGridView {
-            data: self.data,
+            source: &self.source,
             entry: self.index[l],
         }
     }
@@ -1200,10 +1503,67 @@ impl<'a> SparseArtifact<'a> {
             b.push(entry.q_offset);
             b.push(entry.q_offset + entry.cells());
         }
-        b.push(self.data.len());
+        b.push(self.byte_len());
         b.sort_unstable();
         b.dedup();
         b
+    }
+}
+
+impl SparseArtifact<'static> {
+    /// Opens a v2 artifact file for sparse reads, without reading it
+    /// whole: the header and index come from a prefix window, the
+    /// structural walk (the same one [`Self::open`] runs, so the two
+    /// accept exactly the same artifacts) reads only the length words
+    /// and tags it checks, and each probe later reads one cell.
+    ///
+    /// # Errors
+    ///
+    /// The codec errors of [`Self::open`] (offsets absolute, as there),
+    /// plus [`StoreError::Io`] when a read fails.
+    pub fn open_file(file: File) -> Result<Self, StoreError> {
+        let len = file
+            .metadata()
+            .map_err(|source| StoreError::Io {
+                what: "sizing the artifact",
+                source,
+            })?
+            .len() as usize;
+        let src = FileSource {
+            file,
+            len,
+            error: OnceLock::new(),
+        };
+        let ((cfg, scheme, index, body_start), prefix) =
+            parse_v2_header_windowed(len, HEAD_WINDOW, |n| {
+                let mut buf = vec![0u8; n];
+                src.read_at(0, &mut buf).map_err(|source| StoreError::Io {
+                    what: "reading the artifact header",
+                    source,
+                })?;
+                Ok::<_, StoreError>(buf)
+            })?;
+        // The walk starts inside the prefix window, which usually also
+        // covers the embedding length words.
+        let mut walk = Walk {
+            src: FileWindow {
+                src: &src,
+                buf: prefix,
+                start: 0,
+            },
+            pos: body_start,
+            section: Section::Embeddings,
+        };
+        walk.validate_v2_body(&cfg, &index)?;
+        let held = walk.src.buf.capacity() + std::mem::size_of_val(index.as_slice());
+        Ok(Self::opened(
+            Source::File(Arc::new(src)),
+            cfg,
+            scheme,
+            index,
+            body_start,
+            held,
+        ))
     }
 }
 
@@ -1358,17 +1718,6 @@ pub fn splice_patches<W: std::io::Write>(
     }
     out.write_all(&base[cursor..]).map_err(io)?;
     Ok(())
-}
-
-impl SparseArtifact<'_> {
-    /// [`patch_artifact`] against this artifact's own bytes and index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`patch_artifact`] errors.
-    pub fn patch_cells(&self, patches: &[CellPatch]) -> Result<Vec<u8>, CodecError> {
-        patch_artifact(self.data, &self.index, patches)
-    }
 }
 
 impl GridSource for SparseArtifact<'_> {
@@ -1649,7 +1998,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let patched = sparse.patch_cells(&patches).expect("patch");
+            let patched = patch_artifact(&bytes, sparse.layer_index(), &patches).expect("patch");
             assert_eq!(
                 patched,
                 encode_model(&expected).to_vec(),
@@ -1672,7 +2021,7 @@ mod tests {
             q: 1,
         };
         assert!(matches!(
-            sparse.patch_cells(&[bad_layer]),
+            patch_artifact(&bytes, sparse.layer_index(), &[bad_layer]),
             Err(CodecError::Corrupt { .. })
         ));
         let bad_cell = CellPatch {
@@ -1681,7 +2030,7 @@ mod tests {
             q: 1,
         };
         assert!(matches!(
-            sparse.patch_cells(&[bad_cell]),
+            patch_artifact(&bytes, sparse.layer_index(), &[bad_cell]),
             Err(CodecError::Corrupt { .. })
         ));
         // A value outside the layer's bit width must be refused (the
@@ -1698,18 +2047,21 @@ mod tests {
         };
         if bits < 8 {
             assert!(matches!(
-                sparse.patch_cells(&[too_big]),
+                patch_artifact(&bytes, sparse.layer_index(), &[too_big]),
                 Err(CodecError::Corrupt { .. })
             ));
         }
         // In-range patches still succeed and decode.
-        let ok = sparse
-            .patch_cells(&[CellPatch {
+        let ok = patch_artifact(
+            &bytes,
+            sparse.layer_index(),
+            &[CellPatch {
                 layer: 0,
                 flat: 0,
                 q: 1,
-            }])
-            .expect("patch");
+            }],
+        )
+        .expect("patch");
         assert!(decode_model(&ok).is_ok());
         // An index inconsistent with the base bytes (grid extent past
         // the end) must error, not panic.

@@ -190,12 +190,31 @@ impl FleetProvisioner {
         device_id: &str,
         out: W,
     ) -> Result<DeviceFingerprint, StoreError> {
+        self.provision_artifact_after(device_id, |_, _| out)
+            .map(|(fingerprint, _)| fingerprint)
+    }
+
+    /// [`Self::provision_artifact_into`] behind a header that depends on
+    /// the device: `open` gets the fingerprint and the artifact length
+    /// and returns the sink, which the artifact is spliced onto and
+    /// which is handed back. emmarkd writes its reply header this way,
+    /// so a provision reply is one buffer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures from the sink.
+    pub(crate) fn provision_artifact_after<W: std::io::Write>(
+        &self,
+        device_id: &str,
+        open: impl FnOnce(&DeviceFingerprint, usize) -> W,
+    ) -> Result<(DeviceFingerprint, W), StoreError> {
         let (fingerprint, patches) = self.device_delta(device_id);
-        splice_patches(&self.base_artifact, &self.index, &patches, out)?;
+        let mut out = open(&fingerprint, self.base_artifact.len());
+        splice_patches(&self.base_artifact, &self.index, &patches, &mut out)?;
         if Telemetry::enabled() {
             telemetry::PROVISION_DEVICES.incr();
         }
-        Ok(fingerprint)
+        Ok((fingerprint, out))
     }
 
     /// Streams a whole provisioned fleet into an EMFB bundle writer:

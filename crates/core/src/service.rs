@@ -21,6 +21,19 @@
 //! warm family is one located `Family` (the vault's secrets and ownership
 //! locations) shared by every engine built over it, and each request
 //! replays deterministic extraction against it.
+//!
+//! # What a request reads
+//!
+//! A path-blob suspect is opened file-backed
+//! ([`SparseArtifact::open_file`]): the header, the structural walk's
+//! length words and the probed cells are read, never the grids, and a
+//! read that fails after open turns the request into an error reply.
+//! Inline blobs are borrowed from the request. A provision reply is
+//! built in one buffer: the reply header, then the base artifact
+//! spliced with the device's patches — the same bytes
+//! [`encode_response`] would produce, without a second artifact copy.
+//! Every lock is taken through one poison-recovering helper, so a
+//! panicking request cannot wedge the requests after it.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -28,13 +41,13 @@ use std::io::{Read as IoRead, Write as IoWrite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use bytes::{BufMut, BytesMut};
 
 use crate::deploy::{
-    put_string, put_watermark_config, CodecError, Reader, Section, SparseArtifact,
+    put_string, put_watermark_config, CodecError, Reader, Section, SparseArtifact, MAGIC,
 };
 use crate::fingerprint::{fxhash, DeviceFingerprint, Family};
 use crate::fleet::{decode_registry, FleetVerifier, WORKER_STACK_BYTES};
@@ -332,8 +345,10 @@ fn read_blob(r: &mut Reader<'_>) -> Result<Blob, CodecError> {
     }
 }
 
-fn payload_header(magic: &[u8; 4], id: u64) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(64);
+/// A payload's magic, protocol version and id, in a buffer with room
+/// for `body` more bytes beyond a small reply.
+fn payload_header(magic: &[u8; 4], id: u64, body: usize) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(64 + body);
     buf.put_slice(magic);
     buf.put_u32_le(PROTOCOL_VERSION);
     buf.put_u64_le(id);
@@ -357,7 +372,7 @@ fn open_payload<'a>(
 /// Encodes a request payload (framing is applied separately by
 /// [`write_frame`]).
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut buf = payload_header(REQUEST_MAGIC, id);
+    let mut buf = payload_header(REQUEST_MAGIC, id, 0);
     match req {
         Request::Ping => buf.put_u8(OP_PING),
         Request::Verify {
@@ -471,10 +486,18 @@ fn read_fingerprint(r: &mut Reader<'_>) -> Result<DeviceFingerprint, CodecError>
     })
 }
 
+/// Everything of a [`Response::Provision`] body before the artifact
+/// bytes; the worker splices the artifact straight in behind it.
+fn put_provision_head(buf: &mut BytesMut, fingerprint: &DeviceFingerprint, artifact_len: usize) {
+    buf.put_u8(RESP_PROVISION);
+    put_fingerprint(buf, fingerprint);
+    buf.put_u64_le(artifact_len as u64);
+}
+
 /// Encodes a response payload (framing is applied separately by
 /// [`write_frame`]).
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    let mut buf = payload_header(RESPONSE_MAGIC, id);
+    let mut buf = payload_header(RESPONSE_MAGIC, id, 0);
     match resp {
         Response::Pong => buf.put_u8(RESP_PONG),
         Response::Verify { report, proved } => {
@@ -486,9 +509,7 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
             fingerprint,
             artifact,
         } => {
-            buf.put_u8(RESP_PROVISION);
-            put_fingerprint(&mut buf, fingerprint);
-            buf.put_u64_le(artifact.len() as u64);
+            put_provision_head(&mut buf, fingerprint, artifact.len());
             buf.put_slice(artifact);
         }
         Response::Identify { matched } => {
@@ -658,6 +679,23 @@ fn peek_op(bytes: &[u8]) -> Option<u8> {
 }
 
 // ---------------------------------------------------------------------------
+// Locks
+// ---------------------------------------------------------------------------
+
+/// Locks `m`, recovering the guard when a panicking holder poisoned it.
+/// Every service lock guards plain bookkeeping (queue, counters, cache
+/// maps) whose critical sections leave it consistent at every step, so
+/// one request's panic must not wedge every later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] with [`lock`]'s poison recovery.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+// ---------------------------------------------------------------------------
 // Resident-memory budget
 // ---------------------------------------------------------------------------
 
@@ -695,13 +733,13 @@ impl<'a> BudgetLease<'a> {
         let Some(cap) = self.budget.cap else {
             return;
         };
-        let mut used = self.budget.used.lock().unwrap();
+        let mut used = lock(&self.budget.used);
         if self.held == 0 {
             // Clamp so one oversized request overdrafts instead of waiting
             // forever on room that can never exist.
             let need = n.min(cap);
             while *used + need > cap {
-                used = self.budget.freed.wait(used).unwrap();
+                used = wait(&self.budget.freed, used);
             }
         }
         *used += n;
@@ -715,7 +753,7 @@ impl<'a> BudgetLease<'a> {
 impl Drop for BudgetLease<'_> {
     fn drop(&mut self) {
         if self.held > 0 {
-            let mut used = self.budget.used.lock().unwrap();
+            let mut used = lock(&self.budget.used);
             *used = used.saturating_sub(self.held);
             if Telemetry::enabled() {
                 SERVICE_RESIDENT_BYTES.set(*used as i64);
@@ -782,14 +820,14 @@ fn resolve<T>(
 
 /// `map`'s slot for `key`, inserted empty when absent.
 fn slot<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T> {
-    let mut map = map.lock().expect("service cache lock poisoned");
+    let mut map = lock(map);
     Arc::clone(map.entry(key).or_default())
 }
 
 /// Drops `map`'s slot for `key` if it is still `slot`: a failed build is
 /// not cached.
 fn forget<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: &K, slot: &Slot<T>) {
-    let mut map = map.lock().expect("service cache lock poisoned");
+    let mut map = lock(map);
     if map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
         map.remove(key);
     }
@@ -960,10 +998,13 @@ pub struct ServiceConfig {
     /// resident memory is roughly this many decoded vaults plus their
     /// location tables and sub-caches.
     pub cache_capacity: usize,
-    /// Shared cap on *transient per-request* artifact bytes (request
-    /// blobs read while a request is in flight), if any. Leases release
-    /// when the request finishes; warm `FamilyLru` entries are not
-    /// charged against this budget — size those via `cache_capacity`.
+    /// Shared cap on *transient per-request* bytes, if any: inline blobs
+    /// and vault/registry reads at their size, a path-blob suspect at
+    /// what its file-backed open holds (index and read window — the
+    /// file itself is never resident), and a provision reply at its
+    /// artifact length. Leases release when the request finishes; warm
+    /// `FamilyLru` entries are not charged against this budget — size
+    /// those via `cache_capacity`.
     pub max_resident_bytes: Option<u64>,
     /// Backoff hint carried in [`Response::Busy`].
     pub retry_after_ms: u32,
@@ -1059,7 +1100,7 @@ impl Service {
             SERVICE_REQUESTS.incr();
         }
         {
-            let mut state = self.inner.state.lock().unwrap();
+            let mut state = lock(&self.inner.state);
             if state.stopped || state.draining {
                 // This also covers a second Shutdown racing the first:
                 // enqueuing it would wedge the drain wait (the queued
@@ -1123,7 +1164,7 @@ impl Service {
     pub fn drain_pending(&self) {
         loop {
             let job = {
-                let mut state = self.inner.state.lock().unwrap();
+                let mut state = lock(&self.inner.state);
                 let Some(job) = state.queue.pop_front() else {
                     break;
                 };
@@ -1135,7 +1176,7 @@ impl Service {
             };
             let response = process_job(&self.inner, &job.payload, &self.stopped_flag);
             (job.reply)(response);
-            let mut state = self.inner.state.lock().unwrap();
+            let mut state = lock(&self.inner.state);
             state.in_flight -= 1;
             if self.stopped_flag.load(Ordering::SeqCst) {
                 state.stopped = true;
@@ -1149,20 +1190,20 @@ impl Service {
     /// Workers exit on their own once stopped; dropping the service joins
     /// them.
     pub fn wait_stopped(&self) {
-        let mut state = self.inner.state.lock().unwrap();
+        let mut state = lock(&self.inner.state);
         while !state.stopped {
-            state = self.inner.idle_cv.wait(state).unwrap();
+            state = wait(&self.inner.idle_cv, state);
         }
     }
 
     /// Number of requests currently queued (excluding in-flight ones).
     pub fn queue_depth(&self) -> usize {
-        self.inner.state.lock().unwrap().queue.len()
+        lock(&self.inner.state).queue.len()
     }
 
     /// Whether a [`Request::Shutdown`] has completed.
     pub fn is_stopped(&self) -> bool {
-        self.inner.state.lock().unwrap().stopped
+        lock(&self.inner.state).stopped
     }
 }
 
@@ -1171,7 +1212,7 @@ impl Drop for Service {
         // Abort mode: pending jobs are dropped unanswered. The graceful path
         // is a Shutdown request followed by wait_stopped.
         {
-            let mut state = self.inner.state.lock().unwrap();
+            let mut state = lock(&self.inner.state);
             state.stopped = true;
         }
         self.inner.work_cv.notify_all();
@@ -1184,7 +1225,7 @@ impl Drop for Service {
 fn worker_loop(inner: &Arc<Inner>, stopped_flag: &Arc<AtomicBool>) {
     loop {
         let job = {
-            let mut state = inner.state.lock().unwrap();
+            let mut state = lock(&inner.state);
             loop {
                 if state.stopped {
                     return;
@@ -1196,12 +1237,12 @@ fn worker_loop(inner: &Arc<Inner>, stopped_flag: &Arc<AtomicBool>) {
                     }
                     break job;
                 }
-                state = inner.work_cv.wait(state).unwrap();
+                state = wait(&inner.work_cv, state);
             }
         };
         let response = process_job(inner, &job.payload, stopped_flag);
         (job.reply)(response);
-        let mut state = inner.state.lock().unwrap();
+        let mut state = lock(&inner.state);
         state.in_flight -= 1;
         if stopped_flag.load(Ordering::SeqCst) {
             state.stopped = true;
@@ -1234,27 +1275,27 @@ fn process_job(inner: &Arc<Inner>, payload: &[u8], stopped_flag: &Arc<AtomicBool
         Request::Ping => Response::Pong,
         Request::Shutdown => {
             // Wait for every other in-flight request (we are one of them).
-            let mut state = inner.state.lock().unwrap();
+            let mut state = lock(&inner.state);
             while !(state.queue.is_empty() && state.in_flight <= 1) {
-                state = inner.idle_cv.wait(state).unwrap();
+                state = wait(&inner.idle_cv, state);
             }
             stopped_flag.store(true, Ordering::SeqCst);
             drop(state);
             Response::ShutdownComplete
         }
-        other => answer(|| handle_request(inner, other)),
+        other => return answer(id, || handle_request(inner, id, other)),
     };
     encode_response(id, &response)
 }
 
-/// Runs one request handler and renders its outcome as the response. A
+/// Runs one request handler and returns its encoded reply payload. A
 /// handler error becomes [`Response::Error`]; so does a handler panic,
 /// counted in `emmark_service_panics_total`, so the worker survives, the
 /// client still gets its reply, and the job's `in_flight` slot is
 /// released as usual.
-fn answer(handler: impl FnOnce() -> Result<Response, ServiceError>) -> Response {
-    match catch_unwind(AssertUnwindSafe(handler)) {
-        Ok(Ok(response)) => response,
+fn answer(id: u64, handler: impl FnOnce() -> Result<Vec<u8>, ServiceError>) -> Vec<u8> {
+    let error = match catch_unwind(AssertUnwindSafe(handler)) {
+        Ok(Ok(payload)) => return payload,
         Ok(Err(e)) => Response::Error {
             message: e.to_string(),
         },
@@ -1271,10 +1312,12 @@ fn answer(handler: impl FnOnce() -> Result<Response, ServiceError>) -> Response 
                 message: format!("internal error: request handler panicked: {what}"),
             }
         }
-    }
+    };
+    encode_response(id, &error)
 }
 
-fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, ServiceError> {
+/// Serves one request and returns its encoded reply payload.
+fn handle_request(inner: &Arc<Inner>, id: u64, request: Request) -> Result<Vec<u8>, ServiceError> {
     let mut lease = BudgetLease::new(&inner.budget);
     match request {
         Request::Verify {
@@ -1284,15 +1327,17 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
         } => {
             let _span = Span::enter(&SERVICE_VERIFY_NS);
             let family = load_family(inner, secrets, &mut lease)?;
-            let bytes = load_blob(suspect, "suspect artifact", &mut lease)?;
-            let report = family
-                .family
-                .ownership_report(&SparseArtifact::open(&bytes)?)?;
+            let report = with_suspect(suspect, &mut lease, |sparse| {
+                Ok(family.family.ownership_report(sparse)?)
+            })?;
             let proved = report.proves_ownership(log10_threshold);
-            Ok(Response::Verify {
-                report: ReportSummary::from(&report),
-                proved,
-            })
+            Ok(encode_response(
+                id,
+                &Response::Verify {
+                    report: ReportSummary::from(&report),
+                    proved,
+                },
+            ))
         }
         Request::Provision {
             secrets,
@@ -1302,12 +1347,17 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             let _span = Span::enter(&SERVICE_PROVISION_NS);
             let family = load_family(inner, secrets, &mut lease)?;
             let provisioner = family.provisioner(&fingerprint_config)?;
-            let device = provisioner.provision_artifact(&device_id);
-            lease.charge(device.artifact.len() as u64);
-            Ok(Response::Provision {
-                fingerprint: device.fingerprint,
-                artifact: device.artifact,
-            })
+            let artifact_len = provisioner.base_artifact().len();
+            lease.charge(artifact_len as u64);
+            // The device artifact is spliced straight into the reply
+            // payload behind its header: one buffer, never a separate
+            // artifact copy. Bytes equal encode_response(Provision).
+            let (_, payload) = provisioner.provision_artifact_after(&device_id, |fp, len| {
+                let mut head = payload_header(RESPONSE_MAGIC, id, len);
+                put_provision_head(&mut head, fp, len);
+                Vec::from(head)
+            })?;
+            Ok(payload)
         }
         Request::IdentifyLeak {
             secrets,
@@ -1319,15 +1369,15 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             let _span = Span::enter(&SERVICE_IDENTIFY_NS);
             let family = load_family(inner, secrets, &mut lease)?;
             let verifier = load_verifier(inner, &family, registry, &mut lease)?;
-            let bytes = load_blob(suspect, "suspect artifact", &mut lease)?;
-            let sparse = SparseArtifact::open(&bytes)?;
-            let matched = if linear {
-                verifier.identify_leak_linear(&sparse, log10_threshold)?
-            } else {
-                verifier.identify_leak(&sparse, log10_threshold)?
-            };
-            let matched = matched.map(|(fp, r)| (fp.clone(), ReportSummary::from(&r)));
-            Ok(Response::Identify { matched })
+            let matched = with_suspect(suspect, &mut lease, |sparse| {
+                let matched = if linear {
+                    verifier.identify_leak_linear(sparse, log10_threshold)?
+                } else {
+                    verifier.identify_leak(sparse, log10_threshold)?
+                };
+                Ok(matched.map(|(fp, r)| (fp.clone(), ReportSummary::from(&r))))
+            })?;
+            Ok(encode_response(id, &Response::Identify { matched }))
         }
         Request::Inspect { target } => {
             let _span = Span::enter(&SERVICE_INSPECT_NS);
@@ -1335,7 +1385,8 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             if matches!(&target, Blob::Path(p) if p == tests::PANIC_PATH) {
                 panic!("injected handler panic");
             }
-            inspect_target(target, &mut lease).map(Response::Inspect)
+            let summary = inspect_target(target, &mut lease)?;
+            Ok(encode_response(id, &Response::Inspect(summary)))
         }
         Request::Ping | Request::Shutdown => unreachable!("handled by process_job"),
     }
@@ -1363,6 +1414,36 @@ fn load_blob(blob: Blob, what: &str, lease: &mut BudgetLease<'_>) -> Result<Vec<
     Ok(bytes)
 }
 
+/// Runs `use_suspect` over a suspect artifact. A path blob opens
+/// file-backed ([`SparseArtifact::open_file`]): the header, the
+/// structural walk and the probed cells are all that is read, and the
+/// lease is charged what the open holds, not the file size. An inline
+/// blob is borrowed from the request. A file read that failed during
+/// `use_suspect` voids its result: the request gets the I/O error.
+fn with_suspect<T>(
+    blob: Blob,
+    lease: &mut BudgetLease<'_>,
+    use_suspect: impl FnOnce(&SparseArtifact<'_>) -> Result<T, ServiceError>,
+) -> Result<T, ServiceError> {
+    match blob {
+        Blob::Inline(bytes) => {
+            lease.charge(bytes.len() as u64);
+            use_suspect(&SparseArtifact::open(&bytes)?)
+        }
+        Blob::Path(path) => {
+            let file = std::fs::File::open(&path).map_err(|source| ServiceError::Io {
+                what: format!("reading the suspect artifact at {path}"),
+                source,
+            })?;
+            let sparse = SparseArtifact::open_file(file)?;
+            lease.charge(sparse.held_bytes() as u64);
+            let result = use_suspect(&sparse);
+            sparse.check_reads()?;
+            result
+        }
+    }
+}
+
 /// Stats a path blob and returns its stamp together with the cache key
 /// its bytes hashed to the last time the file carried that same stamp —
 /// so an unchanged file resolves after one `stat`, without a
@@ -1374,10 +1455,7 @@ fn stamp_lookup(inner: &Inner, blob: &Blob) -> (Stamped, Option<CacheKey>) {
     let Some(stamp) = stat_stamp(path) else {
         return (None, None);
     };
-    let known = inner
-        .cache
-        .lock()
-        .expect("family cache lock poisoned")
+    let known = lock(&inner.cache)
         .path_keys
         .get(path.as_str())
         .and_then(|(s, key)| (*s == stamp).then_some(*key));
@@ -1389,7 +1467,7 @@ fn stamp_lookup(inner: &Inner, blob: &Blob) -> (Stamped, Option<CacheKey>) {
 /// rewritten, and whatever is cached under the old key is superseded.
 fn remember_path_key(inner: &Inner, stamped: Stamped, key: CacheKey) -> Option<CacheKey> {
     let (path, stamp) = stamped?;
-    let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+    let mut lru = lock(&inner.cache);
     if lru.path_keys.len() >= PATH_KEY_CAP && !lru.path_keys.contains_key(&path) {
         lru.path_keys.clear();
     }
@@ -1400,7 +1478,7 @@ fn remember_path_key(inner: &Inner, stamped: Stamped, key: CacheKey) -> Option<C
 /// The LRU's slot for `key`, its tick refreshed; with `insert`, an empty
 /// slot is added when there is none.
 fn family_slot(inner: &Inner, key: CacheKey, insert: bool) -> Option<Slot<FamilyEntry>> {
-    let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+    let mut lru = lock(&inner.cache);
     lru.tick += 1;
     let tick = lru.tick;
     let (at, slot) = if insert {
@@ -1432,7 +1510,7 @@ fn load_family(
     // families and runs once however many requests race for this one.
     resolve(&slot, || {
         let entry = FamilyEntry::load(&bytes)?;
-        let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+        let mut lru = lock(&inner.cache);
         while lru.entries.len() > lru.capacity {
             let Some((&oldest, _)) = lru.entries.iter().min_by_key(|(_, (at, _))| *at) else {
                 break;
@@ -1445,7 +1523,7 @@ fn load_family(
         Ok(entry)
     })
     .inspect_err(|_| {
-        let mut lru = inner.cache.lock().expect("family cache lock poisoned");
+        let mut lru = lock(&inner.cache);
         if lru
             .entries
             .get(&key)
@@ -1466,14 +1544,7 @@ fn load_verifier(
     // costs a stat, not a read-and-hash.
     let (stamped, known) = stamp_lookup(inner, &registry);
     let verifiers = &family.verifiers;
-    let hit = |key| {
-        built(
-            verifiers
-                .lock()
-                .expect("verifier cache lock poisoned")
-                .get(&key)?,
-        )
-    };
+    let hit = |key| built(lock(verifiers).get(&key)?);
     if let Some(verifier) = known.and_then(hit) {
         return Ok(verifier);
     }
@@ -1494,10 +1565,7 @@ fn load_verifier(
         // The path was rewritten: drop its previous content's verifier
         // rather than keep it resident for the life of the family. A
         // client still sending the old bytes simply rebuilds it.
-        verifiers
-            .lock()
-            .expect("verifier cache lock poisoned")
-            .remove(&superseded);
+        lock(verifiers).remove(&superseded);
     }
     let slot = slot(verifiers, key);
     resolve(&slot, || build_verifier(family, shard_dir, &bytes))
@@ -1578,11 +1646,17 @@ fn inspect_target(
             what: format!("opening {path} for inspection"),
             source,
         })?;
-        file.read_exact(&mut head)
-            .map_err(|source| ServiceError::Io {
-                what: format!("reading the container magic of {path}"),
-                source,
-            })?;
+        file.read_exact(&mut head).map_err(|source| {
+            if source.kind() == std::io::ErrorKind::UnexpectedEof {
+                // Worded as for the same bytes sent inline.
+                ServiceError::Other("input is too short to carry a container magic".to_string())
+            } else {
+                ServiceError::Io {
+                    what: format!("reading the container magic of {path}"),
+                    source,
+                }
+            }
+        })?;
         if &head == b"EMFB" {
             let stream = FleetBundleStream::open(std::io::BufReader::new(head.chain(file)))?;
             return Ok(InspectSummary::Bundle {
@@ -1590,9 +1664,31 @@ fn inspect_target(
                 fingerprint_config: *stream.fingerprint_config(),
             });
         }
+        if head == *MAGIC {
+            // The summary needs the header and index only: open
+            // file-backed instead of reading the grids.
+            let artifact = SparseArtifact::open_file(file)?;
+            lease.charge(artifact.held_bytes() as u64);
+            return Ok(artifact_summary(&artifact));
+        }
     }
     let bytes = load_blob(target, "inspection target", lease)?;
     inspect_bytes(&bytes)
+}
+
+fn artifact_summary(artifact: &SparseArtifact<'_>) -> InspectSummary {
+    let layers = artifact.layer_count();
+    let mut cells = 0u64;
+    for l in 0..layers {
+        let (rows, cols) = artifact.layer_dims(l);
+        cells += (rows * cols) as u64;
+    }
+    InspectSummary::Artifact {
+        format_version: artifact.format_version(),
+        scheme: artifact.scheme().to_string(),
+        layers: layers as u32,
+        cells,
+    }
 }
 
 fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
@@ -1602,21 +1698,7 @@ fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
         ));
     }
     match &bytes[..4] {
-        b"EMQM" => {
-            let artifact = SparseArtifact::open(bytes)?;
-            let layers = artifact.layer_count();
-            let mut cells = 0u64;
-            for l in 0..layers {
-                let (rows, cols) = artifact.layer_dims(l);
-                cells += (rows * cols) as u64;
-            }
-            Ok(InspectSummary::Artifact {
-                format_version: artifact.format_version(),
-                scheme: artifact.scheme().to_string(),
-                layers: layers as u32,
-                cells,
-            })
-        }
+        b"EMQM" => Ok(artifact_summary(&SparseArtifact::open(bytes)?)),
         b"EMWS" => {
             let secrets = decode_secrets(bytes)?;
             Ok(InspectSummary::Secrets {
@@ -1984,7 +2066,8 @@ mod tests {
     fn handler_panics_are_answered_and_the_pool_still_drains() {
         Telemetry::set_enabled(true);
         let before = SERVICE_PANICS.get();
-        let caught = answer(|| panic!("boom"));
+        let (id, caught) = decode_response(&answer(5, || panic!("boom"))).expect("reply");
+        assert_eq!(id, 5);
         assert!(
             matches!(&caught, Response::Error { message } if message.ends_with("panicked: boom")),
             "{caught:?}"
@@ -2166,5 +2249,163 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&registry_path);
+    }
+
+    #[test]
+    fn provision_replies_equal_the_encoded_response() {
+        use crate::vault::encode_secrets;
+
+        let (secrets, fp_cfg) = family_fixture();
+        let oracle = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            max_resident_bytes: Some(1 << 30),
+            ..ServiceConfig::default()
+        });
+        let request = Request::Provision {
+            secrets: Blob::Inline(encode_secrets(&secrets).to_vec()),
+            fingerprint_config: fp_cfg,
+            device_id: "edge-9".to_string(),
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        service.submit(
+            encode_request(31, &request),
+            Box::new(move |payload| {
+                let _ = tx.send(payload);
+            }),
+        );
+        service.drain_pending();
+        let device = oracle.provision_artifact("edge-9");
+        let expected = encode_response(
+            31,
+            &Response::Provision {
+                fingerprint: device.fingerprint,
+                artifact: device.artifact,
+            },
+        );
+        assert!(rx.recv().expect("reply") == expected, "wire bytes differ");
+        assert_eq!(*lock(&service.inner.budget.used), 0, "lease released");
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_wedge_the_service() {
+        use crate::vault::encode_secrets;
+
+        let (secrets, fp_cfg) = family_fixture();
+        let oracle = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        // Poison the family cache and the queue state from a thread
+        // that panics while holding both.
+        let inner = Arc::clone(&service.inner);
+        let poisoner = std::thread::spawn(move || {
+            let _cache = inner.cache.lock();
+            let _state = inner.state.lock();
+            panic!("poisoning the service locks");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(service.inner.cache.is_poisoned() && service.inner.state.is_poisoned());
+        let vault = Blob::Inline(encode_secrets(&secrets).to_vec());
+        let device = oracle.provision_artifact("p");
+        let verify = Request::Verify {
+            secrets: vault.clone(),
+            suspect: Blob::Inline(device.artifact.clone()),
+            log10_threshold: -9.0,
+        };
+        assert!(matches!(
+            service.request(1, &verify),
+            Response::Verify { proved: true, .. }
+        ));
+        let provision = Request::Provision {
+            secrets: vault,
+            fingerprint_config: fp_cfg,
+            device_id: "p".to_string(),
+        };
+        match service.request(2, &provision) {
+            Response::Provision { artifact, .. } => assert!(artifact == device.artifact),
+            other => panic!("unexpected provision response {other:?}"),
+        }
+        assert_eq!(
+            service.request(3, &Request::Shutdown),
+            Response::ShutdownComplete
+        );
+        service.wait_stopped();
+    }
+
+    #[test]
+    fn a_suspect_truncated_after_open_is_an_error_not_a_verdict() {
+        use crate::fleet::encode_registry;
+        use crate::vault::encode_secrets;
+
+        let (secrets, fp_cfg) = family_fixture();
+        let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
+        let device = provisioner.provision_artifact("t");
+        let path = std::env::temp_dir().join(format!(
+            "emmark-svc-unit-{}-truncated.emqm",
+            std::process::id()
+        ));
+        let vault = Blob::Inline(encode_secrets(&secrets).to_vec());
+        let registry = Blob::Inline(
+            encode_registry(&fp_cfg, std::slice::from_ref(&device.fingerprint)).to_vec(),
+        );
+        let suspect_blob = || Blob::Path(path.display().to_string());
+        let suspect = suspect_blob();
+        let requests = [
+            Request::Verify {
+                secrets: vault.clone(),
+                suspect: suspect.clone(),
+                log10_threshold: -9.0,
+            },
+            Request::IdentifyLeak {
+                secrets: vault,
+                registry,
+                suspect,
+                log10_threshold: -6.0,
+                linear: true,
+            },
+        ];
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        let first_grid = SparseArtifact::open(&device.artifact)
+            .expect("open")
+            .layer_index()[0];
+        let cut = || {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len((first_grid.q_offset + 1) as u64))
+                .expect("truncate");
+        };
+        // Cut the file inside the first grid between open and the cell
+        // probes, through the helper every handler reads suspects with.
+        let verifier = provisioner.verifier(vec![device.fingerprint.clone()]);
+        for identify in [false, true] {
+            std::fs::write(&path, &device.artifact).expect("write suspect");
+            let mut lease = BudgetLease::new(&service.inner.budget);
+            let outcome = with_suspect(suspect_blob(), &mut lease, |sparse| {
+                cut();
+                if identify {
+                    Ok(verifier.identify_leak_linear(sparse, -6.0)?.is_some())
+                } else {
+                    Ok(verifier.ownership_report(sparse)?.matched_bits > 0)
+                }
+            });
+            match outcome {
+                Err(ServiceError::Store(StoreError::Io { .. })) => {}
+                other => panic!("identify {identify}: expected an i/o error, got {other:?}"),
+            }
+        }
+        // Requests against the cut file get error replies.
+        for (id, request) in requests.iter().enumerate() {
+            match service.request(id as u64, request) {
+                Response::Error { .. } => {}
+                other => panic!("request {id}: expected an error, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -33,9 +33,9 @@
 //! DESIGN.md §9 and pinned by `tests/streaming_equivalence.rs`.
 
 use crate::deploy::{
-    expected_scale_count, granularity_tag, put_config, put_matrix, put_norm, put_qlinear,
-    put_string, q_offset_in_record, qlinear_record_len, record_prefix_len, CodecError,
-    LayerIndexEntry, Reader, Section, FORMAT_V2, INDEX_ENTRY_BYTES, MAGIC,
+    expected_scale_count, granularity_tag, parse_v2_header_windowed, put_config, put_matrix,
+    put_norm, put_qlinear, put_string, q_offset_in_record, qlinear_record_len, record_prefix_len,
+    CodecError, LayerIndexEntry, Reader, Section, FORMAT_V2, INDEX_ENTRY_BYTES, MAGIC,
 };
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::WatermarkError;
@@ -657,20 +657,9 @@ impl<R: Read + Seek> ArtifactLayerStore<R> {
         let len = src
             .seek(SeekFrom::End(0))
             .map_err(|e| io_err("sizing the artifact", e))? as usize;
-        // The header region (config + scheme + index) has no length
-        // prefix; read a prefix window and widen it until the parse no
-        // longer runs out of bytes.
-        let mut want = 4096.min(len);
-        let (cfg, scheme, index, body_start) = loop {
-            let prefix = read_range(&mut src, 0, want, "reading the artifact header")?;
-            match parse_v2_header(&prefix, len) {
-                Ok(parsed) => break parsed,
-                Err(CodecError::Truncated { .. }) if want < len => {
-                    want = (want * 2).min(len);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let ((cfg, scheme, index, body_start), _) = parse_v2_header_windowed(len, 4096, |want| {
+            read_range(&mut src, 0, want, "reading the artifact header")
+        })?;
         // Embeddings and norms sit between the index and the first
         // layer record (or the end of the file when there are none).
         let body_end = index.first().map_or(len, |e| e.record_offset);
@@ -725,25 +714,6 @@ fn read_range<R: Read + Seek>(
     let mut buf = vec![0u8; len];
     src.read_exact(&mut buf).map_err(|e| io_err(what, e))?;
     Ok(buf)
-}
-
-/// Parses the v2 prefix (magic, version, config, scheme, index) out of
-/// `prefix`, validating index extents against the artifact's true
-/// `total_len`. Returns the parsed pieces plus the offset where the
-/// body (embeddings) begins.
-type ParsedHeader = (ModelConfig, String, Vec<LayerIndexEntry>, usize);
-
-fn parse_v2_header(prefix: &[u8], total_len: usize) -> Result<ParsedHeader, CodecError> {
-    let mut r = Reader::new(prefix, Section::Header);
-    r.magic(MAGIC)?;
-    let version = r.u32("version")?;
-    if version != FORMAT_V2 {
-        return Err(CodecError::BadVersion(version));
-    }
-    let cfg = r.config()?;
-    let scheme = r.string("scheme")?;
-    let index = r.layer_index_bounded(cfg.quant_layer_count(), total_len)?;
-    Ok((cfg, scheme, index, r.offset()))
 }
 
 impl<R: Read + Seek> LayerStore for ArtifactLayerStore<R> {

@@ -339,6 +339,11 @@ registry! {
         /// open, one byte per cell probe).
         SPARSE_BYTES: "emmark_sparse_bytes_read_total" =>
             "Bytes read through the sparse artifact path";
+        /// Bytes file-backed sparse artifacts actually read from disk:
+        /// the header window, the structural walk's windows, and one
+        /// byte per probed cell.
+        SPARSE_FILE_BYTES: "emmark_sparse_file_bytes_read_total" =>
+            "Bytes read from files by file-backed sparse artifacts";
         /// Family caches reused instead of rebuilt.
         FLEET_CACHE_HITS: "emmark_fleet_family_cache_hits_total" =>
             "FamilyCache reuses (verifier built from an existing cache)";

@@ -381,6 +381,10 @@ fn read_file(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
+fn open_file(path: &str) -> Result<File, String> {
+    File::open(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
 fn write_file(path: &Path, bytes: &[u8]) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("writing {}: {e}", path.display()))
 }
@@ -526,15 +530,17 @@ fn cmd_demo(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     let secrets =
         decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
-    let suspect_bytes = read_file(required(opts, "suspect")?)?;
-    // The artifact is probed sparsely: only the header index and the
-    // few hundred watermark cells are read.
-    let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
+    let suspect = open_file(required(opts, "suspect")?)?;
+    // The artifact is probed sparsely: only the header index, the
+    // structure's length words and the few hundred watermark cells are
+    // read from the file.
+    let sparse = SparseArtifact::open_file(suspect).map_err(|e| e.to_string())?;
     println!(
         "suspect : v2 artifact ({} KiB), sparse random-access extraction",
-        suspect_bytes.len() / 1024
+        sparse.byte_len() / 1024
     );
     let report = secrets.verify(&sparse).map_err(|e| e.to_string())?;
+    sparse.check_reads().map_err(|e| e.to_string())?;
     println!(
         "matched {} / {} bits  (WER {:.1}%)",
         report.matched_bits,
@@ -1164,7 +1170,7 @@ fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
         decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
     let registry = load_manifest(required(opts, "manifest")?)?;
-    let suspect_bytes = read_file(required(opts, "suspect")?)?;
+    let suspect = open_file(required(opts, "suspect")?)?;
     let linear = opts.contains_key("linear");
     println!(
         "registry: {} devices, {} leak-index cells",
@@ -1182,14 +1188,16 @@ fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
     // The suspect is probed sparsely: only the indexed fingerprint
     // cells are read.
     let start = std::time::Instant::now();
-    let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
+    let sparse = SparseArtifact::open_file(suspect).map_err(|e| e.to_string())?;
     let traced = if linear {
         verifier.identify_leak_linear(&sparse, threshold)
     } else {
         verifier.identify_leak(&sparse, threshold)
-    }
-    .map_err(|e| e.to_string())?
-    .map(|(d, r)| (d.clone(), r));
+    };
+    sparse.check_reads().map_err(|e| e.to_string())?;
+    let traced = traced
+        .map_err(|e| e.to_string())?
+        .map(|(d, r)| (d.clone(), r));
     println!(
         "{} identification in {:.2} ms",
         if linear {

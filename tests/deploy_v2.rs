@@ -1,7 +1,10 @@
 //! Property-based coverage of the EMQM v2 indexed codec: encode/decode
 //! round-trips over randomized grids and quantizer settings, truncation
-//! at *every* section boundary the layer index names, and the refusal
-//! of retired v1 artifacts and vaults by every reader.
+//! at *every* section boundary the layer index names, byte mutations of
+//! every quantization scheme's artifact, and the refusal of retired v1
+//! artifacts and vaults by every reader. The file-backed sparse reader
+//! must accept exactly what the in-memory one accepts, with the same
+//! errors and the same cells.
 
 use emmark::core::deploy::{
     artifact_version, decode_model, encode_model, CodecError, SparseArtifact, FORMAT_V2,
@@ -12,9 +15,84 @@ use emmark::core::store::{ArtifactLayerStore, StoreError};
 use emmark::core::vault::{decode_secrets, encode_secrets};
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
+use emmark::quant::awq::{awq, AwqConfig};
+use emmark::quant::gptq::{gptq, GptqConfig};
+use emmark::quant::llm_int8::{llm_int8, OutlierCriterion};
 use emmark::quant::rtn::quantize_linear_rtn;
+use emmark::quant::smoothquant::{smoothquant, SmoothQuantConfig};
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
 use proptest::prelude::*;
+use std::fs::File;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+/// A per-test scratch file path (tests in this binary run in parallel).
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "emmark-deploy-v2-{}-{tag}.emqm",
+        std::process::id()
+    ))
+}
+
+/// Opens `path` through the file-backed sparse reader, with its error
+/// rendered the way the in-memory reader's codec error renders.
+fn open_file_backed(path: &PathBuf) -> Result<SparseArtifact<'static>, String> {
+    SparseArtifact::open_file(File::open(path).expect("open scratch file")).map_err(|e| match e {
+        StoreError::Codec(e) => e.to_string(),
+        other => format!("i/o: {other}"),
+    })
+}
+
+/// Both sparse sources over `bytes` agree: same acceptance, same error,
+/// same index and cells.
+fn assert_sources_agree(bytes: &[u8], path: &PathBuf, what: &str) {
+    std::fs::write(path, bytes).expect("write scratch file");
+    let in_memory = SparseArtifact::open(bytes).map_err(|e| e.to_string());
+    let file_backed = open_file_backed(path);
+    match (&in_memory, &file_backed) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.layer_index(), b.layer_index(), "{what}");
+            assert_eq!((a.config(), a.scheme()), (b.config(), b.scheme()), "{what}");
+            for l in 0..a.layer_count() {
+                let cells = a.layer_index()[l].cells();
+                for f in (0..cells).step_by(97).chain([cells - 1]) {
+                    assert_eq!(a.q_cell(l, f), b.q_cell(l, f), "{what}: cell ({l}, {f})");
+                }
+            }
+            b.check_reads().expect("no read failed");
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+        _ => panic!(
+            "{what}: in-memory {:?} but file-backed {:?}",
+            in_memory.as_ref().map(|_| ()),
+            file_backed.as_ref().map(|_| ())
+        ),
+    }
+}
+
+/// One artifact per quantization scheme in `emmark-quant`, built once.
+fn scheme_artifacts() -> &'static [Vec<u8>] {
+    static ARTIFACTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        let mut model = TransformerModel::new(ModelConfig::tiny_test());
+        let calib: Vec<Vec<u32>> = (0..4u32)
+            .map(|s| (0..16u32).map(|i| (i * 7 + s * 3) % 31).collect())
+            .collect();
+        let stats = model.collect_activation_stats(&calib);
+        [
+            QuantizedModel::quantize_with(&model, "rtn-int8", |_, lin| {
+                quantize_linear_rtn(lin, 8, Granularity::PerOutChannel, ActQuant::None)
+            }),
+            awq(&model, &stats, &AwqConfig::default()),
+            gptq(&mut model.clone(), &calib, &GptqConfig::default()),
+            smoothquant(&model, &stats, &SmoothQuantConfig::default()),
+            llm_int8(&model, &stats, OutlierCriterion::Quantile(0.9)),
+        ]
+        .iter()
+        .map(|m| encode_model(m).to_vec())
+        .collect()
+    })
+}
 
 /// A quantized tiny model parameterized by the codec-relevant axes:
 /// bit width, scale granularity, activation handling, and init seed.
@@ -92,6 +170,21 @@ proptest! {
             .collect();
         cuts.sort_unstable();
         cuts.dedup();
+        // The file-backed reader sees each cut as a file truncated
+        // there (cuts visited longest first, one file shrinking).
+        let path = scratch_path(&format!("cut-{bits}-{seed}"));
+        std::fs::write(&path, &bytes).expect("write scratch file");
+        for &cut in cuts.iter().rev() {
+            File::options()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(cut as u64))
+                .expect("truncate");
+            let file_err = open_file_backed(&path).err();
+            let sparse_err = SparseArtifact::open(&bytes[..cut]).err().map(|e| e.to_string());
+            prop_assert_eq!(&file_err, &sparse_err, "cut {}", cut);
+        }
+        let _ = std::fs::remove_file(&path);
         for cut in cuts {
             let err = decode_model(&bytes[..cut]).expect_err("truncated decode");
             prop_assert!(
@@ -107,6 +200,31 @@ proptest! {
                 "sparse cut {cut}: {err:?}"
             );
         }
+    }
+
+    /// Byte mutations of every quantization scheme's artifact: the
+    /// file-backed reader accepts exactly when the in-memory reader
+    /// does, with the same error, and serves the same cells. Half the
+    /// mutations land within a few bytes after a section boundary,
+    /// where the length words and tags the walk checks live.
+    #[test]
+    fn byte_mutations_are_judged_alike_by_both_sparse_sources(
+        scheme in 0usize..5,
+        picks in prop::collection::vec(0u64..u64::MAX, 1..5),
+    ) {
+        let mut bytes = scheme_artifacts()[scheme].clone();
+        let boundaries = SparseArtifact::open(&bytes).expect("open").section_boundaries();
+        for pick in &picks {
+            let at = if pick % 2 == 0 {
+                boundaries[(pick >> 8) as usize % boundaries.len()] + (pick >> 40) as usize % 24
+            } else {
+                (pick >> 8) as usize
+            } % bytes.len();
+            bytes[at] ^= ((pick >> 32) as u8).max(1);
+        }
+        let path = scratch_path(&format!("mutation-{scheme}-{}", picks[0]));
+        assert_sources_agree(&bytes, &path, &format!("scheme {scheme}, picks {picks:?}"));
+        let _ = std::fs::remove_file(&path);
     }
 
 }
@@ -170,6 +288,13 @@ fn retired_v1_artifacts_and_vaults_are_refused_with_bad_version() {
                 .err()
                 .map(|e| e.to_string()),
         ),
+        ("SparseArtifact::open_file", {
+            let path = scratch_path("v1");
+            std::fs::write(&path, &v1_artifact).expect("write scratch file");
+            let refusal = open_file_backed(&path).err();
+            let _ = std::fs::remove_file(&path);
+            refusal
+        }),
         (
             "ArtifactLayerStore::open",
             match ArtifactLayerStore::open(std::io::Cursor::new(&v1_artifact)) {
@@ -200,4 +325,13 @@ fn retired_v1_artifacts_and_vaults_are_refused_with_bad_version() {
     // The same inputs at version 2 are accepted.
     assert_eq!(artifact_version(&deployed).expect("version"), FORMAT_V2);
     assert_eq!(service_verify(&vault, &deployed), None);
+}
+
+#[test]
+fn intact_artifacts_of_every_scheme_read_alike_from_both_sources() {
+    for (scheme, bytes) in scheme_artifacts().iter().enumerate() {
+        let path = scratch_path(&format!("intact-{scheme}"));
+        assert_sources_agree(bytes, &path, &format!("scheme {scheme}"));
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -6,6 +6,8 @@
 //!   `OwnerSecrets::verify` per request;
 //! * `provision` vs a fresh `FleetProvisioner`;
 //! * `identify-leak` vs a fresh `FleetVerifier` linear scan;
+//! * suspects sent as path blobs (read file-backed) vs the same bytes
+//!   inline, intact and damaged;
 //! * plus the failure envelope: queue-full backpressure, malformed
 //!   frames, and the graceful shutdown drain.
 
@@ -224,6 +226,95 @@ fn provisioning_and_leak_identification_match_the_one_shot_engines() {
             provision_all(&service);
             identify_both(&service);
         }
+    }
+}
+
+#[test]
+fn path_and_inline_suspects_get_equal_responses() {
+    let family = build_family("gptq", 91);
+    let secrets = emmark::core::vault::decode_secrets(&family.secrets_bytes).expect("decode");
+    let provisioner = FleetProvisioner::new(secrets, fp_cfg()).expect("cache");
+    let devices: Vec<_> = (0..3)
+        .map(|i| provisioner.provision_artifact(&format!("pi-{i}")))
+        .collect();
+    let fingerprints: Vec<_> = devices.iter().map(|d| d.fingerprint.clone()).collect();
+    let registry = Blob::Inline(encode_registry(&fp_cfg(), &fingerprints).to_vec());
+    let mut bad_version = family.deployed_bytes.clone();
+    bad_version[4] = 9;
+    let index = SparseArtifact::open(&family.deployed_bytes)
+        .expect("open")
+        .layer_index()
+        .to_vec();
+    let mut bad_record = family.deployed_bytes.clone();
+    bad_record[index[3].record_offset + 8] = 3; // an unsupported bit width
+    let suspects = [
+        ("deployed", family.deployed_bytes.clone()),
+        ("leaked", devices[1].artifact.clone()),
+        ("pristine-fleet-miss", devices[0].artifact[..].to_vec()),
+        ("bad-version", bad_version),
+        ("bad-record", bad_record),
+        (
+            "truncated",
+            family.deployed_bytes[..index[5].q_offset + 7].to_vec(),
+        ),
+        ("not-an-artifact", b"EMQ".to_vec()),
+    ];
+    let service = Service::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let dir = std::env::temp_dir();
+    for (label, bytes) in suspects {
+        let path = dir.join(format!(
+            "emmark-svctest-suspect-{}-{label}.emqm",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).expect("write suspect");
+        let as_blob = |inline: bool| {
+            if inline {
+                Blob::Inline(bytes.clone())
+            } else {
+                Blob::Path(path.display().to_string())
+            }
+        };
+        let requests = |inline: bool| {
+            vec![
+                Request::Verify {
+                    secrets: Blob::Inline(family.secrets_bytes.clone()),
+                    suspect: as_blob(inline),
+                    log10_threshold: -9.0,
+                },
+                Request::IdentifyLeak {
+                    secrets: Blob::Inline(family.secrets_bytes.clone()),
+                    registry: registry.clone(),
+                    suspect: as_blob(inline),
+                    log10_threshold: -6.0,
+                    linear: false,
+                },
+                Request::IdentifyLeak {
+                    secrets: Blob::Inline(family.secrets_bytes.clone()),
+                    registry: registry.clone(),
+                    suspect: as_blob(inline),
+                    log10_threshold: -6.0,
+                    linear: true,
+                },
+                Request::Inspect {
+                    target: as_blob(inline),
+                },
+            ]
+        };
+        for (k, (inline, by_path)) in requests(true).iter().zip(requests(false)).enumerate() {
+            let expected = service.request(k as u64, inline);
+            let got = service.request(k as u64, &by_path);
+            assert_eq!(got, expected, "{label}: request {k}");
+            if label == "leaked" && k == 1 {
+                assert!(
+                    matches!(&got, Response::Identify { matched: Some((fp, _)) } if fp.device_id == "pi-1"),
+                    "{got:?}"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
 
