@@ -62,6 +62,8 @@ pub enum Section {
     Outliers(usize),
     /// The owner-secrets vault envelope.
     Vault,
+    /// The vault's derived-key section (the ownership locations).
+    VaultKey,
     /// The fleet device registry.
     Registry,
     /// The provisioned-fleet bundle envelope (header and config).
@@ -75,6 +77,8 @@ pub enum Section {
     Shard(usize),
     /// The manifest's fingerprint-cell inverted index.
     LeakIndex,
+    /// The manifest's fingerprint candidate pools.
+    Pools,
     /// A framed emmarkd request or response payload.
     Service,
 }
@@ -91,12 +95,14 @@ impl std::fmt::Display for Section {
             Section::Layer(l) => write!(f, "layer {l}"),
             Section::Outliers(l) => write!(f, "layer {l} outliers"),
             Section::Vault => write!(f, "vault"),
+            Section::VaultKey => write!(f, "vault key"),
             Section::Registry => write!(f, "registry"),
             Section::Bundle => write!(f, "fleet bundle"),
             Section::Device(d) => write!(f, "device {d}"),
             Section::Manifest => write!(f, "shard manifest"),
             Section::Shard(s) => write!(f, "shard {s}"),
             Section::LeakIndex => write!(f, "leak index"),
+            Section::Pools => write!(f, "fingerprint pools"),
             Section::Service => write!(f, "service frame"),
         }
     }
@@ -378,20 +384,38 @@ pub(crate) struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
     section: Section,
+    /// Where `data` starts in the enclosing file, for error offsets.
+    origin: usize,
 }
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(bytes: &'a [u8], section: Section) -> Self {
+        Self::at(bytes, section, 0)
+    }
+
+    /// A reader over `bytes` read from offset `origin` of a larger
+    /// input: errors report absolute offsets.
+    pub(crate) fn at(bytes: &'a [u8], section: Section, origin: usize) -> Self {
         Self {
             data: bytes,
             pos: 0,
             section,
+            origin,
         }
     }
 
     /// Absolute byte offset of the read cursor.
     pub(crate) fn offset(&self) -> usize {
-        self.pos
+        self.origin + self.pos
+    }
+
+    /// Errors unless every input byte has been consumed: a container's
+    /// last section is followed by nothing.
+    pub(crate) fn finish(&self, after: &str) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(self.corrupt(format!("{n} trailing bytes after the {after}"))),
+        }
     }
 
     fn remaining(&self) -> usize {
@@ -809,18 +833,32 @@ pub(crate) fn parse_v2_header(prefix: &[u8], total_len: usize) -> Result<ParsedH
 }
 
 /// [`parse_v2_header`] over an artifact too large to hold: `read(n)`
-/// returns its first `n` bytes. The header has no length prefix, so a
-/// prefix window is read and widened until the parse no longer runs out
-/// of bytes. Returns the parse and the last window read.
+/// returns its first `n` bytes. Returns the parse and the last window
+/// read.
 pub(crate) fn parse_v2_header_windowed<E: From<CodecError>>(
     total_len: usize,
     initial: usize,
-    mut read: impl FnMut(usize) -> Result<Vec<u8>, E>,
+    read: impl FnMut(usize) -> Result<Vec<u8>, E>,
 ) -> Result<(ParsedHeader, Vec<u8>), E> {
+    parse_windowed(total_len, initial, read, |prefix| {
+        parse_v2_header(prefix, total_len)
+    })
+}
+
+/// Runs `parse` over a prefix of an input too large to hold: `read(n)`
+/// returns its first `n` bytes. Headers have no length prefix, so a
+/// window is read and widened until the parse no longer runs out of
+/// bytes. Returns the parse and the last window read.
+pub(crate) fn parse_windowed<T, E: From<CodecError>>(
+    total_len: usize,
+    initial: usize,
+    mut read: impl FnMut(usize) -> Result<Vec<u8>, E>,
+    parse: impl Fn(&[u8]) -> Result<T, CodecError>,
+) -> Result<(T, Vec<u8>), E> {
     let mut want = initial.min(total_len);
     loop {
         let prefix = read(want)?;
-        match parse_v2_header(&prefix, total_len) {
+        match parse(&prefix) {
             Ok(parsed) => return Ok((parsed, prefix)),
             Err(CodecError::Truncated { .. }) if want < total_len => {
                 want = want.saturating_mul(2).min(total_len);
@@ -1251,13 +1289,16 @@ impl Source<'_> {
 #[derive(Debug)]
 struct FileSource {
     file: File,
+    /// Where the artifact starts in the file (non-zero for the artifact
+    /// a vault embeds).
+    start: usize,
     len: usize,
     error: OnceLock<std::io::Error>,
 }
 
 impl FileSource {
     fn read_at(&self, offset: usize, buf: &mut [u8]) -> std::io::Result<()> {
-        self.file.read_exact_at(buf, offset as u64)?;
+        self.file.read_exact_at(buf, (self.start + offset) as u64)?;
         if Telemetry::enabled() {
             telemetry::SPARSE_FILE_BYTES.add(buf.len() as u64);
         }
@@ -1508,6 +1549,27 @@ impl<'a> SparseArtifact<'a> {
         b.dedup();
         b
     }
+
+    /// Decodes the whole artifact ([`decode_model`]), reading a
+    /// file-backed one in full.
+    ///
+    /// # Errors
+    ///
+    /// Read failures, and [`decode_model`]'s codec errors.
+    pub fn decode(&self) -> Result<QuantizedModel, StoreError> {
+        match &self.source {
+            Source::Slice(data) => Ok(decode_model(data)?),
+            Source::File(file) => {
+                let mut bytes = vec![0u8; file.len];
+                file.read_at(0, &mut bytes)
+                    .map_err(|source| StoreError::Io {
+                        what: "reading the artifact",
+                        source,
+                    })?;
+                Ok(decode_model(&bytes)?)
+            }
+        }
+    }
 }
 
 impl SparseArtifact<'static> {
@@ -1529,8 +1591,16 @@ impl SparseArtifact<'static> {
                 source,
             })?
             .len() as usize;
+        Self::open_file_at(file, 0, len)
+    }
+
+    /// [`Self::open_file`] over the `len` bytes at `start` of `file` —
+    /// the artifact an owner vault embeds. Offsets in errors and in the
+    /// index are relative to `start`, as for the embedded slice.
+    pub(crate) fn open_file_at(file: File, start: usize, len: usize) -> Result<Self, StoreError> {
         let src = FileSource {
             file,
+            start,
             len,
             error: OnceLock::new(),
         };

@@ -10,15 +10,20 @@
 //! the leaked weights and returns the one with an overwhelming Eq. 8
 //! margin.
 
+use crate::deploy::SparseArtifact;
 use crate::scoring::layer_pool;
 use crate::signature::Signature;
+use crate::store::StoreError;
+use crate::vault::key_binding;
 use crate::watermark::{
     apply_bits_at, extract_with_locations, locate_watermark, ExtractionReport, GridSource,
     Locations, OwnerSecrets, ProofCutoff, WatermarkConfig, WatermarkError,
 };
+use emmark_nanolm::model::ActivationStats;
 use emmark_quant::QuantizedModel;
 use emmark_tensor::rng::{SplitMix64, Xoshiro256};
 use serde::{Deserialize, Serialize};
+use std::fs::File;
 use std::sync::Arc;
 
 /// A registered device fingerprint.
@@ -186,7 +191,7 @@ pub(crate) fn keep_best<'a>(
 /// Returns [`WatermarkError::Pool`] if a layer cannot fill its pool.
 pub(crate) fn fingerprint_pools(
     base_deployed: &QuantizedModel,
-    stats: &emmark_nanolm::model::ActivationStats,
+    stats: &ActivationStats,
     base_locs: &Locations,
     cfg: &WatermarkConfig,
 ) -> Result<Vec<Vec<usize>>, WatermarkError> {
@@ -213,37 +218,263 @@ pub(crate) fn fingerprint_pools(
     Ok(pools)
 }
 
-/// One owner's model family, located once: the validated secrets and
-/// their ownership locations (Eqs. 2–4), a pure function of the secrets
-/// (DESIGN.md §5, invariant 2). Every engine over the family shares one
-/// `Arc` of it instead of re-deriving and cloning its own.
+/// Values at a sparse set of grid cells: per layer, `(flat, value)`
+/// pairs sorted by flat index. Holds what verification reads of a model
+/// without holding the model — the ownership bits at L, the vault's W at
+/// its key cells, the base-watermarked model at the fingerprint pools.
 #[derive(Debug)]
-pub(crate) struct Family {
-    pub(crate) secrets: OwnerSecrets,
-    pub(crate) locations: Locations,
+pub(crate) struct CellTable(Vec<Vec<(usize, i8)>>);
+
+impl CellTable {
+    /// `value(l, i, f)` at the `i`-th cell `f` of each layer `l` of
+    /// `cells`. Cells must be distinct within a layer.
+    pub(crate) fn collect(
+        cells: &[Vec<usize>],
+        mut value: impl FnMut(usize, usize, usize) -> i8,
+    ) -> Self {
+        let layers = cells
+            .iter()
+            .enumerate()
+            .map(|(l, layer)| {
+                let mut row: Vec<(usize, i8)> = layer
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &f)| (f, value(l, i, f)))
+                    .collect();
+                row.sort_unstable_by_key(|&(f, _)| f);
+                row
+            })
+            .collect();
+        Self(layers)
+    }
+
+    /// The value at `(l, f)`, if the table holds that cell.
+    pub(crate) fn get(&self, l: usize, f: usize) -> Option<i8> {
+        let row = self.0.get(l)?;
+        row.binary_search_by_key(&f, |&(g, _)| g)
+            .ok()
+            .map(|i| row[i].1)
+    }
+}
+
+/// Where a family's pristine weights W are read from.
+#[derive(Debug)]
+enum Weights {
+    /// Decoded in memory — the recompute path, and every engine that
+    /// scores or stamps.
+    Decoded(Box<QuantizedModel>),
+    /// A keyed vault's embedded v2 artifact behind positioned reads, with
+    /// W at the key cells read once at open, and the key's binding.
+    /// Nothing else of the model is read unless pools have to be
+    /// recomputed.
+    Vault {
+        artifact: Box<SparseArtifact<'static>>,
+        at_key: CellTable,
+        binding: u64,
+    },
+}
+
+/// One owner's model family, located once: the signature and insertion
+/// parameters, the activation profile A_f, the ownership locations L
+/// (Eqs. 2–4, a pure function of the secrets — DESIGN.md §5,
+/// invariant 2), and the pristine weights W. Every engine over the
+/// family shares one `Arc` of it.
+///
+/// Two sources, one family: [`Self::new`] recomputes L from decoded
+/// secrets; [`Self::open`] reads a keyed vault's derived key and leaves
+/// W behind a sparse reader, so verification never re-runs Eqs. 2–4 or
+/// decodes the model. Extraction code cannot tell them apart: it reads W
+/// and the base-watermarked model through [`GridSource`], and the two
+/// sources give bit-identical reports (DESIGN.md §5, invariant 13).
+#[derive(Debug)]
+pub struct Family {
+    config: WatermarkConfig,
+    signature: Signature,
+    stats: ActivationStats,
+    locations: Locations,
+    /// The ownership bit at every located cell: overlaid on W, it reads
+    /// as the base-watermarked model every device starts from.
+    bits: CellTable,
+    weights: Weights,
 }
 
 impl Family {
-    /// Validates the secret bundle and locates its ownership watermark;
-    /// a mis-sized signature is [`WatermarkError::SignatureLength`].
-    pub(crate) fn new(secrets: OwnerSecrets) -> Result<Self, WatermarkError> {
+    /// Validates the secret bundle and locates its ownership watermark
+    /// (the recompute path); a mis-sized signature is
+    /// [`WatermarkError::SignatureLength`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects an inconsistent bundle and propagates location errors.
+    pub fn new(secrets: OwnerSecrets) -> Result<Self, WatermarkError> {
         // Corrupt or hand-edited vaults must surface as errors here, once,
         // not as panics inside batch workers or on every warm request.
-        let expected = secrets.config.signature_len(secrets.original.layer_count());
-        if secrets.signature.len() != expected {
-            return Err(WatermarkError::SignatureLength {
-                expected,
-                got: secrets.signature.len(),
-            });
-        }
+        check_signature_len(
+            &secrets.config,
+            &secrets.signature,
+            secrets.original.layer_count(),
+        )?;
         let locations = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)?;
-        Ok(Self { secrets, locations })
+        let OwnerSecrets {
+            original,
+            stats,
+            signature,
+            config,
+        } = secrets;
+        Ok(Self::assemble(
+            config,
+            signature,
+            stats,
+            locations,
+            Weights::Decoded(Box::new(original)),
+        ))
+    }
+
+    /// Opens an owner vault for verification. A keyed vault yields its
+    /// header, signature and derived key, with the embedded artifact
+    /// behind positioned reads: no decode, no Eqs. 2–4. A keyless vault
+    /// is read whole, decoded, and located ([`Self::new`]).
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, the codec errors of [`crate::vault::decode_secrets`]
+    /// (a key that fails its checksum or binding included), and
+    /// [`Self::new`]'s errors.
+    pub fn open(file: File) -> Result<Self, StoreError> {
+        crate::vault::open_family(file)
+    }
+
+    /// A keyed vault's family; the reader has checked the key's
+    /// checksum, shape, and binding against the vault.
+    pub(crate) fn keyed(
+        config: WatermarkConfig,
+        signature: Signature,
+        stats: ActivationStats,
+        locations: Locations,
+        binding: u64,
+        artifact: SparseArtifact<'static>,
+        at_key: CellTable,
+    ) -> Result<Self, WatermarkError> {
+        // What `locate_watermark` would have refused, the key may not
+        // smuggle in.
+        config.validate()?;
+        check_signature_len(&config, &signature, artifact.layer_count())?;
+        Ok(Self::assemble(
+            config,
+            signature,
+            stats,
+            locations,
+            Weights::Vault {
+                artifact: Box::new(artifact),
+                at_key,
+                binding,
+            },
+        ))
+    }
+
+    fn assemble(
+        config: WatermarkConfig,
+        signature: Signature,
+        stats: ActivationStats,
+        locations: Locations,
+        weights: Weights,
+    ) -> Self {
+        let n = locations.len();
+        let bits = CellTable::collect(&locations, |l, i, _| signature.layer_bits(l, n)[i]);
+        Self {
+            config,
+            signature,
+            stats,
+            locations,
+            bits,
+            weights,
+        }
+    }
+
+    /// Whether L came from a vault key rather than a recomputation.
+    pub fn is_keyed(&self) -> bool {
+        matches!(self.weights, Weights::Vault { .. })
+    }
+
+    /// The ownership locations L.
+    pub fn locations(&self) -> &Locations {
+        &self.locations
+    }
+
+    /// The binding the vault key and manifest pools must carry
+    /// ([`crate::vault`]): read from a keyed vault, hashed on demand for
+    /// decoded secrets (only pool persistence and checks need it).
+    pub(crate) fn binding(&self) -> u64 {
+        match &self.weights {
+            Weights::Decoded(original) => key_binding(
+                &self.config,
+                &self.signature,
+                &self.stats,
+                original,
+                &self.locations,
+            ),
+            Weights::Vault { binding, .. } => *binding,
+        }
+    }
+
+    /// The first I/O error a read of a keyed vault's artifact hit since
+    /// open ([`SparseArtifact::check_reads`]); always `Ok` for a decoded
+    /// family. A verdict over this family is valid only when it is `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// The latched read error.
+    pub fn check_reads(&self) -> Result<(), StoreError> {
+        match &self.weights {
+            Weights::Decoded(_) => Ok(()),
+            Weights::Vault { artifact, .. } => artifact.check_reads(),
+        }
+    }
+
+    /// The decoded secrets, when W is resident.
+    pub(crate) fn decoded_secrets(&self) -> Option<OwnerSecrets> {
+        match &self.weights {
+            Weights::Decoded(original) => Some(OwnerSecrets {
+                original: QuantizedModel::clone(original),
+                stats: self.stats.clone(),
+                signature: self.signature.clone(),
+                config: self.config,
+            }),
+            Weights::Vault { .. } => None,
+        }
+    }
+
+    /// The base-watermarked model (W with the ownership bits applied at
+    /// L, identical to [`OwnerSecrets::watermark_for_deployment`] without
+    /// re-locating), decoding a keyed vault's artifact if W is not
+    /// resident.
+    ///
+    /// # Errors
+    ///
+    /// Read and decode failures of the vault's embedded artifact.
+    pub(crate) fn base_model(&self) -> Result<QuantizedModel, StoreError> {
+        let mut base = match &self.weights {
+            Weights::Decoded(original) => QuantizedModel::clone(original),
+            Weights::Vault { artifact, .. } => artifact.decode()?,
+        };
+        apply_bits_at(&mut base, &self.locations, &self.signature);
+        Ok(base)
+    }
+
+    /// The base-watermarked model's value at `(l, f)`: W plus the
+    /// ownership bit when `(l, f)` is located.
+    pub(crate) fn base_q(&self, l: usize, f: usize) -> i8 {
+        self.q_at(l, f) + self.bits.get(l, f).unwrap_or(0)
     }
 
     /// Ownership extraction (Eqs. 6–8) against the located cells —
     /// bit-for-bit [`OwnerSecrets::verify`]; see
     /// [`crate::fleet::FleetVerifier::ownership_report`].
-    pub(crate) fn ownership_report<S: GridSource + ?Sized>(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WatermarkError::ShapeMismatch`] on a foreign layer grid.
+    pub fn ownership_report<S: GridSource + ?Sized>(
         &self,
         suspect: &S,
     ) -> Result<ExtractionReport, WatermarkError> {
@@ -251,18 +482,57 @@ impl Family {
         if crate::telemetry::Telemetry::enabled() {
             crate::telemetry::FLEET_REPORTS.incr();
         }
-        extract_with_locations(
-            suspect,
-            &self.secrets.original,
-            &self.locations,
-            &self.secrets.signature,
-        )
+        extract_with_locations(suspect, self, &self.locations, &self.signature)
     }
 }
 
-/// A [`Family`] extended for one fingerprint config: the
-/// base-watermarked reference model every device starts from and the
-/// per-layer fingerprint candidate pools (base-excluded).
+/// W: the decoded model, or the vault's artifact (key cells from the
+/// table read at open).
+impl GridSource for Family {
+    fn source_layer_count(&self) -> usize {
+        match &self.weights {
+            Weights::Decoded(m) => m.source_layer_count(),
+            Weights::Vault { artifact, .. } => artifact.source_layer_count(),
+        }
+    }
+
+    fn layer_dims(&self, l: usize) -> (usize, usize) {
+        match &self.weights {
+            Weights::Decoded(m) => m.layer_dims(l),
+            Weights::Vault { artifact, .. } => artifact.layer_dims(l),
+        }
+    }
+
+    fn q_at(&self, l: usize, f: usize) -> i8 {
+        match &self.weights {
+            Weights::Decoded(m) => m.q_at(l, f),
+            Weights::Vault {
+                artifact, at_key, ..
+            } => at_key.get(l, f).unwrap_or_else(|| artifact.q_cell(l, f)),
+        }
+    }
+}
+
+/// The signature must cover `bits_per_layer` bits of every layer.
+fn check_signature_len(
+    config: &WatermarkConfig,
+    signature: &Signature,
+    n_layers: usize,
+) -> Result<(), WatermarkError> {
+    let expected = config.signature_len(n_layers);
+    if signature.len() != expected {
+        return Err(WatermarkError::SignatureLength {
+            expected,
+            got: signature.len(),
+        });
+    }
+    Ok(())
+}
+
+/// A [`Family`] extended for one fingerprint config: the per-layer
+/// fingerprint candidate pools (base-excluded) and the base-watermarked
+/// model at every pool cell — O(pool), never a model copy. The cache is
+/// itself the [`GridSource`] fingerprint diffs are taken against.
 ///
 /// Both halves of the fleet pipeline —
 /// [`crate::provision::FleetProvisioner`] (score-once/insert-many) and
@@ -274,40 +544,123 @@ impl Family {
 pub(crate) struct FamilyCache {
     pub(crate) family: Arc<Family>,
     pub(crate) fingerprint_config: WatermarkConfig,
-    /// The base-watermarked reference model every device starts from.
-    pub(crate) base_deployed: QuantizedModel,
     /// Per-layer fingerprint candidate pools, base-excluded.
     pub(crate) pools: Vec<Vec<usize>>,
+    /// The base-watermarked model at every pool cell.
+    base: CellTable,
 }
 
 impl FamilyCache {
-    /// Extends a located family for `fingerprint_config`, rejecting an
-    /// invalid config or a layer that cannot fill its pool.
-    pub(crate) fn new(
+    /// Scores the pools over `base_deployed` — the family's
+    /// base-watermarked model ([`Family::base_model`]).
+    ///
+    /// # Errors
+    ///
+    /// Rejects an invalid config or a layer that cannot fill its pool.
+    pub(crate) fn scored(
         family: Arc<Family>,
         fingerprint_config: WatermarkConfig,
+        base_deployed: &QuantizedModel,
     ) -> Result<Self, WatermarkError> {
         fingerprint_config.validate()?;
-        let base = &family.secrets;
-        // Apply the base watermark at the located cells (identical to
-        // `OwnerSecrets::watermark_for_deployment`, without re-locating).
-        let mut base_deployed = base.original.clone();
-        apply_bits_at(&mut base_deployed, &family.locations, &base.signature);
         let pools = fingerprint_pools(
-            &base_deployed,
-            &base.stats,
+            base_deployed,
+            &family.stats,
             &family.locations,
             &fingerprint_config,
         )?;
+        let base = CellTable::collect(&pools, |l, _, f| base_deployed.q_at(l, f));
+        Ok(Self::assemble(family, fingerprint_config, pools, base))
+    }
+
+    /// The recompute path: scores the pools over the family's
+    /// base-watermarked model.
+    ///
+    /// # Errors
+    ///
+    /// Decode failures of a keyed vault's artifact, and
+    /// [`Self::scored`]'s errors.
+    pub(crate) fn new(
+        family: Arc<Family>,
+        fingerprint_config: WatermarkConfig,
+    ) -> Result<Self, StoreError> {
+        let base = family.base_model()?;
+        Ok(Self::scored(family, fingerprint_config, &base)?)
+    }
+
+    /// Takes the pools a manifest persisted instead of scoring: checks
+    /// they were derived from this family and fit its grid, then reads
+    /// the base-watermarked model at every pool cell (positioned reads
+    /// for a keyed vault).
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::InvalidConfig`] for pools bound to another
+    /// vault, of the wrong shape, or overlapping the ownership cells;
+    /// read failures of the vault's artifact.
+    pub(crate) fn with_pools(
+        family: Arc<Family>,
+        fingerprint_config: WatermarkConfig,
+        pools: &crate::registry::FingerprintPools,
+    ) -> Result<Self, StoreError> {
+        fingerprint_config.validate()?;
+        let invalid = |msg: String| StoreError::Watermark(WatermarkError::InvalidConfig(msg));
+        if pools.binding() != family.binding() {
+            return Err(invalid(
+                "fingerprint pools were derived from another vault (binding mismatch)".into(),
+            ));
+        }
+        let cells = pools.cells();
+        let pool_size = fingerprint_config.pool_ratio * fingerprint_config.bits_per_layer;
+        if cells.len() != family.source_layer_count() {
+            return Err(invalid(format!(
+                "fingerprint pools cover {} layers, the family has {}",
+                cells.len(),
+                family.source_layer_count()
+            )));
+        }
+        for (l, pool) in cells.iter().enumerate() {
+            let (in_f, out_f) = family.layer_dims(l);
+            if pool.len() != pool_size {
+                return Err(invalid(format!(
+                    "layer {l}: {} pool cells, the fingerprint config needs {pool_size}",
+                    pool.len()
+                )));
+            }
+            if let Some(&f) = pool
+                .iter()
+                .find(|&&f| f >= in_f * out_f || family.bits.get(l, f).is_some())
+            {
+                return Err(invalid(format!(
+                    "layer {l}: pool cell {f} is outside the grid or an ownership cell"
+                )));
+            }
+        }
+        let base = CellTable::collect(cells, |l, _, f| family.base_q(l, f));
+        family.check_reads()?;
+        Ok(Self::assemble(
+            family,
+            fingerprint_config,
+            cells.to_vec(),
+            base,
+        ))
+    }
+
+    fn assemble(
+        family: Arc<Family>,
+        fingerprint_config: WatermarkConfig,
+        pools: Vec<Vec<usize>>,
+        base: CellTable,
+    ) -> Self {
         if crate::telemetry::Telemetry::enabled() {
             crate::telemetry::FLEET_CACHE_MISSES.incr();
         }
-        Ok(Self {
+        Self {
             family,
             fingerprint_config,
-            base_deployed,
             pools,
-        })
+            base,
+        }
     }
 
     /// Derives one device's fingerprint material from the shared pools:
@@ -326,10 +679,28 @@ impl FamilyCache {
     /// fingerprint — a pure function of its seeds and the shared pools.
     pub(crate) fn fingerprint_material(&self, fp: &DeviceFingerprint) -> (Signature, Locations) {
         let cfg = &self.fingerprint_config;
-        let n = self.base_deployed.layer_count();
+        let n = self.pools.len();
         let sig = Signature::generate(cfg.signature_len(n), fp.signature_seed);
         let locs = sample_from_pools(&self.pools, cfg, fp.selection_seed);
         (sig, locs)
+    }
+}
+
+/// The base-watermarked model: the pool table, falling back to the
+/// family (W plus the ownership overlay) for any other cell.
+impl GridSource for FamilyCache {
+    fn source_layer_count(&self) -> usize {
+        self.family.source_layer_count()
+    }
+
+    fn layer_dims(&self, l: usize) -> (usize, usize) {
+        self.family.layer_dims(l)
+    }
+
+    fn q_at(&self, l: usize, f: usize) -> i8 {
+        self.base
+            .get(l, f)
+            .unwrap_or_else(|| self.family.base_q(l, f))
     }
 }
 
@@ -369,7 +740,12 @@ pub(crate) fn derive_device(
 /// Tiny stable FNV-style hash (not cryptographic; device-id seeds and
 /// the [`crate::registry`] shard checksums).
 pub(crate) fn fxhash(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fxhash_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an [`fxhash`] over more bytes: `fxhash_extend(fxhash(a), b)`
+/// equals `fxhash(a ++ b)`.
+pub(crate) fn fxhash_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -461,5 +837,46 @@ mod tests {
         let a = fleet_a.provision("same-id").expect("a");
         let b = fleet_b.provision("same-id").expect("b");
         assert!(a.same_weights(&b));
+    }
+
+    /// The family reads as W and the family cache as the
+    /// base-watermarked model at *every* cell — the ownership cells
+    /// (overlaid bits) and cells outside the pools (the fallback)
+    /// included — whether the family is decoded or a keyed vault.
+    #[test]
+    fn family_and_cache_read_as_w_and_the_base_model_everywhere() {
+        let fleet = fleet();
+        let base = fleet.base.watermark_for_deployment().expect("deploy");
+        let path =
+            std::env::temp_dir().join(format!("emmark-family-grid-{}.emws", std::process::id()));
+        std::fs::write(&path, crate::vault::encode_secrets(&fleet.base)).expect("write vault");
+        let decoded = Arc::new(Family::new(fleet.base.clone()).expect("family"));
+        let keyed = Arc::new(Family::open(File::open(&path).expect("open")).expect("keyed"));
+        let _ = std::fs::remove_file(&path);
+        assert!(keyed.is_keyed() && !decoded.is_keyed());
+        assert_eq!(keyed.locations(), decoded.locations());
+        let scored =
+            FamilyCache::new(Arc::clone(&decoded), fleet.fingerprint_config).expect("cache");
+        let pools = crate::registry::FingerprintPools::of(&scored);
+        let from_pools =
+            FamilyCache::with_pools(Arc::clone(&keyed), fleet.fingerprint_config, &pools)
+                .expect("pools");
+        assert_eq!(from_pools.pools, scored.pools);
+        for l in 0..base.layer_count() {
+            for f in 0..base.layers[l].len() {
+                let (w, b) = (fleet.base.original.q_at(l, f), base.q_at(l, f));
+                assert_eq!(
+                    (decoded.q_at(l, f), keyed.q_at(l, f)),
+                    (w, w),
+                    "W at ({l}, {f})"
+                );
+                assert_eq!(
+                    (scored.q_at(l, f), from_pools.q_at(l, f)),
+                    (b, b),
+                    "base at ({l}, {f})"
+                );
+            }
+        }
+        keyed.check_reads().expect("vault reads");
     }
 }

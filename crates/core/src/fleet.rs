@@ -33,8 +33,9 @@
 
 use crate::deploy::{CodecError, Section, SparseArtifact};
 use crate::fingerprint::{derive_device, keep_best, DeviceFingerprint, Family, FamilyCache, Fleet};
-use crate::registry::LeakIndex;
+use crate::registry::{FingerprintPools, LeakIndex};
 use crate::signature::Signature;
+use crate::store::StoreError;
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::{
     check_same_grid, extract_with_locations, ExtractionReport, GridSource, Locations, OwnerSecrets,
@@ -122,7 +123,8 @@ impl FleetVerdict {
 /// identification sublinear in fleet size.
 #[derive(Debug, Clone)]
 pub struct FleetVerifier {
-    /// Eqs. 2–4 scoring, once; fingerprint diffs are taken against its
+    /// The family and its fingerprint pools (scored once, or read from a
+    /// manifest); fingerprint diffs are taken against it as the
     /// base-watermarked reference.
     pub(crate) cache: Arc<FamilyCache>,
     devices: Vec<DeviceFingerprint>,
@@ -163,8 +165,34 @@ impl FleetVerifier {
         fingerprint_config: WatermarkConfig,
         devices: Vec<DeviceFingerprint>,
     ) -> Result<Self, WatermarkError> {
-        let family = Arc::new(Family::new(base)?);
-        let cache = FamilyCache::new(family, fingerprint_config)?;
+        Self::for_family(Family::new(base)?, fingerprint_config, devices, None)
+            .map_err(StoreError::into_watermark)
+    }
+
+    /// Builds the engine over a located [`Family`] — decoded secrets, or
+    /// a keyed vault opened with [`Family::open`]. The fingerprint pools
+    /// come from `pools` (a manifest's, checked against the family's
+    /// binding and grid) when given, and are scored over the family's
+    /// base-watermarked model otherwise (decoding a keyed vault's
+    /// artifact to do so). The two sources differ only there: extraction
+    /// is the same code and verdicts are bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// An invalid fingerprint config, pools that do not belong to the
+    /// family, pool-scoring errors, and read or decode failures of a
+    /// keyed vault's artifact.
+    pub fn for_family(
+        family: Family,
+        fingerprint_config: WatermarkConfig,
+        devices: Vec<DeviceFingerprint>,
+        pools: Option<&FingerprintPools>,
+    ) -> Result<Self, StoreError> {
+        let family = Arc::new(family);
+        let cache = match pools {
+            Some(pools) => FamilyCache::with_pools(family, fingerprint_config, pools)?,
+            None => FamilyCache::new(family, fingerprint_config)?,
+        };
         Ok(Self::from_cache(Arc::new(cache), devices))
     }
 
@@ -243,6 +271,17 @@ impl FleetVerifier {
         self.cache.family.ownership_report(suspect)
     }
 
+    /// The first read error of a keyed vault's artifact since open
+    /// ([`Family::check_reads`]); a verdict is valid only when it is
+    /// `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// The latched read error.
+    pub fn check_reads(&self) -> Result<(), StoreError> {
+        self.cache.family.check_reads()
+    }
+
     /// Fingerprint extraction for one device, registered or not —
     /// bit-for-bit the report [`Fleet::device_report`] produces, using
     /// the cached pools instead of re-scoring every layer.
@@ -260,7 +299,7 @@ impl FleetVerifier {
             telemetry::FLEET_REPORTS.incr();
         }
         let (sig, locs) = self.cache.fingerprint_material(device);
-        extract_with_locations(leaked, &self.cache.base_deployed, &locs, &sig)
+        extract_with_locations(leaked, &*self.cache, &locs, &sig)
     }
 
     /// Traces a leaked model to the registered device whose fingerprint
@@ -304,7 +343,7 @@ impl FleetVerifier {
         // instead of a binomial tail.
         let mut cutoff = ProofCutoff::new(log10_threshold);
         for (device, (sig, locs)) in self.devices.iter().zip(self.all_material()) {
-            let report = extract_with_locations(leaked, &self.cache.base_deployed, locs, sig)?;
+            let report = extract_with_locations(leaked, &*self.cache, locs, sig)?;
             keep_best(&mut best, &mut cutoff, device, report);
         }
         if Telemetry::enabled() {
@@ -345,7 +384,7 @@ impl FleetVerifier {
             // registry; neither may the index path.
             return Ok(None);
         }
-        let base_deployed = &self.cache.base_deployed;
+        let base_deployed = &*self.cache;
         check_same_grid(leaked, base_deployed)?;
         // A hand-edited manifest could name cells outside the grid;
         // reject it up front instead of panicking mid-count.
@@ -358,7 +397,7 @@ impl FleetVerifier {
         let total_bits = self
             .cache
             .fingerprint_config
-            .signature_len(base_deployed.layer_count());
+            .signature_len(base_deployed.source_layer_count());
         let Some(min_matched) = cutoff.min_matched(total_bits) else {
             // Even a perfect fingerprint match cannot clear the
             // threshold — the linear scan skips every device.
@@ -391,7 +430,7 @@ impl FleetVerifier {
     pub fn leak_index(&self) -> LeakIndex {
         LeakIndex::from_material(
             self.devices.len(),
-            self.cache.base_deployed.layer_count(),
+            self.cache.pools.len(),
             self.all_material(),
         )
     }

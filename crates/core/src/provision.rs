@@ -58,6 +58,8 @@ pub struct ProvisionedDevice {
 pub struct FleetProvisioner {
     /// Shared with every verifier [`Self::verifier`] hands out.
     cache: Arc<FamilyCache>,
+    /// The base-watermarked model every device is a delta of.
+    base_deployed: Arc<QuantizedModel>,
     /// The base-watermarked model encoded to v2 bytes, once.
     base_artifact: Bytes,
     /// The base artifact's layer-offset table, parsed once — the delta
@@ -83,19 +85,27 @@ impl FleetProvisioner {
     }
 
     /// Builds the engine over an already-located family (emmarkd's
-    /// path); errors as [`FamilyCache::new`].
+    /// path); errors as [`FamilyCache::scored`]. Stamping needs W
+    /// resident: a family opened from a keyed vault is refused.
     pub(crate) fn for_family(
         family: Arc<Family>,
         fingerprint_config: WatermarkConfig,
     ) -> Result<Self, WatermarkError> {
-        let cache = FamilyCache::new(family, fingerprint_config)?;
-        let base_artifact = encode_model(&cache.base_deployed);
+        if family.is_keyed() {
+            return Err(WatermarkError::InvalidConfig(
+                "provisioning needs the decoded vault, not a keyed verification view".into(),
+            ));
+        }
+        let base_deployed = family.base_model().map_err(StoreError::into_watermark)?;
+        let cache = FamilyCache::scored(family, fingerprint_config, &base_deployed)?;
+        let base_artifact = encode_model(&base_deployed);
         let index = SparseArtifact::open(&base_artifact)
             .expect("freshly encoded artifact is well-formed")
             .layer_index()
             .to_vec();
         Ok(Self {
             cache: Arc::new(cache),
+            base_deployed: Arc::new(base_deployed),
             base_artifact,
             index,
         })
@@ -115,7 +125,7 @@ impl FleetProvisioner {
     /// The shared base-watermarked model (ownership watermark only, no
     /// fingerprint) — the state every device artifact is a delta of.
     pub fn base_deployed(&self) -> &QuantizedModel {
-        &self.cache.base_deployed
+        &self.base_deployed
     }
 
     /// The base-watermarked model's v2 artifact bytes.
@@ -128,7 +138,7 @@ impl FleetProvisioner {
     /// registry.
     pub fn provision_model(&self, device_id: &str) -> (DeviceFingerprint, QuantizedModel) {
         let (fp, sig, locs) = self.cache.device_material(device_id);
-        let mut deployed = self.cache.base_deployed.clone();
+        let mut deployed = QuantizedModel::clone(&self.base_deployed);
         apply_bits_at(&mut deployed, &locs, &sig);
         (fp, deployed)
     }
@@ -138,14 +148,14 @@ impl FleetProvisioner {
     /// Shared by the buffered and streaming artifact emitters.
     fn device_delta(&self, device_id: &str) -> (DeviceFingerprint, Vec<CellPatch>) {
         let (fingerprint, sig, locs) = self.cache.device_material(device_id);
-        let n = self.cache.base_deployed.layer_count();
+        let n = self.base_deployed.layer_count();
         let mut patches = Vec::with_capacity(sig.len());
         for (l, layer_locs) in locs.iter().enumerate() {
             let bits = sig.layer_bits(l, n);
             for (&f, &b) in layer_locs.iter().zip(bits) {
                 // Same arithmetic as `bump_q_flat`: pools exclude
                 // clamped cells, so the bump stays in range.
-                let q = self.cache.base_deployed.layers[l].q_at_flat(f) + b;
+                let q = self.base_deployed.layers[l].q_at_flat(f) + b;
                 patches.push(CellPatch {
                     layer: l,
                     flat: f,
@@ -285,7 +295,9 @@ impl FleetProvisioner {
     /// Converts into the serial [`Fleet`] API with `devices` already
     /// registered (e.g. to keep provisioning incrementally).
     pub fn into_fleet(self, devices: Vec<DeviceFingerprint>) -> Fleet {
-        let secrets = self.cache.family.secrets.clone();
+        let secrets = (self.cache.family)
+            .decoded_secrets()
+            .expect("provisioners are built over decoded families");
         Fleet::with_devices(secrets, *self.fingerprint_config(), devices)
     }
 }

@@ -23,7 +23,15 @@
 //!   the threshold. The index only narrows; Eq. 8 decides — verdicts
 //!   are bit-identical to the linear scan.
 //!
-//! ## `EMFM` wire format (version 1)
+//! * **Persisted pools** — the pools themselves depend only on the
+//!   vault and the fingerprint config, and the config is a provisioning
+//!   flag, so they are known only at provision time. Version 2 of the
+//!   manifest stores them ([`FingerprintPools`]), bound to the vault
+//!   they were derived from; cold identification then builds its family
+//!   cache from them in O(pool) instead of re-running Eqs. 2–4
+//!   (DESIGN.md §10).
+//!
+//! ## `EMFM` wire format (version 2; version 1 is still read)
 //!
 //! Little-endian throughout, like every other codec in this crate:
 //!
@@ -37,17 +45,29 @@
 //! per cell:   layer u32 | flat offset u64
 //!             | −1 bucket (u32 len + u32 device ids)
 //!             | +1 bucket (u32 len + u32 device ids)
+//! pools (v2): layer count u32 | per layer: cell count u32 | flat u64 × count
+//!             | vault binding u64 | checksum u64
 //! ```
+//!
+//! Version 1 ends after the index. The pools' `checksum` is the FNV-1a
+//! hash of the fingerprint config bytes followed by the pools section up
+//! to the checksum, so pools spliced from a manifest of another
+//! fingerprint config fail to decode; `vault binding` is the key binding
+//! of the vault the pools were derived from ([`crate::vault`]), checked
+//! when a verifier is built over them.
 //!
 //! Decoding validates that shard ranges are contiguous from device 0
 //! (no gaps, no overlaps) and sum to the total, that the shard registry
 //! version matches the `EMFR` version this build writes
 //! ([`CodecError::MixedVersion`] otherwise), that index cells are
-//! strictly sorted by `(layer, flat)`, and that every bucket is strictly
-//! ascending with ids inside the device range.
+//! strictly sorted by `(layer, flat)`, that every bucket is strictly
+//! ascending with ids inside the device range, that each layer's pool
+//! holds `pool_ratio × bits_per_layer` distinct cells, that every index
+//! cell lies in its layer's pool, and that nothing follows the last
+//! section.
 
 use crate::deploy::{put_string, put_watermark_config, CodecError, Reader, Section};
-use crate::fingerprint::{fxhash, DeviceFingerprint};
+use crate::fingerprint::{fxhash, fxhash_extend, DeviceFingerprint, Family, FamilyCache};
 use crate::fleet::{
     encode_registry, par_map, read_device_entry, FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
 };
@@ -59,7 +79,13 @@ use crate::watermark::{GridSource, Locations, OwnerSecrets, WatermarkConfig, Wat
 use bytes::{BufMut, Bytes, BytesMut};
 
 pub(crate) const MANIFEST_MAGIC: &[u8; 4] = b"EMFM";
-pub(crate) const MANIFEST_VERSION: u32 = 1;
+/// The manifest version this build writes (with pools); version 1
+/// (without) is still read.
+pub(crate) const MANIFEST_VERSION: u32 = 2;
+const MANIFEST_V1: u32 = 1;
+/// Where the fingerprint config sits in a manifest: after magic and two
+/// version words.
+const MANIFEST_CONFIG: std::ops::Range<usize> = 12..44;
 
 /// One fingerprint cell's inverted-index entry: the devices whose
 /// signatures expect `−1` respectively `+1` at `(layer, flat)`.
@@ -276,6 +302,68 @@ pub struct ShardManifest {
     pub shards: Vec<ShardEntry>,
     /// The fingerprint-cell inverted index over the whole fleet.
     pub index: LeakIndex,
+    /// The fingerprint candidate pools (version 2 manifests; `None` for
+    /// version 1, which [`encode_manifest`] then writes back).
+    pub pools: Option<FingerprintPools>,
+}
+
+impl ShardManifest {
+    /// The format version the manifest encodes as: 2 with pools, 1
+    /// without.
+    fn version(&self) -> u32 {
+        if self.pools.is_some() {
+            MANIFEST_VERSION
+        } else {
+            MANIFEST_V1
+        }
+    }
+}
+
+/// The per-layer fingerprint candidate pools a version 2 manifest
+/// persists, in pool order (devices sample by position in it), and the
+/// key binding of the vault they were derived from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FingerprintPools {
+    cells: Vec<Vec<usize>>,
+    binding: u64,
+}
+
+impl FingerprintPools {
+    /// Scores the pools for `secrets` under `fingerprint_config` —
+    /// Eqs. 2–4 over the base-watermarked model, the recomputation a
+    /// manifest's pools must equal.
+    ///
+    /// # Errors
+    ///
+    /// Rejects inconsistent secrets or config, and propagates pool
+    /// errors.
+    pub fn derive(
+        secrets: OwnerSecrets,
+        fingerprint_config: WatermarkConfig,
+    ) -> Result<Self, WatermarkError> {
+        let family = std::sync::Arc::new(Family::new(secrets)?);
+        let cache =
+            FamilyCache::new(family, fingerprint_config).map_err(StoreError::into_watermark)?;
+        Ok(Self::of(&cache))
+    }
+
+    /// The pools of a family cache.
+    pub(crate) fn of(cache: &FamilyCache) -> Self {
+        Self {
+            cells: cache.pools.clone(),
+            binding: cache.family.binding(),
+        }
+    }
+
+    /// Per layer, the pool's cells in pool order.
+    pub fn cells(&self) -> &[Vec<usize>] {
+        &self.cells
+    }
+
+    /// The key binding of the vault the pools were derived from.
+    pub(crate) fn binding(&self) -> u64 {
+        self.binding
+    }
 }
 
 /// Canonical shard file name for shard `i`: `registry-00042.emfr`.
@@ -294,7 +382,7 @@ pub fn shard_checksum(bytes: &[u8]) -> u64 {
 pub fn encode_manifest(m: &ShardManifest) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + m.shards.len() * 64 + m.index.cells.len() * 48);
     buf.put_slice(MANIFEST_MAGIC);
-    buf.put_u32_le(MANIFEST_VERSION);
+    buf.put_u32_le(m.version());
     buf.put_u32_le(REGISTRY_VERSION);
     put_watermark_config(&mut buf, &m.fingerprint_config);
     buf.put_u64_le(m.total_devices);
@@ -316,6 +404,19 @@ pub fn encode_manifest(m: &ShardManifest) -> Bytes {
                 buf.put_u32_le(d);
             }
         }
+    }
+    if let Some(pools) = &m.pools {
+        let start = buf.len();
+        buf.put_u32_le(pools.cells.len() as u32);
+        for layer in &pools.cells {
+            buf.put_u32_le(layer.len() as u32);
+            for &f in layer {
+                buf.put_u64_le(f as u64);
+            }
+        }
+        buf.put_u64_le(pools.binding);
+        let checksum = fxhash_extend(fxhash(&buf[MANIFEST_CONFIG]), &buf[start..]);
+        buf.put_u64_le(checksum);
     }
     buf.freeze()
 }
@@ -370,13 +471,13 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
     let mut r = Reader::new(bytes, Section::Manifest);
     r.magic(MANIFEST_MAGIC)?;
     let version = r.u32("manifest version")?;
-    if version != MANIFEST_VERSION {
+    if version != MANIFEST_VERSION && version != MANIFEST_V1 {
         return Err(CodecError::BadVersion(version));
     }
     let registry_version = r.u32("shard registry version")?;
     if registry_version != REGISTRY_VERSION {
         return Err(CodecError::MixedVersion {
-            outer: MANIFEST_VERSION,
+            outer: version,
             inner: registry_version,
         });
     }
@@ -445,6 +546,16 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
             pos,
         });
     }
+    let pools = if version == MANIFEST_VERSION {
+        Some(read_pools(&mut r, bytes, &fingerprint_config, &cells)?)
+    } else {
+        None
+    };
+    r.finish(if pools.is_some() {
+        "fingerprint pools"
+    } else {
+        "leak index"
+    })?;
     Ok(ShardManifest {
         fingerprint_config,
         total_devices,
@@ -453,7 +564,66 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
             device_count: total_devices as usize,
             cells,
         },
+        pools,
     })
+}
+
+/// Reads and checks a version 2 manifest's pools section: checksum
+/// (over the fingerprint config and the section), pool sizes, distinct
+/// cells, and every index cell inside its layer's pool.
+fn read_pools(
+    r: &mut Reader,
+    bytes: &[u8],
+    cfg: &WatermarkConfig,
+    index: &[IndexCell],
+) -> Result<FingerprintPools, CodecError> {
+    r.enter(Section::Pools);
+    let start = r.offset();
+    let n_layers = r.u32("pool layer count")? as usize;
+    r.need(n_layers.saturating_mul(4), "pool layers")?;
+    let pool_size = cfg.pool_ratio * cfg.bits_per_layer;
+    let mut cells = Vec::with_capacity(n_layers);
+    let mut sorted = Vec::with_capacity(n_layers);
+    for l in 0..n_layers {
+        let count = r.u32("pool cell count")? as usize;
+        if count != pool_size {
+            return Err(r.corrupt(format!(
+                "layer {l} pool holds {count} cells, the fingerprint config needs {pool_size}"
+            )));
+        }
+        r.need(count.saturating_mul(8), "pool cells")?;
+        let mut pool = Vec::with_capacity(count);
+        for _ in 0..count {
+            pool.push(usize::try_from(r.u64("pool cell")?).unwrap_or(usize::MAX));
+        }
+        let mut order = pool.clone();
+        order.sort_unstable();
+        if order.windows(2).any(|p| p[0] == p[1]) {
+            return Err(r.corrupt(format!("layer {l} pool repeats a cell")));
+        }
+        cells.push(pool);
+        sorted.push(order);
+    }
+    let binding = r.u64("pool vault binding")?;
+    let covered = r.offset();
+    let checksum = fxhash_extend(fxhash(&bytes[MANIFEST_CONFIG]), &bytes[start..covered]);
+    if r.u64("pool checksum")? != checksum {
+        return Err(r.corrupt(
+            "pool checksum mismatch (corrupted, or spliced from another fingerprint config)",
+        ));
+    }
+    for c in index {
+        let inside = sorted
+            .get(c.layer as usize)
+            .is_some_and(|pool| pool.binary_search(&(c.flat as usize)).is_ok());
+        if !inside {
+            return Err(r.corrupt(format!(
+                "index cell (layer {}, flat {}) is outside the fingerprint pools",
+                c.layer, c.flat
+            )));
+        }
+    }
+    Ok(FingerprintPools { cells, binding })
 }
 
 /// Byte offsets of every section boundary in an encoded manifest —
@@ -468,7 +638,7 @@ pub fn manifest_section_boundaries(bytes: &[u8]) -> Result<Vec<usize>, CodecErro
     let mut r = Reader::new(bytes, Section::Manifest);
     r.magic(MANIFEST_MAGIC)?;
     let mut boundaries = vec![0, 4, 8, 12];
-    let _ = r.u32("manifest version")?;
+    let version = r.u32("manifest version")?;
     let _ = r.u32("shard registry version")?;
     let _ = r.watermark_config()?;
     boundaries.push(r.offset());
@@ -490,6 +660,19 @@ pub fn manifest_section_boundaries(bytes: &[u8]) -> Result<Vec<usize>, CodecErro
             r.take(len.saturating_mul(4), what)?;
             boundaries.push(r.offset());
         }
+    }
+    if version == MANIFEST_VERSION {
+        let n_layers = r.u32("pool layer count")? as usize;
+        boundaries.push(r.offset());
+        for _ in 0..n_layers {
+            let count = r.u32("pool cell count")? as usize;
+            r.take(count.saturating_mul(8), "pool cells")?;
+            boundaries.push(r.offset());
+        }
+        let _ = r.u64("pool vault binding")?;
+        boundaries.push(r.offset());
+        let _ = r.u64("pool checksum")?;
+        boundaries.push(r.offset());
     }
     boundaries.sort_unstable();
     boundaries.dedup();
@@ -545,7 +728,7 @@ where
     }
     let cfg = provisioner.fingerprint_config();
     let cache = provisioner.family_cache();
-    let n_layers = cache.base_deployed.layer_count();
+    let n_layers = cache.pools.len();
     let per_shard = device_ids.len().div_ceil(shard_count).max(1);
     // One shard at a time: derive the chunk's material, fold it into
     // the incremental index, encode and sink the shard, drop the chunk.
@@ -588,6 +771,7 @@ where
         total_devices: device_ids.len() as u64,
         shards,
         index: builder.finish(),
+        pools: Some(FingerprintPools::of(cache)),
     })
 }
 
@@ -608,10 +792,7 @@ pub fn provision_sharded<S: AsRef<str> + Sync>(
         shards.push((name.to_string(), Bytes::copy_from_slice(b)));
         Ok(())
     })
-    .map_err(|e| match e {
-        StoreError::Watermark(w) => w,
-        other => WatermarkError::InvalidConfig(other.to_string()),
-    })?;
+    .map_err(StoreError::into_watermark)?;
     Ok(ShardedFleet { manifest, shards })
 }
 
@@ -622,6 +803,7 @@ pub struct ShardedRegistry {
     fingerprint_config: WatermarkConfig,
     devices: Vec<DeviceFingerprint>,
     index: LeakIndex,
+    pools: Option<FingerprintPools>,
 }
 
 impl ShardedRegistry {
@@ -640,6 +822,11 @@ impl ShardedRegistry {
         &self.index
     }
 
+    /// The persisted fingerprint pools (version 2 manifests).
+    pub fn pools(&self) -> Option<&FingerprintPools> {
+        self.pools.as_ref()
+    }
+
     /// Decomposes into `(fingerprint config, devices, leak index)` — the
     /// raw parts a caller feeds to [`FleetVerifier::from_parts`] and
     /// [`FleetVerifier::with_index`] when it manages family-cache
@@ -649,15 +836,34 @@ impl ShardedRegistry {
     }
 
     /// Builds the verification engine over this registry with the
-    /// owner's secrets, the persisted leak index attached.
+    /// owner's secrets, the persisted leak index attached
+    /// ([`Self::into_family_verifier`] over [`Family::new`]).
     ///
     /// # Errors
     ///
     /// Rejects an inconsistent secret bundle and propagates
-    /// location-reproduction errors (see [`FleetVerifier::from_parts`]).
+    /// location-reproduction errors (see [`FleetVerifier::from_parts`]),
+    /// and pools derived from another vault.
     pub fn into_verifier(self, base: OwnerSecrets) -> Result<FleetVerifier, WatermarkError> {
-        FleetVerifier::from_parts(base, self.fingerprint_config, self.devices)?
-            .with_index(self.index)
+        self.into_family_verifier(Family::new(base)?)
+            .map_err(StoreError::into_watermark)
+    }
+
+    /// Builds the verification engine over this registry and a located
+    /// family, the persisted leak index attached. The family cache takes
+    /// the manifest's pools when it carries them (checked against the
+    /// family's binding) and recomputes them otherwise
+    /// ([`FleetVerifier::for_family`]).
+    ///
+    /// # Errors
+    ///
+    /// [`FleetVerifier::for_family`]'s errors, and an index over another
+    /// device population.
+    pub fn into_family_verifier(self, family: Family) -> Result<FleetVerifier, StoreError> {
+        let pools = self.pools.as_ref();
+        let verifier =
+            FleetVerifier::for_family(family, self.fingerprint_config, self.devices, pools)?;
+        Ok(verifier.with_index(self.index)?)
     }
 }
 
@@ -694,6 +900,7 @@ where
         fingerprint_config: manifest.fingerprint_config,
         devices,
         index: manifest.index,
+        pools: manifest.pools,
     })
 }
 
@@ -721,7 +928,7 @@ fn decode_shard(
         // A v-next shard under a v1 manifest (or vice versa) is a
         // mixed-version layout, not mere corruption.
         return Err(CodecError::MixedVersion {
-            outer: MANIFEST_VERSION,
+            outer: manifest.version(),
             inner: version,
         });
     }

@@ -98,6 +98,18 @@ impl From<WatermarkError> for StoreError {
     }
 }
 
+impl StoreError {
+    /// Narrows to the watermark error of an operation that does no I/O
+    /// and decodes nothing (an engine built over decoded secrets); any
+    /// other failure is reported as an invalid configuration.
+    pub(crate) fn into_watermark(self) -> WatermarkError {
+        match self {
+            StoreError::Watermark(e) => e,
+            other => WatermarkError::InvalidConfig(other.to_string()),
+        }
+    }
+}
+
 fn io_err(what: &'static str, source: std::io::Error) -> StoreError {
     StoreError::Io { what, source }
 }

@@ -13,41 +13,84 @@
 //! vault embedding an artifact of another version is rejected with
 //! [`CodecError::MixedVersion`] instead of a generic decode failure —
 //! it only arises from hand-spliced or corrupted vaults.
+//!
+//! ## `EMWS` v2 layout
+//!
+//! ```text
+//! magic "EMWS" | version u32 (2)
+//! WatermarkConfig (α f64, β f64, bits/layer u32, pool ratio u32, d u64)
+//! signature:  bit count u32 | bits i8 (±1) × count
+//! stats A_f:  layer count u32 | per layer: channels u32
+//!             | mean_abs f32 × channels | max_abs f32 × channels
+//! model W:    length u32 | v2 EMQM artifact
+//! key (optional, the last section; nothing may follow it):
+//!             tag "EMLK" | binding u64
+//!             | layer count u32 | per layer: cell count u32 | flat u64 × count
+//!             | checksum u64
+//! ```
+//!
+//! **The derived key.** L is a pure function of (W, A_f, α, β, d)
+//! (DESIGN.md §5, invariant 2), so [`encode_secrets`] derives it once
+//! ([`locate_watermark`]) and stores it after the model. Verification
+//! ([`crate::fingerprint::Family::open`]) then reads the header, the
+//! signature and the key, and W only at the cells it probes, through
+//! [`SparseArtifact`] on the embedded artifact — no decode, no Eqs. 2–4.
+//! The recomputation stays as the arbiter's audit ([`audit_key`],
+//! `emmark inspect`; invariant 13).
+//!
+//! The key is bound to what it derives from. `checksum` is the FNV-1a
+//! hash of the section from the tag through the last flat index, so a
+//! flipped byte anywhere in it fails. `binding` hashes the config,
+//! signature and stats bytes (the vault bytes between the version word
+//! and the model length), continued over W's q byte at every key cell in
+//! key order, so a key spliced onto another vault —
+//! other A_f, α, β, d or B, or other W at the key cells — fails too. The
+//! manifest's fingerprint pools carry the same binding
+//! ([`crate::registry`]). A mismatch is a [`CodecError`], never a
+//! verdict. Vaults written without a key stay readable and take the
+//! recompute path.
 
 use crate::deploy::{
-    artifact_version, decode_model, encode_model, put_watermark_config, CodecError, Reader,
-    Section, FORMAT_V2,
+    artifact_version, decode_model, encode_model, parse_windowed, put_watermark_config, CodecError,
+    Reader, Section, SparseArtifact, FORMAT_V2,
 };
-use crate::fingerprint::DeviceFingerprint;
+use crate::fingerprint::{fxhash, fxhash_extend, CellTable, DeviceFingerprint, Family};
 use crate::fleet::{read_config_header, read_device_entry};
 use crate::provision::ProvisionedDevice;
 use crate::signature::Signature;
 use crate::store::StoreError;
-use crate::watermark::{OwnerSecrets, WatermarkConfig};
+use crate::watermark::{locate_watermark, GridSource, Locations, OwnerSecrets, WatermarkConfig};
 use bytes::{BufMut, Bytes, BytesMut};
 use emmark_nanolm::model::{ActivationStats, LayerActivation};
+use emmark_quant::QuantizedModel;
+use std::fs::File;
 use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 
 const MAGIC: &[u8; 4] = b"EMWS";
 /// Vault version; matches the deploy codec's
 /// [`FORMAT_V2`](crate::deploy::FORMAT_V2).
 const VERSION: u32 = FORMAT_V2;
+/// Tag of the derived-key section.
+const KEY_TAG: &[u8; 4] = b"EMLK";
+/// Where the binding's head bytes start: after magic and version.
+const HEAD_START: usize = 8;
 
-/// Serializes the secret bundle (v2, embedding an indexed v2 model
-/// artifact).
-pub fn encode_secrets(secrets: &OwnerSecrets) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    put_watermark_config(&mut buf, &secrets.config);
-    // Signature.
-    buf.put_u32_le(secrets.signature.len() as u32);
-    for &b in secrets.signature.bits() {
+/// Writes the config, signature and stats — the head bytes the key
+/// binding hashes.
+fn put_head(
+    buf: &mut BytesMut,
+    config: &WatermarkConfig,
+    signature: &Signature,
+    stats: &ActivationStats,
+) {
+    put_watermark_config(buf, config);
+    buf.put_u32_le(signature.len() as u32);
+    for &b in signature.bits() {
         buf.put_i8(b);
     }
-    // Activation stats.
-    buf.put_u32_le(secrets.stats.per_layer.len() as u32);
-    for layer in &secrets.stats.per_layer {
+    buf.put_u32_le(stats.per_layer.len() as u32);
+    for layer in &stats.per_layer {
         buf.put_u32_le(layer.mean_abs.len() as u32);
         for &v in &layer.mean_abs {
             buf.put_f32_le(v);
@@ -56,23 +99,84 @@ pub fn encode_secrets(secrets: &OwnerSecrets) -> Bytes {
             buf.put_f32_le(v);
         }
     }
+}
+
+/// Continues `head_hash` over the byte of W at every key cell, in key
+/// order.
+fn bind_cells(head_hash: u64, locations: &Locations, w: impl Fn(usize, usize) -> i8) -> u64 {
+    let mut h = head_hash;
+    for (l, layer) in locations.iter().enumerate() {
+        for &f in layer {
+            h = fxhash_extend(h, &[w(l, f) as u8]);
+        }
+    }
+    h
+}
+
+/// The binding a key (and the fingerprint pools derived with it) carries
+/// for decoded secrets located at `locations`.
+pub(crate) fn key_binding(
+    config: &WatermarkConfig,
+    signature: &Signature,
+    stats: &ActivationStats,
+    original: &QuantizedModel,
+    locations: &Locations,
+) -> u64 {
+    let mut head = BytesMut::new();
+    put_head(&mut head, config, signature, stats);
+    bind_cells(fxhash(&head), locations, |l, f| original.q_at(l, f))
+}
+
+/// Serializes the secret bundle (v2, embedding an indexed v2 model
+/// artifact), followed by the derived key: the ownership locations,
+/// located once here. Secrets whose locations cannot be derived (a layer
+/// too small for its pool) get no key; they fail verification the same
+/// way either path.
+pub fn encode_secrets(secrets: &OwnerSecrets) -> Bytes {
+    let mut buf = BytesMut::with_capacity(1 << 16);
+    buf.put_slice(MAGIC);
+    buf.put_u32_le(VERSION);
+    put_head(
+        &mut buf,
+        &secrets.config,
+        &secrets.signature,
+        &secrets.stats,
+    );
+    let head_hash = fxhash(&buf[HEAD_START..]);
     // Original model, embedded via the deploy codec (length-prefixed).
     let model_bytes = encode_model(&secrets.original);
     buf.put_u32_le(model_bytes.len() as u32);
     buf.put_slice(&model_bytes);
+    if let Ok(locations) = locate_watermark(&secrets.original, &secrets.stats, &secrets.config) {
+        let binding = bind_cells(head_hash, &locations, |l, f| secrets.original.q_at(l, f));
+        let start = buf.len();
+        buf.put_slice(KEY_TAG);
+        buf.put_u64_le(binding);
+        buf.put_u32_le(locations.len() as u32);
+        for layer in &locations {
+            buf.put_u32_le(layer.len() as u32);
+            for &f in layer {
+                buf.put_u64_le(f as u64);
+            }
+        }
+        let checksum = fxhash(&buf[start..]);
+        buf.put_u64_le(checksum);
+    }
     buf.freeze()
 }
 
-/// Deserializes a v2 secret bundle.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on malformed input, including
-/// [`CodecError::BadVersion`] for any vault version but v2 and
-/// [`CodecError::MixedVersion`] when the embedded model's format
-/// version disagrees with the vault's.
-pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
-    let mut r = Reader::new(bytes, Section::Vault);
+/// The vault fields before the embedded model.
+struct Head {
+    config: WatermarkConfig,
+    signature: Signature,
+    stats: ActivationStats,
+    /// Length of the embedded model, from its length word.
+    model_len: usize,
+}
+
+/// Reads magic, version, config, signature, stats and the model length
+/// word; the reader is left at the embedded model.
+fn read_head(r: &mut Reader) -> Result<Head, CodecError> {
     r.magic(MAGIC)?;
     let version = r.u32("secrets version")?;
     if version != VERSION {
@@ -99,7 +203,7 @@ pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
     let mut per_layer = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
         let channels = r.u32("stats channel count")? as usize;
-        r.need(channels * 8, "stats values")?;
+        r.need(channels.saturating_mul(8), "stats values")?;
         let mut mean_abs = Vec::with_capacity(channels);
         for _ in 0..channels {
             mean_abs.push(r.f32("stats mean")?);
@@ -111,32 +215,301 @@ pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
         per_layer.push(LayerActivation { mean_abs, max_abs });
     }
     let stats = ActivationStats { per_layer };
-
     let model_len = r.u32("model length")? as usize;
-    let model_bytes = r.take(model_len, "model bytes")?;
-    // A vault must embed an artifact of its own format generation; a
-    // mismatch means the vault was spliced or mis-migrated.
-    let inner = artifact_version(model_bytes)?;
-    if inner != version {
+    Ok(Head {
+        config,
+        signature,
+        stats,
+        model_len,
+    })
+}
+
+/// A vault must embed an artifact of its own format generation; a
+/// mismatch means the vault was spliced or mis-migrated.
+fn check_model_version(model_prefix: &[u8]) -> Result<(), CodecError> {
+    let inner = artifact_version(model_prefix)?;
+    if inner != VERSION {
         return Err(CodecError::MixedVersion {
-            outer: version,
+            outer: VERSION,
             inner,
         });
     }
+    Ok(())
+}
+
+/// Parses the key section — the bytes from its tag to the end of the
+/// vault, found at offset `origin`: framing, checksum, and nothing after
+/// it. Shape and binding are checked against the model separately.
+fn read_key(section: &[u8], origin: usize) -> Result<(u64, Locations), CodecError> {
+    let mut r = Reader::at(section, Section::VaultKey, origin);
+    let tag = r.take(4, "key tag")?;
+    if tag != KEY_TAG {
+        return Err(r.corrupt(format!(
+            "unknown section tag {tag:02x?} after the embedded model"
+        )));
+    }
+    let binding = r.u64("key binding")?;
+    let n_layers = r.u32("key layer count")? as usize;
+    r.need(n_layers.saturating_mul(4), "key layers")?;
+    let mut locations = Vec::with_capacity(n_layers);
+    for _ in 0..n_layers {
+        let count = r.u32("key cell count")? as usize;
+        r.need(count.saturating_mul(8), "key cells")?;
+        let mut layer = Vec::with_capacity(count);
+        for _ in 0..count {
+            layer.push(usize::try_from(r.u64("key cell")?).unwrap_or(usize::MAX));
+        }
+        locations.push(layer);
+    }
+    let covered = r.offset() - origin;
+    if r.u64("key checksum")? != fxhash(&section[..covered]) {
+        return Err(CodecError::Corrupt {
+            section: Section::VaultKey,
+            offset: origin,
+            msg: "key checksum mismatch (corrupted key)".into(),
+        });
+    }
+    r.finish("key section")?;
+    Ok((binding, locations))
+}
+
+/// The [`CodecError`] of a key that does not fit its vault.
+fn key_mismatch(offset: usize, msg: String) -> CodecError {
+    CodecError::Corrupt {
+        section: Section::VaultKey,
+        offset,
+        msg,
+    }
+}
+
+/// Checks a key's shape against the model's grid: one list of
+/// `bits_per_layer` distinct in-grid cells per layer.
+fn check_key_shape<G: GridSource + ?Sized>(
+    locations: &Locations,
+    config: &WatermarkConfig,
+    grid: &G,
+    offset: usize,
+) -> Result<(), CodecError> {
+    if locations.len() != grid.source_layer_count() {
+        return Err(key_mismatch(
+            offset,
+            format!(
+                "key covers {} layers, the model has {}",
+                locations.len(),
+                grid.source_layer_count()
+            ),
+        ));
+    }
+    for (l, layer) in locations.iter().enumerate() {
+        let (in_f, out_f) = grid.layer_dims(l);
+        let mut sorted = layer.clone();
+        sorted.sort_unstable();
+        if layer.len() != config.bits_per_layer
+            || sorted.last().is_some_and(|&f| f >= in_f * out_f)
+            || sorted.windows(2).any(|p| p[0] == p[1])
+        {
+            return Err(key_mismatch(
+                offset,
+                format!(
+                    "layer {l}: the key must name {} distinct cells of the {in_f}x{out_f} grid",
+                    config.bits_per_layer
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks a key's binding: `head_hash` continued over W at the key cells.
+fn check_binding(
+    binding: u64,
+    head_hash: u64,
+    locations: &Locations,
+    w: impl Fn(usize, usize) -> i8,
+    offset: usize,
+) -> Result<(), CodecError> {
+    if bind_cells(head_hash, locations, w) != binding {
+        return Err(key_mismatch(
+            offset,
+            "key is bound to another vault (spliced key, or W changed at the key cells)".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Decodes a vault: the secrets, and its key when it carries one
+/// (checksum, shape and binding checked against the decoded model).
+fn decode_vault(bytes: &[u8]) -> Result<(OwnerSecrets, Option<Locations>), CodecError> {
+    let mut r = Reader::new(bytes, Section::Vault);
+    let head = read_head(&mut r)?;
+    let head_end = r.offset() - 4;
+    let model_bytes = r.take(head.model_len, "model bytes")?;
+    check_model_version(model_bytes)?;
     let original = decode_model(model_bytes)?;
-    if stats.layer_count() != original.layer_count() {
+    if head.stats.layer_count() != original.layer_count() {
         return Err(r.corrupt(format!(
             "stats cover {} layers, model has {}",
-            stats.layer_count(),
+            head.stats.layer_count(),
             original.layer_count()
         )));
     }
-    Ok(OwnerSecrets {
+    let key_start = r.offset();
+    let key = if key_start == bytes.len() {
+        None
+    } else {
+        let (binding, locations) = read_key(&bytes[key_start..], key_start)?;
+        check_key_shape(&locations, &head.config, &original, key_start)?;
+        let head_hash = fxhash(&bytes[HEAD_START..head_end]);
+        let w = |l, f| original.q_at(l, f);
+        check_binding(binding, head_hash, &locations, w, key_start)?;
+        Some(locations)
+    };
+    let secrets = OwnerSecrets {
         original,
-        stats,
-        signature,
-        config,
+        stats: head.stats,
+        signature: head.signature,
+        config: head.config,
+    };
+    Ok((secrets, key))
+}
+
+/// Deserializes a v2 secret bundle. A derived key, when present, is
+/// checked (checksum, shape, binding) and then dropped: the decoded
+/// secrets locate themselves.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] on malformed input, including
+/// [`CodecError::BadVersion`] for any vault version but v2,
+/// [`CodecError::MixedVersion`] when the embedded model's format
+/// version disagrees with the vault's, and [`CodecError::Corrupt`] for
+/// a key that fails its checks or any byte after the last section.
+pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
+    decode_vault(bytes).map(|(secrets, _)| secrets)
+}
+
+/// The arbiter's check of a vault's key (paper §4.1): L recomputed from
+/// (W, A_f, α, β, d) next to the key the vault carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyAudit {
+    /// Quantized layers of the vault's model.
+    pub layers: usize,
+    /// Length of the signature B.
+    pub signature_bits: usize,
+    /// The vault's derived key, if it carries one.
+    pub key: Option<Locations>,
+    /// L recomputed with [`locate_watermark`].
+    pub recomputed: Locations,
+}
+
+impl KeyAudit {
+    /// The first layer where the key and the recomputation differ;
+    /// `None` when they agree or the vault carries no key.
+    pub fn first_mismatch(&self) -> Option<usize> {
+        // Decoding checked the key covers every layer.
+        let key = self.key.as_ref()?;
+        key.iter().zip(&self.recomputed).position(|(a, b)| a != b)
+    }
+}
+
+/// Decodes a vault and recomputes its ownership locations, for
+/// comparison with its key ([`KeyAudit`]).
+///
+/// # Errors
+///
+/// [`decode_secrets`]'s errors, and location errors.
+pub fn audit_key(bytes: &[u8]) -> Result<KeyAudit, StoreError> {
+    let (secrets, key) = decode_vault(bytes)?;
+    let recomputed = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)
+        .map_err(StoreError::Watermark)?;
+    Ok(KeyAudit {
+        layers: secrets.original.layer_count(),
+        signature_bits: secrets.signature.len(),
+        key,
+        recomputed,
     })
+}
+
+/// First window of a vault file's head: config, signature and the
+/// stats of a model a few hundred channels wide fit in it.
+const HEAD_WINDOW: usize = 64 * 1024;
+
+/// Opens a vault file as a [`Family`] ([`Family::open`]).
+pub(crate) fn open_family(file: File) -> Result<Family, StoreError> {
+    let io = |what: &'static str| move |source| StoreError::Io { what, source };
+    let len = file.metadata().map_err(io("sizing the vault"))?.len() as usize;
+    let read = |offset: usize, n: usize, what: &'static str| {
+        let mut buf = vec![0u8; n];
+        file.read_exact_at(&mut buf, offset as u64)
+            .map_err(io(what))?;
+        Ok::<_, StoreError>(buf)
+    };
+    let ((head, model_start), window) = parse_windowed(
+        len,
+        HEAD_WINDOW,
+        |n| read(0, n, "reading the vault head"),
+        |prefix| {
+            let mut r = Reader::new(prefix, Section::Vault);
+            let head = read_head(&mut r)?;
+            Ok((head, r.offset()))
+        },
+    )?;
+    let key_start = model_start.saturating_add(head.model_len);
+    if key_start >= len {
+        // Keyless (or truncated): the recompute path decodes everything
+        // and reports truncation with the usual context.
+        let bytes = read(0, len, "reading the vault")?;
+        return Ok(Family::new(decode_secrets(&bytes)?)?);
+    }
+    let head_hash = fxhash(&window[HEAD_START..model_start - 4]);
+    check_model_version(&read(
+        model_start,
+        head.model_len.min(8),
+        "reading the vault model",
+    )?)?;
+    let key_bytes = read(key_start, len - key_start, "reading the vault key")?;
+    let (binding, locations) = read_key(&key_bytes, key_start)?;
+    let artifact = SparseArtifact::open_file_at(file, model_start, head.model_len)?;
+    if head.stats.layer_count() != artifact.layer_count() {
+        return Err(CodecError::Corrupt {
+            section: Section::Vault,
+            offset: key_start,
+            msg: format!(
+                "stats cover {} layers, model has {}",
+                head.stats.layer_count(),
+                artifact.layer_count()
+            ),
+        }
+        .into());
+    }
+    check_key_shape(&locations, &head.config, &artifact, key_start)?;
+    // W at the key cells, read once: the binding covers them, and every
+    // ownership report reads them.
+    let at_key = CellTable::collect(&locations, |l, _, f| artifact.q_cell(l, f));
+    artifact.check_reads()?;
+    let w = |l, f| at_key.get(l, f).expect("the table holds every key cell");
+    check_binding(binding, head_hash, &locations, w, key_start)?;
+    // Selection excludes min/max-level cells; a key naming one cannot
+    // have been derived from this W.
+    for (l, layer) in locations.iter().enumerate() {
+        let qmax = artifact.layer_grid(l).qmax() as i16;
+        if let Some(f) = layer.iter().find(|&&f| (w(l, f) as i16).abs() >= qmax) {
+            return Err(key_mismatch(
+                key_start,
+                format!("key cell (layer {l}, flat {f}) sits at a min/max level"),
+            )
+            .into());
+        }
+    }
+    Ok(Family::keyed(
+        head.config,
+        head.signature,
+        head.stats,
+        locations,
+        binding,
+        artifact,
+        at_key,
+    )?)
 }
 
 const FLEET_MAGIC: &[u8; 4] = b"EMFB";
@@ -648,13 +1021,20 @@ mod tests {
         assert!(restored.original.same_weights(&original.original));
     }
 
+    /// Where a vault's embedded model starts.
+    fn model_start(vault: &[u8]) -> usize {
+        let mut r = Reader::new(vault, Section::Vault);
+        read_head(&mut r).expect("head");
+        r.offset()
+    }
+
     #[test]
     fn mixed_version_vault_is_rejected_with_a_clear_error() {
         let original = secrets();
         // A v2 vault whose embedded model carries a version-1 header —
         // the splice a buggy downgrade tool would produce.
         let mut spliced = encode_secrets(&original).to_vec();
-        let model_start = spliced.len() - encode_model(&original.original).len();
+        let model_start = model_start(&spliced);
         spliced[model_start + 4..model_start + 8].copy_from_slice(&1u32.to_le_bytes());
         let err = decode_secrets(&spliced).expect_err("mixed vault must fail");
         assert_eq!(
@@ -778,5 +1158,50 @@ mod tests {
             decode_secrets(&bytes).unwrap_err(),
             CodecError::BadVersion(77)
         );
+    }
+
+    /// A key that passes its checksum and binding but is not L — what a
+    /// faulty stamping tool could write — decodes, and only the audit
+    /// catches it.
+    #[test]
+    fn audit_flags_a_well_formed_key_that_is_not_the_recomputation() {
+        let secrets = secrets();
+        let vault = encode_secrets(&secrets).to_vec();
+        let model_end = model_start(&vault) + encode_model(&secrets.original).len();
+        let mut key =
+            locate_watermark(&secrets.original, &secrets.stats, &secrets.config).expect("locate");
+        // Swap one cell of layer 2 for another unclamped, unlocated cell.
+        let layer = &secrets.original.layers[2];
+        key[2][0] = (0..layer.len())
+            .find(|&f| !layer.is_clamped_flat(f) && !key[2].contains(&f))
+            .expect("a free cell");
+        let mut head = BytesMut::new();
+        put_head(
+            &mut head,
+            &secrets.config,
+            &secrets.signature,
+            &secrets.stats,
+        );
+        let binding = bind_cells(fxhash(&head), &key, |l, f| secrets.original.q_at(l, f));
+        let mut forged = BytesMut::new();
+        forged.put_slice(&vault[..model_end]);
+        let start = forged.len();
+        forged.put_slice(KEY_TAG);
+        forged.put_u64_le(binding);
+        forged.put_u32_le(key.len() as u32);
+        for layer in &key {
+            forged.put_u32_le(layer.len() as u32);
+            for &f in layer {
+                forged.put_u64_le(f as u64);
+            }
+        }
+        let checksum = fxhash(&forged[start..]);
+        forged.put_u64_le(checksum);
+
+        assert!(decode_secrets(&forged).is_ok(), "well-formed and bound");
+        let audit = audit_key(&forged).expect("audit");
+        assert_eq!(audit.first_mismatch(), Some(2));
+        assert_eq!(audit_key(&vault).expect("audit").first_mismatch(), None);
+        assert_eq!(audit_key(&vault[..model_end]).expect("keyless").key, None);
     }
 }

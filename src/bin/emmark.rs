@@ -77,6 +77,7 @@
 
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::deploy::{decode_model, encode_model, encode_model_into, SparseArtifact};
+use emmark::core::fingerprint::Family;
 use emmark::core::fleet::{
     decode_registry, encode_registry, FleetError, FleetVerdict, FleetVerifier,
 };
@@ -87,7 +88,7 @@ use emmark::core::registry::{
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
 use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
 use emmark::core::telemetry::{peak_resident_mib, Snapshot, Telemetry};
-use emmark::core::vault::{decode_secrets, encode_secrets, FleetBundleStream};
+use emmark::core::vault::{audit_key, decode_secrets, encode_secrets, FleetBundleStream};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::corpus::{Corpus, Grammar};
 use emmark::nanolm::train::{train, TrainConfig};
@@ -527,9 +528,15 @@ fn cmd_demo(opts: &HashMap<String, String>) -> Result<(), String> {
     enforce_memory_budget(budget)
 }
 
+/// Opens the owner vault for verification: a keyed vault through its
+/// derived key (no decode, no Eqs. 2–4), a keyless one decoded and
+/// located.
+fn open_family(path: &str) -> Result<Family, String> {
+    Family::open(open_file(path)?).map_err(|e| e.to_string())
+}
+
 fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
-    let secrets =
-        decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
+    let family = open_family(required(opts, "secrets")?)?;
     let suspect = open_file(required(opts, "suspect")?)?;
     // The artifact is probed sparsely: only the header index, the
     // structure's length words and the few hundred watermark cells are
@@ -539,8 +546,11 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
         "suspect : v2 artifact ({} KiB), sparse random-access extraction",
         sparse.byte_len() / 1024
     );
-    let report = secrets.verify(&sparse).map_err(|e| e.to_string())?;
+    let report = family
+        .ownership_report(&sparse)
+        .map_err(|e| e.to_string())?;
     sparse.check_reads().map_err(|e| e.to_string())?;
+    family.check_reads().map_err(|e| e.to_string())?;
     println!(
         "matched {} / {} bits  (WER {:.1}%)",
         report.matched_bits,
@@ -618,6 +628,9 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         if &magic[..filled] == b"EMFM" {
             return inspect_manifest(path, opts.contains_key("json"));
+        }
+        if &magic[..filled] == b"EMWS" {
+            return inspect_vault(path, opts.contains_key("json"));
         }
     }
     let bytes = read_file(path)?;
@@ -785,6 +798,49 @@ fn inspect_bundle(path: &str, json: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// `emmark inspect` over an EMWS owner vault: layers, signature bits,
+/// and whether it carries a derived key. For a keyed vault it is the
+/// arbiter's audit (paper §4.1): L is recomputed from (W, A_f, α, β, d)
+/// and compared with the key; a mismatch fails the command.
+fn inspect_vault(path: &str, json: bool) -> Result<(), String> {
+    let audit = audit_key(&read_file(path)?).map_err(|e| e.to_string())?;
+    let mismatch = audit.first_mismatch();
+    let cells: usize = audit.recomputed.iter().map(Vec::len).sum();
+    if json {
+        let key_matches = match (&audit.key, mismatch) {
+            (None, _) => "null".to_string(),
+            (Some(_), m) => m.is_none().to_string(),
+        };
+        println!(
+            "{{\"kind\":\"owner-vault\",\"layers\":{},\"signature_bits\":{},\
+             \"keyed\":{},\"key_matches\":{key_matches}}}",
+            audit.layers,
+            audit.signature_bits,
+            audit.key.is_some()
+        );
+    } else {
+        println!("vault   : {path}");
+        println!("layers  : {} quantized", audit.layers);
+        println!("signature: {} bits", audit.signature_bits);
+        match (&audit.key, mismatch) {
+            (None, _) => println!("key     : none (verification recomputes L, Eqs. 2–4)"),
+            (Some(_), None) => println!(
+                "key     : {cells} ownership cells; equals L recomputed from (W, A_f, α, β, d)"
+            ),
+            (Some(_), Some(l)) => println!(
+                "key     : {cells} ownership cells; DIFFERS from L recomputed from \
+                 (W, A_f, α, β, d) at layer {l}"
+            ),
+        }
+    }
+    match mismatch {
+        Some(l) => Err(format!(
+            "vault key does not match the recomputed locations (first at layer {l})"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// `emmark inspect` over an EMFM shard manifest: the shard table and
 /// leak-index shape, without touching the shard files themselves.
 fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
@@ -808,12 +864,13 @@ fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
             .collect();
         println!(
             "{{\"kind\":\"shard-manifest\",\"total_devices\":{},\"shard_count\":{},\
-             \"leak_index_cells\":{},\
+             \"leak_index_cells\":{},\"pools\":{},\
              \"fingerprint\":{{\"bits_per_layer\":{},\"pool_ratio\":{},\"selection_seed\":{}}},\
              \"shards\":[{}]}}",
             manifest.total_devices,
             manifest.shards.len(),
             manifest.index.cell_count(),
+            manifest.pools.is_some(),
             fp.bits_per_layer,
             fp.pool_ratio,
             fp.selection_seed,
@@ -835,6 +892,14 @@ fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
         "leak index: {} fingerprint cells (suspect reads per identification)",
         manifest.index.cell_count()
     );
+    match &manifest.pools {
+        Some(pools) => println!(
+            "pools   : {} layers x {} cells persisted (identification skips Eqs. 2–4)",
+            pools.cells().len(),
+            pools.cells().first().map_or(0, Vec::len)
+        ),
+        None => println!("pools   : none (v1 manifest; identification recomputes them)"),
+    }
     for s in manifest.shards.iter().take(8) {
         println!(
             "  {}: devices {}..{}, {:.1} KiB, checksum {:016x}",
@@ -1030,8 +1095,7 @@ fn open_bundle(path: &str) -> Result<FleetBundleStream<BufReader<File>>, String>
 }
 
 fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
-    let secrets =
-        decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
+    let family = open_family(required(opts, "secrets")?)?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
     let jobs: usize = parsed(opts, "jobs", 0)?;
     let jobs = if jobs == 0 { None } else { Some(jobs) };
@@ -1041,7 +1105,7 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     // all resolved to the same raw parts (fingerprint config, device
     // list, optional leak index) so the expensive family cache below is
     // built exactly once, through a single from_parts call site.
-    let (fp_cfg, devices, index, source): (_, _, Option<LeakIndex>, FleetSource) =
+    let (fp_cfg, devices, index, pools, source): (_, _, Option<LeakIndex>, _, FleetSource) =
         if let Some(bundle_path) = opts.get("bundle") {
             // Pass 1: collect the registry entries (artifacts are read
             // and dropped one at a time — never the whole fleet).
@@ -1057,6 +1121,7 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
                 fp_cfg,
                 devices,
                 None,
+                None,
                 FleetSource::Bundle(bundle_path.clone()),
             )
         } else if let Some(manifest_path) = opts.get("manifest") {
@@ -1066,18 +1131,26 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
             // device.
             let registry = load_manifest(manifest_path)?;
             let (names, artifacts) = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
+            let pools = registry.pools().cloned();
             let (fp_cfg, devices, index) = registry.into_parts();
             (
                 fp_cfg,
                 devices,
                 Some(index),
+                pools,
                 FleetSource::Dir(names, artifacts),
             )
         } else {
             let (fp_cfg, devices) = decode_registry(&read_file(required(opts, "registry")?)?)
                 .map_err(|e| e.to_string())?;
             let (names, artifacts) = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
-            (fp_cfg, devices, None, FleetSource::Dir(names, artifacts))
+            (
+                fp_cfg,
+                devices,
+                None,
+                None,
+                FleetSource::Dir(names, artifacts),
+            )
         };
 
     match &index {
@@ -1092,8 +1165,8 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
         ),
     }
     let start = std::time::Instant::now();
-    let mut verifier =
-        FleetVerifier::from_parts(secrets, fp_cfg, devices).map_err(|e| e.to_string())?;
+    let mut verifier = FleetVerifier::for_family(family, fp_cfg, devices, pools.as_ref())
+        .map_err(|e| e.to_string())?;
     if let Some(ix) = index {
         verifier = verifier.with_index(ix).map_err(|e| e.to_string())?;
     }
@@ -1116,6 +1189,7 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
             .collect(),
     };
     let verify_time = start.elapsed();
+    verifier.check_reads().map_err(|e| e.to_string())?;
 
     println!(
         "\n{:<28} {:>10} {:>12} {:<18} {:>12}",
@@ -1166,8 +1240,7 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
-    let secrets =
-        decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
+    let family = open_family(required(opts, "secrets")?)?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
     let registry = load_manifest(required(opts, "manifest")?)?;
     let suspect = open_file(required(opts, "suspect")?)?;
@@ -1179,7 +1252,9 @@ fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
     );
 
     let start = std::time::Instant::now();
-    let verifier = registry.into_verifier(secrets).map_err(|e| e.to_string())?;
+    let verifier = registry
+        .into_family_verifier(family)
+        .map_err(|e| e.to_string())?;
     println!(
         "verification cache built in {:.1} ms",
         start.elapsed().as_secs_f64() * 1e3
@@ -1195,6 +1270,7 @@ fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
         verifier.identify_leak(&sparse, threshold)
     };
     sparse.check_reads().map_err(|e| e.to_string())?;
+    verifier.check_reads().map_err(|e| e.to_string())?;
     let traced = traced
         .map_err(|e| e.to_string())?
         .map(|(d, r)| (d.clone(), r));

@@ -335,3 +335,59 @@ fn intact_artifacts_of_every_scheme_read_alike_from_both_sources() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+#[test]
+fn vaults_with_bytes_after_the_last_section_are_refused() {
+    let model = build_model(4, Granularity::PerOutChannel, ActQuant::None, 7);
+    let mut fp = TransformerModel::new({
+        let mut c = ModelConfig::tiny_test();
+        c.init_seed = 7;
+        c
+    });
+    let stats = fp.collect_activation_stats(&[vec![1u32, 2, 3, 4, 5, 6, 7, 8]]);
+    let cfg = WatermarkConfig {
+        bits_per_layer: 4,
+        pool_ratio: 10,
+        ..Default::default()
+    };
+    let secrets = OwnerSecrets::new(model, stats, cfg, 0x7A11);
+    let vault = encode_secrets(&secrets).to_vec();
+    let key_len = 4 + 8 + 4 + secrets.original.layer_count() * (4 + 8 * 4) + 8;
+    let keyless = &vault[..vault.len() - key_len];
+    assert!(
+        decode_secrets(keyless).is_ok(),
+        "keyless vaults stay readable"
+    );
+    let path = scratch_path("trailing-vault");
+    for (base, trailer) in [(&vault[..], 14usize), (keyless, 14), (&vault[..], 1)] {
+        let mut evil = base.to_vec();
+        evil.extend(std::iter::repeat_n(0xA5u8, trailer));
+        let err = decode_secrets(&evil).expect_err("trailing bytes must be refused");
+        // The error names the section after which the bytes sit and
+        // where: a key section's end, or a tag that is not a key's.
+        match &err {
+            CodecError::Corrupt {
+                section: emmark::core::deploy::Section::VaultKey,
+                offset,
+                msg,
+            } => {
+                let at_key_end = *offset == base.len() && msg.contains("trailing bytes");
+                let bad_tag = base.len() == keyless.len() && msg.contains("section tag");
+                assert!(at_key_end || bad_tag, "{err}");
+            }
+            CodecError::Truncated {
+                section: emmark::core::deploy::Section::VaultKey,
+                ..
+            } => assert_eq!(base.len(), keyless.len(), "{err}"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert!(err.to_string().contains("vault key section"), "{err}");
+        std::fs::write(&path, &evil).expect("write scratch file");
+        let opened = emmark::core::fingerprint::Family::open(File::open(&path).expect("open"));
+        match opened {
+            Err(StoreError::Codec(e)) => assert_eq!(e, err),
+            other => panic!("Family::open accepted trailing bytes: {:?}", other.err()),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -6,7 +6,7 @@
 //! device ranges, checksum/length mismatches, and a leak index naming
 //! devices the registry does not have.
 
-use emmark::core::deploy::CodecError;
+use emmark::core::deploy::{CodecError, Section};
 use emmark::core::fleet::registry_entry;
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
@@ -147,12 +147,13 @@ fn foreign_versions_are_rejected() {
     );
 
     // A manifest declaring shards of a registry version this build does
-    // not write: a mixed-version layout, not mere corruption.
+    // not write: a mixed-version layout, not mere corruption. Provisioned
+    // manifests are version 2 (they carry the fingerprint pools).
     let mut evil = bytes.clone();
     evil[REGISTRY_VERSION_WORD..REGISTRY_VERSION_WORD + 4].copy_from_slice(&2u32.to_le_bytes());
     assert_eq!(
         decode_manifest(&evil).expect_err("mixed registry version"),
-        CodecError::MixedVersion { outer: 1, inner: 2 }
+        CodecError::MixedVersion { outer: 2, inner: 2 }
     );
 
     // A shard file of a foreign registry version under a consistent
@@ -166,7 +167,7 @@ fn foreign_versions_are_rejected() {
     fleet.shards[0].1 = shard0.into();
     let bytes = encode_manifest(&fleet.manifest).to_vec();
     match load(&bytes, &fleet).expect_err("mixed shard version") {
-        StoreError::Codec(CodecError::MixedVersion { outer: 1, inner: 2 }) => {}
+        StoreError::Codec(CodecError::MixedVersion { outer: 2, inner: 2 }) => {}
         other => panic!("expected MixedVersion, got {other:?}"),
     }
 }
@@ -344,5 +345,33 @@ fn corrupted_leak_index_is_rejected_not_panicking() {
         evil[two + 8..two + 12].copy_from_slice(&first.to_le_bytes());
         let err = decode_manifest(&evil).expect_err("unsorted bucket");
         assert!(err.to_string().contains("ascending"), "{err}");
+    }
+}
+
+#[test]
+fn manifests_with_bytes_after_the_last_section_are_refused() {
+    let (_, fleet) = sharded_fleet(4, 6, 2);
+    let v2 = encode_manifest(&fleet.manifest).to_vec();
+    let mut v1_manifest = fleet.manifest.clone();
+    v1_manifest.pools = None;
+    let v1 = encode_manifest(&v1_manifest).to_vec();
+    assert_eq!(&v1[4..8], &1u32.to_le_bytes());
+    assert_eq!(decode_manifest(&v1).expect("v1 decodes"), v1_manifest);
+    for (bytes, section) in [(&v2, Section::Pools), (&v1, Section::LeakIndex)] {
+        for trailer in [1usize, 7] {
+            let mut evil = bytes.clone();
+            evil.extend(std::iter::repeat_n(0u8, trailer));
+            match decode_manifest(&evil).expect_err("trailing bytes must be refused") {
+                CodecError::Corrupt {
+                    section: s,
+                    offset,
+                    msg,
+                } => {
+                    assert_eq!((s, offset), (section, bytes.len()), "{msg}");
+                    assert!(msg.contains(&format!("{trailer} trailing bytes")), "{msg}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 }

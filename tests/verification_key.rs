@@ -1,0 +1,481 @@
+//! The derived verification key (DESIGN.md §5, invariant 13): a vault's
+//! key must equal the ownership locations recomputed from (W, A_f, α,
+//! β, d) and a manifest's pools the recomputed fingerprint pools, for
+//! every quantization scheme; verdicts through the keyed path
+//! ([`Family::open`] on a keyed vault, pools from a version 2 manifest)
+//! must be bit-identical to the recompute path (decoded secrets,
+//! keyless vault, version 1 manifest) on honest, near-miss, pristine and
+//! attacked suspects; and a key or pools that do not belong to their
+//! vault or fingerprint config — a flipped byte, a splice — are errors,
+//! never verdicts.
+
+use emmark::attacks::adaptive::{adaptive_attack, AdaptiveConfig};
+use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
+use emmark::attacks::pruning::prune_attack;
+use emmark::attacks::requant::roundtrip_same_grid;
+use emmark::attacks::rewatermark::{rewatermark_attack, RewatermarkConfig};
+use emmark::core::deploy::{encode_model, CodecError, SparseArtifact};
+use emmark::core::fingerprint::Family;
+use emmark::core::fleet::FleetVerifier;
+use emmark::core::provision::FleetProvisioner;
+use emmark::core::registry::{
+    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded, FingerprintPools,
+    ShardedFleet, ShardedRegistry,
+};
+use emmark::core::store::StoreError;
+use emmark::core::vault::{audit_key, decode_secrets, encode_secrets};
+use emmark::core::watermark::{locate_watermark, GridSource, OwnerSecrets, WatermarkConfig};
+use emmark::nanolm::model::ActivationStats;
+use emmark::nanolm::{ModelConfig, TransformerModel};
+use emmark::quant::awq::{awq, AwqConfig};
+use emmark::quant::gptq::{gptq, GptqConfig};
+use emmark::quant::llm_int8::{llm_int8, OutlierCriterion};
+use emmark::quant::rtn::quantize_linear_rtn;
+use emmark::quant::smoothquant::{smoothquant, SmoothQuantConfig};
+use emmark::quant::{ActQuant, Granularity, QuantizedModel};
+use proptest::prelude::*;
+use std::fs::File;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+/// Thresholds of the identification comparisons: vacuous, ordinary,
+/// strict.
+const THRESHOLDS: &[f64] = &[0.0, -6.0, -40.0];
+
+/// One quantized model per scheme in `emmark-quant`, with its stats.
+fn all_schemes() -> &'static (Vec<QuantizedModel>, ActivationStats) {
+    static SCHEMES: OnceLock<(Vec<QuantizedModel>, ActivationStats)> = OnceLock::new();
+    SCHEMES.get_or_init(|| {
+        let mut model = TransformerModel::new(ModelConfig::tiny_test());
+        let calib: Vec<Vec<u32>> = (0..4u32)
+            .map(|s| (0..16u32).map(|i| (i * 7 + s * 3) % 31).collect())
+            .collect();
+        let stats = model.collect_activation_stats(&calib);
+        let models = vec![
+            QuantizedModel::quantize_with(&model, "rtn-int8", |_, lin| {
+                quantize_linear_rtn(lin, 8, Granularity::PerOutChannel, ActQuant::None)
+            }),
+            awq(&model, &stats, &AwqConfig::default()),
+            gptq(&mut model.clone(), &calib, &GptqConfig::default()),
+            smoothquant(&model, &stats, &SmoothQuantConfig::default()),
+            llm_int8(&model, &stats, OutlierCriterion::Quantile(0.9)),
+        ];
+        (models, stats)
+    })
+}
+
+/// The owner's secrets for one scheme (INT8 grids carry more bits per
+/// layer, as in the attack matrix).
+fn secrets_for(qm: &QuantizedModel, stats: &ActivationStats, seed: u64) -> OwnerSecrets {
+    let cfg = WatermarkConfig {
+        bits_per_layer: if qm.layers[0].bits() == 8 { 8 } else { 4 },
+        pool_ratio: 10,
+        ..Default::default()
+    };
+    OwnerSecrets::new(qm.clone(), stats.clone(), cfg, seed)
+}
+
+fn fp_config(seed: u64) -> WatermarkConfig {
+    WatermarkConfig {
+        bits_per_layer: 2,
+        pool_ratio: 10,
+        selection_seed: seed,
+        ..Default::default()
+    }
+}
+
+/// A per-test scratch directory (tests in this binary run in parallel).
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("emmark-key-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    fn write(&self, name: &str, bytes: &[u8]) -> PathBuf {
+        let path = self.0.join(name);
+        std::fs::write(&path, bytes).expect("write scratch file");
+        path
+    }
+
+    /// Opens `bytes` as a vault file through [`Family::open`].
+    fn family(&self, name: &str, bytes: &[u8]) -> Result<Family, StoreError> {
+        let path = self.write(name, bytes);
+        Family::open(File::open(path).expect("open scratch file"))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The vault without its key section: everything through the embedded
+/// model.
+fn keyless(vault: &[u8], secrets: &OwnerSecrets) -> Vec<u8> {
+    let stats: usize = (secrets.stats.per_layer.iter())
+        .map(|l| 4 + 8 * l.mean_abs.len())
+        .sum();
+    let model = encode_model(&secrets.original).len();
+    let end = 8 + 32 + 4 + secrets.signature.len() + 4 + stats + 4 + model;
+    vault[..end].to_vec()
+}
+
+fn load(manifest: &[u8], fleet: &ShardedFleet) -> ShardedRegistry {
+    load_sharded_registry(manifest, |name| {
+        Ok(fleet
+            .shards
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, b)| b.to_vec())
+            .expect("shard"))
+    })
+    .expect("load")
+}
+
+#[test]
+fn vault_keys_and_manifest_pools_equal_the_recomputation_on_every_scheme() {
+    let scratch = Scratch::new("recompute");
+    let (models, stats) = all_schemes();
+    assert_eq!(models.len(), 5, "all five quant schemes covered");
+    for (i, qm) in models.iter().enumerate() {
+        let secrets = secrets_for(qm, stats, 0x5EC2 + i as u64);
+        let recomputed =
+            locate_watermark(&secrets.original, &secrets.stats, &secrets.config).expect("locate");
+        let vault = encode_secrets(&secrets);
+        let audit = audit_key(&vault).expect("audit");
+        assert_eq!(audit.key.as_ref(), Some(&recomputed), "{}", qm.scheme);
+        assert_eq!(audit.recomputed, recomputed);
+        assert_eq!(audit.first_mismatch(), None);
+        let family = scratch.family("keyed.emws", &vault).expect("open keyed");
+        assert!(family.is_keyed());
+        assert_eq!(family.locations(), &recomputed);
+        let bare = keyless(&vault, &secrets);
+        assert_eq!(audit_key(&bare).expect("audit keyless").key, None);
+        assert!(!scratch
+            .family("keyless.emws", &bare)
+            .expect("open")
+            .is_keyed());
+
+        let fp = fp_config(0xDE11CE);
+        let provisioner = FleetProvisioner::new(secrets.clone(), fp).expect("provisioner");
+        let ids: Vec<String> = (0..5).map(|d| format!("edge-{d}")).collect();
+        let fleet = provision_sharded(&provisioner, &ids, 2, None).expect("provision");
+        let manifest = decode_manifest(&encode_manifest(&fleet.manifest)).expect("decode");
+        let derived = FingerprintPools::derive(secrets.clone(), fp).expect("derive");
+        assert_eq!(manifest.pools.as_ref(), Some(&derived), "{}", qm.scheme);
+    }
+}
+
+/// Every suspect the verdict comparison runs: device artifacts, the
+/// base-only near miss, the pristine original, and attacked device
+/// artifacts (the attack matrix's families at proof-surviving strength).
+fn suspects(
+    secrets: &OwnerSecrets,
+    provisioner: &FleetProvisioner,
+    ids: &[String],
+) -> Vec<(String, QuantizedModel)> {
+    let mut out: Vec<(String, QuantizedModel)> = ids
+        .iter()
+        .map(|id| (id.clone(), provisioner.provision_model(id).1))
+        .collect();
+    out.push(("near-miss".into(), provisioner.base_deployed().clone()));
+    out.push(("pristine".into(), secrets.original.clone()));
+    let leaked = provisioner.provision_model(&ids[1]).1;
+    let attacked = |name: &str, attack: &dyn Fn(&mut QuantizedModel)| {
+        let mut m = leaked.clone();
+        attack(&mut m);
+        (name.to_string(), m)
+    };
+    let stats = &secrets.stats;
+    out.extend([
+        attacked("overwrite", &|m| {
+            overwrite_attack(
+                m,
+                &OverwriteConfig {
+                    per_layer: 16,
+                    seed: 10,
+                },
+            );
+        }),
+        attacked("rewatermark", &|m| {
+            let cfg = RewatermarkConfig {
+                seed: 163,
+                per_layer: 8,
+                ..Default::default()
+            };
+            rewatermark_attack(m, stats, &cfg);
+        }),
+        attacked("pruning", &|m| {
+            prune_attack(m, 0.25);
+        }),
+        attacked("adaptive", &|m| {
+            let cfg = AdaptiveConfig {
+                top_k: 8,
+                ..Default::default()
+            };
+            adaptive_attack(m, stats, &cfg);
+        }),
+        attacked("requant", &|m| *m = roundtrip_same_grid(m)),
+    ]);
+    out
+}
+
+/// Ownership and identification verdicts of `verifier` over `suspect`.
+fn verdicts<S: GridSource>(verifier: &FleetVerifier, suspect: &S) -> Vec<String> {
+    let mut out = vec![format!("{:?}", verifier.ownership_report(suspect))];
+    for &t in THRESHOLDS {
+        let indexed = verifier.identify_leak(suspect, t).expect("indexed");
+        let linear = verifier.identify_leak_linear(suspect, t).expect("linear");
+        out.push(format!("{indexed:?}"));
+        out.push(format!("{linear:?}"));
+    }
+    for d in verifier.devices() {
+        out.push(format!("{:?}", verifier.device_report(d, suspect)));
+    }
+    verifier.check_reads().expect("vault reads");
+    out
+}
+
+#[test]
+fn keyed_and_recompute_verdicts_are_bit_identical() {
+    let scratch = Scratch::new("verdicts");
+    let (models, stats) = all_schemes();
+    for (i, qm) in models.iter().enumerate() {
+        let secrets = secrets_for(qm, stats, 0xBEEF + i as u64);
+        let vault = encode_secrets(&secrets);
+        let bare = keyless(&vault, &secrets);
+        let fp = fp_config(0x1DE11 + i as u64);
+        let provisioner = FleetProvisioner::new(secrets.clone(), fp).expect("provisioner");
+        let ids: Vec<String> = (0..6).map(|d| format!("dev-{d:02}")).collect();
+        let fleet = provision_sharded(&provisioner, &ids, 3, None).expect("provision");
+        let v2 = encode_manifest(&fleet.manifest);
+        let mut v1_manifest = fleet.manifest.clone();
+        v1_manifest.pools = None;
+        let v1 = encode_manifest(&v1_manifest);
+
+        // The keyed path: key from the vault, pools from the manifest.
+        let keyed = scratch.family("keyed.emws", &vault).expect("open keyed");
+        assert!(keyed.is_keyed());
+        let keyed = load(&v2, &fleet)
+            .into_family_verifier(keyed)
+            .expect("keyed verifier");
+        // Recompute paths: decoded secrets over the v2 manifest's pools,
+        // a keyed vault over a v1 manifest (pools scored from the
+        // vault's decoded model), and a keyless vault over a v1 manifest
+        // (today's path end to end).
+        let decoded = load(&v2, &fleet)
+            .into_verifier(secrets.clone())
+            .expect("decoded verifier");
+        let keyed_v1 = scratch.family("keyed-v1.emws", &vault).expect("open keyed");
+        let keyed_v1 = load(&v1, &fleet)
+            .into_family_verifier(keyed_v1)
+            .expect("keyed vault, v1 manifest");
+        let recompute = scratch.family("keyless.emws", &bare).expect("open keyless");
+        assert!(!recompute.is_keyed());
+        let recompute = load(&v1, &fleet)
+            .into_family_verifier(recompute)
+            .expect("recompute verifier");
+
+        for (name, suspect) in suspects(&secrets, &provisioner, &ids) {
+            let label = format!("{} / {name}", qm.scheme);
+            let expected = verdicts(&recompute, &suspect);
+            assert_eq!(verdicts(&keyed, &suspect), expected, "{label}: keyed");
+            assert_eq!(verdicts(&decoded, &suspect), expected, "{label}: decoded");
+            assert_eq!(verdicts(&keyed_v1, &suspect), expected, "{label}: v1 pools");
+            assert_eq!(
+                format!("{:?}", secrets.verify(&suspect)),
+                expected[0],
+                "{label}: OwnerSecrets::verify"
+            );
+            // The same verdicts through a sparse suspect.
+            let bytes = encode_model(&suspect);
+            let sparse = SparseArtifact::open(&bytes).expect("sparse");
+            assert_eq!(
+                verdicts(&keyed, &sparse),
+                expected,
+                "{label}: sparse suspect"
+            );
+        }
+    }
+}
+
+/// A vault and the offset where its key section starts.
+fn keyed_vault(seed: u64) -> (OwnerSecrets, Vec<u8>, usize) {
+    let (models, stats) = all_schemes();
+    let secrets = secrets_for(&models[1], stats, seed);
+    let vault = encode_secrets(&secrets).to_vec();
+    let key_start = keyless(&vault, &secrets).len();
+    (secrets, vault, key_start)
+}
+
+#[test]
+fn a_flipped_key_byte_is_an_error_on_both_readers() {
+    let scratch = Scratch::new("flip");
+    let (_, vault, key_start) = keyed_vault(0xF11E);
+    assert!(vault.len() > key_start, "the vault carries a key");
+    for at in key_start..vault.len() {
+        for mask in [0x01u8, 0x80] {
+            let mut evil = vault.clone();
+            evil[at] ^= mask;
+            let err = decode_secrets(&evil).expect_err("decode_secrets must refuse");
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Corrupt { .. } | CodecError::Truncated { .. }
+                ),
+                "byte {at}: {err:?}"
+            );
+            let err = scratch
+                .family("flip.emws", &evil)
+                .expect_err("Family::open must refuse");
+            assert!(matches!(err, StoreError::Codec(_)), "byte {at}: {err}");
+        }
+    }
+}
+
+#[test]
+fn a_key_spliced_from_another_vault_is_an_error() {
+    let scratch = Scratch::new("splice");
+    // Same model and stats, another signature: only the key's binding
+    // tells the two keys apart.
+    let (_, a, a_key) = keyed_vault(0xA);
+    let (_, b, b_key) = keyed_vault(0xB);
+    assert_eq!(a_key, b_key, "same layout");
+    let mut spliced = a[..a_key].to_vec();
+    spliced.extend_from_slice(&b[b_key..]);
+    let err = decode_secrets(&spliced).expect_err("spliced key");
+    assert!(err.to_string().contains("another vault"), "{err}");
+    let err = scratch.family("spliced.emws", &spliced).expect_err("open");
+    assert!(err.to_string().contains("another vault"), "{err}");
+    // Both unspliced vaults are fine.
+    assert!(scratch.family("a.emws", &a).expect("a").is_keyed());
+    assert!(scratch.family("b.emws", &b).expect("b").is_keyed());
+
+    // W changed at a key cell (the model bytes edited, key untouched):
+    // the binding covers W at every key cell.
+    let (secrets, vault, key_start) = keyed_vault(0xC);
+    let key = audit_key(&vault).expect("audit").key.expect("keyed");
+    let model_start = key_start - encode_model(&secrets.original).len();
+    let sparse = SparseArtifact::open(&vault[model_start..key_start]).expect("embedded");
+    let entry = sparse.layer_index()[0];
+    let mut edited = vault.clone();
+    edited[model_start + entry.q_offset + key[0][0]] ^= 0x01;
+    let err = decode_secrets(&edited).expect_err("edited W");
+    assert!(err.to_string().contains("another vault"), "{err}");
+    let err = scratch.family("edited.emws", &edited).expect_err("open");
+    assert!(err.to_string().contains("another vault"), "{err}");
+}
+
+#[test]
+fn pools_from_another_vault_or_fingerprint_config_are_errors() {
+    let scratch = Scratch::new("pools");
+    let (secrets, vault, _) = keyed_vault(0xD);
+    let ids: Vec<String> = (0..4).map(|d| format!("dev-{d}")).collect();
+    let provision = |secrets: &OwnerSecrets, fp: WatermarkConfig| {
+        let p = FleetProvisioner::new(secrets.clone(), fp).expect("provisioner");
+        provision_sharded(&p, &ids, 2, None).expect("provision")
+    };
+    let fleet = provision(&secrets, fp_config(7));
+    let bytes = encode_manifest(&fleet.manifest).to_vec();
+
+    // A flipped byte anywhere in the pools section fails decode.
+    let pools_len: usize = 4
+        + 8
+        + 8
+        + (fleet.manifest.pools.as_ref().expect("v2").cells())
+            .iter()
+            .map(|p| 4 + 8 * p.len())
+            .sum::<usize>();
+    for at in bytes.len() - pools_len..bytes.len() {
+        let mut evil = bytes.clone();
+        evil[at] ^= 0x04;
+        assert!(decode_manifest(&evil).is_err(), "pools byte {at}");
+    }
+
+    // Pools spliced from a manifest of another fingerprint config (same
+    // vault, same pool shape, same devices): the checksum covers the
+    // config.
+    let other = provision(&secrets, fp_config(8));
+    let other_bytes = encode_manifest(&other.manifest);
+    let mut spliced = bytes[..bytes.len() - pools_len].to_vec();
+    spliced.extend_from_slice(&other_bytes[other_bytes.len() - pools_len..]);
+    let err = decode_manifest(&spliced).expect_err("foreign pools");
+    assert!(err.to_string().contains("checksum"), "{err}");
+
+    // Pools derived from another vault: an error when the verifier is
+    // built, whether the vault is keyed or decoded.
+    let (stranger, stranger_vault, _) = keyed_vault(0xE);
+    let stranger_fleet = provision(&stranger, fp_config(7));
+    let manifest = encode_manifest(&stranger_fleet.manifest);
+    let family = scratch.family("v.emws", &vault).expect("open");
+    let err = load(&manifest, &stranger_fleet)
+        .into_family_verifier(family)
+        .expect_err("foreign pools");
+    assert!(err.to_string().contains("another vault"), "{err}");
+    let err = load(&manifest, &stranger_fleet)
+        .into_verifier(secrets.clone())
+        .expect_err("foreign pools, decoded");
+    assert!(err.to_string().contains("another vault"), "{err}");
+    // The pools' own vault is accepted.
+    let own = scratch.family("own.emws", &stranger_vault).expect("open");
+    assert!(load(&manifest, &stranger_fleet)
+        .into_family_verifier(own)
+        .is_ok());
+}
+
+/// The vault and the v2 manifest every mutation case starts from.
+fn mutation_inputs() -> &'static (Vec<u8>, usize, Vec<u8>, usize) {
+    static INPUTS: OnceLock<(Vec<u8>, usize, Vec<u8>, usize)> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let (secrets, vault, key_start) = keyed_vault(0x3);
+        let p = FleetProvisioner::new(secrets, fp_config(9)).expect("provisioner");
+        let ids = ["a", "b", "c"];
+        let fleet = provision_sharded(&p, &ids, 2, None).expect("provision");
+        let manifest = encode_manifest(&fleet.manifest).to_vec();
+        let pools_len: usize = 4
+            + 8
+            + 8
+            + (fleet.manifest.pools.as_ref().expect("v2").cells())
+                .iter()
+                .map(|p| 4 + 8 * p.len())
+                .sum::<usize>();
+        let pools_start = manifest.len() - pools_len;
+        (vault, key_start, manifest, pools_start)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Byte mutations anywhere in a keyed vault and a v2 manifest, with
+    /// half the cases aimed at the key and pools sections: never a
+    /// panic, and a mutated key or pools section never decodes.
+    #[test]
+    fn byte_mutations_of_vaults_and_manifests_never_panic(
+        pick in 0usize..1_000_000,
+        tail in 0usize..2,
+        value in 0usize..256,
+    ) {
+        let (vault, key_start, manifest, pools_start) = mutation_inputs();
+        for (bytes, section_start, decode) in [
+            (vault, *key_start, &(|b: &[u8]| decode_secrets(b).map(|_| ())) as &dyn Fn(&[u8]) -> Result<(), CodecError>),
+            (manifest, *pools_start, &|b: &[u8]| decode_manifest(b).map(|_| ())),
+        ] {
+            let at = if tail == 1 {
+                section_start + pick % (bytes.len() - section_start)
+            } else {
+                pick % bytes.len()
+            };
+            let mut evil = bytes.clone();
+            evil[at] = value as u8;
+            let result = decode(&evil);
+            if at >= section_start && evil[at] != bytes[at] {
+                prop_assert!(result.is_err(), "mutated byte {at} decoded");
+            }
+        }
+    }
+}
