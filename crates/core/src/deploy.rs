@@ -16,7 +16,9 @@
 //! v1 streaming layout (no index, trailing scheme string) is refused
 //! with [`CodecError::BadVersion`] by every reader.
 
-use crate::store::{copy_store, ArtifactSink, StoreError};
+use crate::store::{
+    copy_store, materialize, ArtifactSink, LayerRecordMeta, LayerStore, ModelHead, StoreError,
+};
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::{GridSource, WatermarkConfig};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -24,6 +26,7 @@ use emmark_nanolm::config::{MlpKind, ModelConfig, NormKind, OutlierProfile};
 use emmark_nanolm::layers::{Embedding, LayerNorm, Norm, RmsNorm};
 use emmark_quant::{ActQuant, Granularity, QuantizedLinear, QuantizedModel};
 use emmark_tensor::Matrix;
+use std::borrow::Cow;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::sync::{Arc, OnceLock};
@@ -728,17 +731,10 @@ impl<'a> Reader<'a> {
     }
 
     /// The v2 layer index: per-layer shape/bits/granularity plus record
-    /// and grid offsets, validated against the input length for
-    /// in-bounds, monotonic layout.
-    fn layer_index(&mut self, expected_layers: usize) -> Result<Vec<LayerIndexEntry>, CodecError> {
-        let total = self.data.len();
-        self.layer_index_bounded(expected_layers, total)
-    }
-
-    /// [`Self::layer_index`] with an explicit artifact length — the
-    /// file-backed [`crate::store::ArtifactLayerStore`] parses the index
-    /// out of a prefix window while validating extents against the true
-    /// file size.
+    /// and grid offsets, validated against the artifact's `total_len`
+    /// for in-bounds, monotonic layout. The length is explicit because a
+    /// file-backed [`SparseArtifact`] parses the index out of a prefix
+    /// window while validating extents against the true file size.
     pub(crate) fn layer_index_bounded(
         &mut self,
         expected_layers: usize,
@@ -814,9 +810,8 @@ impl<'a> Reader<'a> {
 /// The v2 prefix — magic, version, config, scheme and layer index —
 /// parsed out of `prefix`, with index extents validated against the
 /// artifact's true `total_len`. Returns the parsed pieces plus the
-/// offset where the body (embeddings) begins. Shared by every reader
-/// that opens an artifact: in-memory, file-backed sparse, and
-/// [`crate::store::ArtifactLayerStore`].
+/// offset where the body (embeddings) begins. Shared by both
+/// [`SparseArtifact`] sources: in-memory and file-backed.
 pub(crate) type ParsedHeader = (ModelConfig, String, Vec<LayerIndexEntry>, usize);
 
 pub(crate) fn parse_v2_header(prefix: &[u8], total_len: usize) -> Result<ParsedHeader, CodecError> {
@@ -835,7 +830,7 @@ pub(crate) fn parse_v2_header(prefix: &[u8], total_len: usize) -> Result<ParsedH
 /// [`parse_v2_header`] over an artifact too large to hold: `read(n)`
 /// returns its first `n` bytes. Returns the parse and the last window
 /// read.
-pub(crate) fn parse_v2_header_windowed<E: From<CodecError>>(
+fn parse_v2_header_windowed<E: From<CodecError>>(
     total_len: usize,
     initial: usize,
     read: impl FnMut(usize) -> Result<Vec<u8>, E>,
@@ -996,15 +991,15 @@ impl<F: Fetch> Walk<F> {
     /// Structural validation of the v2 body without materializing
     /// anything: walks every length word and tag of the embeddings,
     /// norms, and layer records, checking each record sits where the
-    /// index promises and agrees with its entry. After this,
-    /// [`SparseArtifact`] accepts an artifact iff [`decode_model`] does,
-    /// up to value-level checks (f32 contents, grid value ranges,
-    /// outlier row ranges) that sparse reads never interpret.
+    /// index promises and agrees with its entry. Returns the offset where
+    /// the last record ends (bytes after it belong to no record). After
+    /// this, [`decode_model`] fails only on value-level checks (grid
+    /// value ranges) that sparse reads never interpret.
     fn validate_v2_body(
         &mut self,
         cfg: &ModelConfig,
         index: &[LayerIndexEntry],
-    ) -> Result<(), F::Error> {
+    ) -> Result<usize, F::Error> {
         self.section = Section::Embeddings;
         self.skip_matrix("token table")?;
         self.skip_matrix("position table")?;
@@ -1105,7 +1100,7 @@ impl<F: Fetch> Walk<F> {
                 return Err(self.corrupt(format!("unknown act-quant tag {act}")).into());
             }
         }
-        Ok(())
+        Ok(self.pos)
     }
 }
 
@@ -1121,7 +1116,11 @@ pub fn artifact_version(bytes: &[u8]) -> Result<u32, CodecError> {
     r.u32("version")
 }
 
-/// Deserializes a quantized model from the deployable byte format.
+/// Deserializes a quantized model from the deployable byte format: the
+/// structural walk of [`SparseArtifact::open`], then every record
+/// decoded ([`materialize`]). It refuses whatever `open` refuses, with
+/// the same error, and beyond that only grids whose values exceed their
+/// bit width.
 ///
 /// # Errors
 ///
@@ -1129,44 +1128,12 @@ pub fn artifact_version(bytes: &[u8]) -> Result<u32, CodecError> {
 /// [`CodecError::BadVersion`] for anything but v2 (the retired v1
 /// layout included); round-trips of [`encode_model`] output never fail.
 pub fn decode_model(bytes: &[u8]) -> Result<QuantizedModel, CodecError> {
-    let mut r = Reader::new(bytes, Section::Header);
-    r.magic(MAGIC)?;
-    match r.u32("version")? {
-        FORMAT_V2 => decode_model_v2_body(&mut r),
-        v => Err(CodecError::BadVersion(v)),
-    }
-}
-
-fn decode_model_v2_body(r: &mut Reader) -> Result<QuantizedModel, CodecError> {
-    let cfg = r.config()?;
-    let scheme = r.string("scheme")?;
-    let index = r.layer_index(cfg.quant_layer_count())?;
-    let emb = r.embeddings()?;
-    let (norm_pairs, final_norm) = r.norms(cfg.n_layers)?;
-    let mut layers = Vec::with_capacity(index.len());
-    for (l, entry) in index.iter().enumerate() {
-        r.enter(Section::Layer(l));
-        if r.offset() != entry.record_offset {
-            return Err(r.corrupt(format!(
-                "record starts at byte {} but the index promises {}",
-                r.offset(),
-                entry.record_offset
-            )));
-        }
-        let layer = r.qlinear(l)?;
-        if layer.in_features() != entry.in_features
-            || layer.out_features() != entry.out_features
-            || layer.bits() != entry.bits
-            || layer.granularity() != entry.granularity
-        {
-            r.enter(Section::Layer(l));
-            return Err(r.corrupt("record disagrees with its layer-index entry"));
-        }
-        layers.push(layer);
-    }
-    Ok(QuantizedModel::from_parts(
-        cfg, emb, norm_pairs, final_norm, layers, scheme,
-    ))
+    // Not `open`: a full decode is not a sparse read and is not counted
+    // as one.
+    materialize(&SparseArtifact::open_uncounted(bytes)?).map_err(|e| match e {
+        StoreError::Codec(e) => e,
+        other => unreachable!("an in-memory artifact decodes without i/o: {other}"),
+    })
 }
 
 /// One entry of the v2 per-layer offset table.
@@ -1282,6 +1249,25 @@ impl Source<'_> {
             Source::File(file) => file.cell(offset),
         }
     }
+
+    /// Bytes `[start, end)`, which the walk has placed in bounds:
+    /// borrowed from a slice, one positioned read from a file.
+    fn range(
+        &self,
+        start: usize,
+        end: usize,
+        what: &'static str,
+    ) -> Result<Cow<'_, [u8]>, StoreError> {
+        match self {
+            Source::Slice(data) => Ok(Cow::Borrowed(&data[start..end])),
+            Source::File(file) => {
+                let mut buf = vec![0u8; end - start];
+                file.read_at(start, &mut buf)
+                    .map_err(|source| StoreError::Io { what, source })?;
+                Ok(Cow::Owned(buf))
+            }
+        }
+    }
 }
 
 /// A v2 artifact file behind positioned reads, with the first I/O error
@@ -1388,16 +1374,23 @@ impl Fetch for FileWindow<'_> {
 ///
 /// Implements [`GridSource`], so [`crate::watermark::extract_with_locations`]
 /// and the fleet engine consume it interchangeably with a fully decoded
-/// [`QuantizedModel`], with bit-identical results. Open accepts an
-/// artifact iff [`decode_model`] accepts it, up to value-level checks
-/// (f32 contents, grid value ranges, outlier row ranges) that sparse
-/// reads never interpret.
+/// [`QuantizedModel`], with bit-identical results.
+///
+/// It is also the [`LayerStore`] over an artifact, and [`decode_model`]
+/// is an open followed by [`materialize`]: `load_layer` decodes exactly
+/// one record (borrowed from a slice, one positioned read from a file).
+/// So the format's layout decisions — where records sit, and how a
+/// record is checked against its index entry — live in this one type.
 #[derive(Debug, Clone)]
 pub struct SparseArtifact<'a> {
     source: Source<'a>,
     cfg: ModelConfig,
     scheme: String,
     index: Vec<LayerIndexEntry>,
+    /// Where the embeddings begin (the header, config and index end).
+    body_start: usize,
+    /// Where the walk ended the last record.
+    records_end: usize,
     held: usize,
 }
 
@@ -1410,48 +1403,49 @@ impl<'a> SparseArtifact<'a> {
     /// and the usual codec errors for malformed headers or an index
     /// whose offsets fall outside the artifact.
     pub fn open(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        Ok(Self::open_uncounted(bytes)?.counted())
+    }
+
+    /// [`Self::open`] without counting a sparse open.
+    fn open_uncounted(bytes: &'a [u8]) -> Result<Self, CodecError> {
         let (cfg, scheme, index, body_start) = parse_v2_header(bytes, bytes.len())?;
         // Walk the body structure (length words, tags, record offsets)
         // without materializing it, so structurally corrupt or
-        // truncated artifacts fail here the way they fail decode_model
-        // — never at probe time, never silently.
-        Walk {
+        // truncated artifacts fail here — never at probe time, never
+        // silently.
+        let records_end = Walk {
             src: bytes,
             pos: body_start,
             section: Section::Embeddings,
         }
         .validate_v2_body(&cfg, &index)?;
-        Ok(Self::opened(
-            Source::Slice(bytes),
+        Ok(Self {
+            source: Source::Slice(bytes),
             cfg,
             scheme,
             index,
             body_start,
-            bytes.len(),
-        ))
+            records_end,
+            held: bytes.len(),
+        })
     }
 
-    fn opened(
-        source: Source<'a>,
-        cfg: ModelConfig,
-        scheme: String,
-        index: Vec<LayerIndexEntry>,
-        head_bytes: usize,
-        held: usize,
-    ) -> Self {
+    fn counted(self) -> Self {
         if Telemetry::enabled() {
             telemetry::SPARSE_ARTIFACTS.incr();
             // Opening costs the header, config, and offset table;
             // subsequent cell probes account for themselves.
-            telemetry::SPARSE_BYTES.add(head_bytes as u64);
+            telemetry::SPARSE_BYTES.add(self.body_start as u64);
         }
-        Self {
-            source,
-            cfg,
-            scheme,
-            index,
-            held,
-        }
+        self
+    }
+
+    /// Where record `l` ends: the next record's start, or the walk's end
+    /// for the last one.
+    fn record_end(&self, l: usize) -> usize {
+        self.index
+            .get(l + 1)
+            .map_or(self.records_end, |e| e.record_offset)
     }
 
     /// The artifact's format version (always [`FORMAT_V2`]).
@@ -1549,26 +1543,67 @@ impl<'a> SparseArtifact<'a> {
         b.dedup();
         b
     }
+}
 
-    /// Decodes the whole artifact ([`decode_model`]), reading a
-    /// file-backed one in full.
-    ///
-    /// # Errors
-    ///
-    /// Read failures, and [`decode_model`]'s codec errors.
-    pub fn decode(&self) -> Result<QuantizedModel, StoreError> {
-        match &self.source {
-            Source::Slice(data) => Ok(decode_model(data)?),
-            Source::File(file) => {
-                let mut bytes = vec![0u8; file.len];
-                file.read_at(0, &mut bytes)
-                    .map_err(|source| StoreError::Io {
-                        what: "reading the artifact",
-                        source,
-                    })?;
-                Ok(decode_model(&bytes)?)
-            }
+impl LayerStore for SparseArtifact<'_> {
+    /// Decodes the embeddings and norms between the body start and the
+    /// first record.
+    fn head(&self) -> Result<ModelHead, StoreError> {
+        let end = self
+            .index
+            .first()
+            .map_or(self.records_end, |e| e.record_offset);
+        let bytes = self
+            .source
+            .range(self.body_start, end, "reading embeddings and norms")?;
+        let mut r = Reader::at(&bytes, Section::Embeddings, self.body_start);
+        let emb = r.embeddings()?;
+        let (norm_pairs, final_norm) = r.norms(self.cfg.n_layers)?;
+        Ok(ModelHead {
+            cfg: self.cfg.clone(),
+            scheme: self.scheme.clone(),
+            emb,
+            norm_pairs,
+            final_norm,
+        })
+    }
+
+    fn store_layer_count(&self) -> usize {
+        self.index.len()
+    }
+
+    fn load_layer(&self, l: usize) -> Result<Cow<'_, QuantizedLinear>, StoreError> {
+        let entry = &self.index[l];
+        let end = self.record_end(l);
+        let bytes = self
+            .source
+            .range(entry.record_offset, end, "reading a layer record")?;
+        let mut r = Reader::at(&bytes, Section::Layer(l), entry.record_offset);
+        let layer = r.qlinear(l)?;
+        // The walk checked the record against its index entry at open; a
+        // file rewritten since then is caught here.
+        if r.offset() != end
+            || layer.in_features() != entry.in_features
+            || layer.out_features() != entry.out_features
+            || layer.bits() != entry.bits
+            || layer.granularity() != entry.granularity
+        {
+            return Err(r
+                .corrupt("record disagrees with its layer-index entry")
+                .into());
         }
+        Ok(Cow::Owned(layer))
+    }
+
+    fn layer_meta(&self, l: usize) -> Result<LayerRecordMeta, StoreError> {
+        let entry = &self.index[l];
+        Ok(LayerRecordMeta {
+            in_features: entry.in_features,
+            out_features: entry.out_features,
+            bits: entry.bits,
+            granularity: entry.granularity,
+            record_len: self.record_end(l) - entry.record_offset,
+        })
     }
 }
 
@@ -1624,16 +1659,18 @@ impl SparseArtifact<'static> {
             pos: body_start,
             section: Section::Embeddings,
         };
-        walk.validate_v2_body(&cfg, &index)?;
+        let records_end = walk.validate_v2_body(&cfg, &index)?;
         let held = walk.src.buf.capacity() + std::mem::size_of_val(index.as_slice());
-        Ok(Self::opened(
-            Source::File(Arc::new(src)),
+        Ok(Self {
+            source: Source::File(Arc::new(src)),
             cfg,
             scheme,
             index,
             body_start,
+            records_end,
             held,
-        ))
+        }
+        .counted())
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::deploy::SparseArtifact;
 use crate::scoring::layer_pool;
 use crate::signature::Signature;
-use crate::store::StoreError;
+use crate::store::{materialize, StoreError};
 use crate::vault::key_binding;
 use crate::watermark::{
     apply_bits_at, extract_with_locations, locate_watermark, ExtractionReport, GridSource,
@@ -455,7 +455,7 @@ impl Family {
     pub(crate) fn base_model(&self) -> Result<QuantizedModel, StoreError> {
         let mut base = match &self.weights {
             Weights::Decoded(original) => QuantizedModel::clone(original),
-            Weights::Vault { artifact, .. } => artifact.decode()?,
+            Weights::Vault { artifact, .. } => materialize(artifact.as_ref())?,
         };
         apply_bits_at(&mut base, &self.locations, &self.signature);
         Ok(base)

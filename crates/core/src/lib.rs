@@ -106,8 +106,8 @@ pub use signature::Signature;
 pub use telemetry::{peak_resident_mib, Counter, Histogram, Snapshot, Span, Telemetry};
 
 pub use store::{
-    copy_store, for_each_layer_prefetched, materialize, ArtifactLayerStore, ArtifactSink,
-    LayerRecordMeta, LayerSink, LayerStore, ModelHead, ModelSink, StoreError,
+    copy_store, for_each_layer_prefetched, materialize, ArtifactSink, LayerRecordMeta, LayerSink,
+    LayerStore, ModelHead, ModelSink, StoreError,
 };
 pub use watermark::{
     extract_watermark, extract_with_locations, insert_watermark, locate_watermark,

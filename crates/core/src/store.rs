@@ -15,10 +15,10 @@
 //!
 //! * [`QuantizedModel`] — the in-memory store (layers are borrowed, not
 //!   copied);
-//! * [`ArtifactLayerStore`] — a v2 EMQM artifact behind any
-//!   `Read + Seek` (typically a file): the header, index, and the
-//!   small non-layer payload are resident, each layer record is decoded
-//!   on demand.
+//! * [`crate::deploy::SparseArtifact`] — a v2 EMQM artifact, in memory
+//!   or in a file: the header and index are resident, and each layer
+//!   record is decoded on demand (borrowed from the slice, or one
+//!   positioned read from the file).
 //!
 //! Sinks:
 //!
@@ -33,9 +33,9 @@
 //! DESIGN.md §9 and pinned by `tests/streaming_equivalence.rs`.
 
 use crate::deploy::{
-    expected_scale_count, granularity_tag, parse_v2_header_windowed, put_config, put_matrix,
-    put_norm, put_qlinear, put_string, q_offset_in_record, qlinear_record_len, record_prefix_len,
-    CodecError, LayerIndexEntry, Reader, Section, FORMAT_V2, INDEX_ENTRY_BYTES, MAGIC,
+    expected_scale_count, granularity_tag, put_config, put_matrix, put_norm, put_qlinear,
+    put_string, q_offset_in_record, qlinear_record_len, record_prefix_len, CodecError, Section,
+    FORMAT_V2, INDEX_ENTRY_BYTES, MAGIC,
 };
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::WatermarkError;
@@ -44,8 +44,7 @@ use emmark_nanolm::config::ModelConfig;
 use emmark_nanolm::layers::{Embedding, Norm};
 use emmark_quant::{Granularity, QuantizedLinear, QuantizedModel};
 use std::borrow::Cow;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::sync::Mutex;
+use std::io::Write;
 
 /// Errors of the streaming pipeline: I/O on the backing medium, codec
 /// failures decoding a stored layer, or watermarking failures inside a
@@ -203,7 +202,7 @@ pub trait LayerStore {
     fn store_layer_count(&self) -> usize;
 
     /// Materializes layer `l`. In-memory stores return a borrow;
-    /// disk-backed stores decode one record.
+    /// stores over an encoded artifact decode one record.
     ///
     /// # Errors
     ///
@@ -307,9 +306,18 @@ where
 ///
 /// Propagates store failures.
 pub fn materialize<S: LayerStore + ?Sized>(store: &S) -> Result<QuantizedModel, StoreError> {
-    let mut sink = ModelSink::new();
-    copy_store(store, &mut sink)?;
-    sink.into_model()
+    let head = store.head()?;
+    let layers = (0..store.store_layer_count())
+        .map(|l| store.load_layer(l).map(Cow::into_owned))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(QuantizedModel::from_parts(
+        head.cfg,
+        head.emb,
+        head.norm_pairs,
+        head.final_norm,
+        layers,
+        head.scheme,
+    ))
 }
 
 /// Drives `f` over every layer of `store` in order, with layer `N+1`
@@ -634,157 +642,17 @@ impl LayerSink for ModelSink {
     }
 }
 
-// ---------------------------------------------------------------------
-// ArtifactLayerStore — file-backed v2 artifact.
-// ---------------------------------------------------------------------
-
-/// A [`LayerStore`] over a v2 EMQM artifact behind any `Read + Seek`
-/// (typically a [`std::fs::File`]). Opening parses the header, config,
-/// offset index, and the small embeddings/norms payload; each
-/// `load_layer` seeks to the record the index promises and decodes
-/// exactly one layer. Resident memory is the head plus the index —
-/// never the layer grids.
-///
-/// The reader sits behind a [`Mutex`] (uncontended in serial use), so
-/// the store is `Sync` and the pipeline-parallel stamp
-/// ([`for_each_layer_prefetched`]) can load layer `N+1` on a worker
-/// thread while layer `N` is being bumped and encoded.
-#[derive(Debug)]
-pub struct ArtifactLayerStore<R: Read + Seek> {
-    src: Mutex<R>,
-    len: usize,
-    head: ModelHead,
-    index: Vec<LayerIndexEntry>,
-}
-
-impl<R: Read + Seek> ArtifactLayerStore<R> {
-    /// Opens a v2 artifact for layer-at-a-time reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::BadVersion`] for v1 (and unknown) formats,
-    /// the usual codec errors for malformed headers, and I/O errors
-    /// from the backing reader.
-    pub fn open(mut src: R) -> Result<Self, StoreError> {
-        let len = src
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io_err("sizing the artifact", e))? as usize;
-        let ((cfg, scheme, index, body_start), _) = parse_v2_header_windowed(len, 4096, |want| {
-            read_range(&mut src, 0, want, "reading the artifact header")
-        })?;
-        // Embeddings and norms sit between the index and the first
-        // layer record (or the end of the file when there are none).
-        let body_end = index.first().map_or(len, |e| e.record_offset);
-        let body = read_range(
-            &mut src,
-            body_start,
-            body_end - body_start,
-            "reading embeddings and norms",
-        )?;
-        let mut r = Reader::new(&body, Section::Embeddings);
-        let emb = r.embeddings()?;
-        let (norm_pairs, final_norm) = r.norms(cfg.n_layers)?;
-        Ok(Self {
-            src: Mutex::new(src),
-            len,
-            head: ModelHead {
-                cfg,
-                scheme,
-                emb,
-                norm_pairs,
-                final_norm,
-            },
-            index,
-        })
-    }
-
-    /// The artifact's layer-offset table.
-    pub fn layer_index(&self) -> &[LayerIndexEntry] {
-        &self.index
-    }
-
-    /// Total artifact size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.len
-    }
-
-    fn record_span(&self, l: usize) -> (usize, usize) {
-        let start = self.index[l].record_offset;
-        let end = self.index.get(l + 1).map_or(self.len, |e| e.record_offset);
-        (start, end)
-    }
-}
-
-fn read_range<R: Read + Seek>(
-    src: &mut R,
-    start: usize,
-    len: usize,
-    what: &'static str,
-) -> Result<Vec<u8>, StoreError> {
-    src.seek(SeekFrom::Start(start as u64))
-        .map_err(|e| io_err(what, e))?;
-    let mut buf = vec![0u8; len];
-    src.read_exact(&mut buf).map_err(|e| io_err(what, e))?;
-    Ok(buf)
-}
-
-impl<R: Read + Seek> LayerStore for ArtifactLayerStore<R> {
-    fn head(&self) -> Result<ModelHead, StoreError> {
-        Ok(self.head.clone())
-    }
-
-    fn store_layer_count(&self) -> usize {
-        self.index.len()
-    }
-
-    fn load_layer(&self, l: usize) -> Result<Cow<'_, QuantizedLinear>, StoreError> {
-        let (start, end) = self.record_span(l);
-        let mut src = self
-            .src
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let record = read_range(&mut *src, start, end - start, "reading a layer record")?;
-        drop(src);
-        let mut r = Reader::new(&record, Section::Layer(l));
-        let layer = r.qlinear(l)?;
-        let entry = &self.index[l];
-        if layer.in_features() != entry.in_features
-            || layer.out_features() != entry.out_features
-            || layer.bits() != entry.bits
-            || layer.granularity() != entry.granularity
-        {
-            return Err(StoreError::Codec(CodecError::Corrupt {
-                section: Section::Layer(l),
-                offset: start,
-                msg: "record disagrees with its layer-index entry".into(),
-            }));
-        }
-        Ok(Cow::Owned(layer))
-    }
-
-    fn layer_meta(&self, l: usize) -> Result<LayerRecordMeta, StoreError> {
-        let entry = &self.index[l];
-        let (start, end) = self.record_span(l);
-        Ok(LayerRecordMeta {
-            in_features: entry.in_features,
-            out_features: entry.out_features,
-            bits: entry.bits,
-            granularity: entry.granularity,
-            record_len: end - start,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{decode_model, encode_model};
+    use crate::deploy::{decode_model, encode_model, SparseArtifact};
     use emmark_nanolm::config::ModelConfig as Cfg;
     use emmark_nanolm::TransformerModel;
     use emmark_quant::awq::{awq, AwqConfig};
     use emmark_quant::llm_int8::{llm_int8, OutlierCriterion};
     use emmark_quant::smoothquant::{smoothquant, SmoothQuantConfig};
-    use std::io::Cursor;
+    use std::fs::File;
+    use std::path::PathBuf;
 
     fn models() -> Vec<QuantizedModel> {
         let mut model = TransformerModel::new(Cfg::tiny_test());
@@ -801,7 +669,7 @@ mod tests {
     fn record_meta_matches_the_encoded_record_length() {
         for model in models() {
             let bytes = encode_model(&model);
-            let sparse = crate::deploy::SparseArtifact::open(&bytes).expect("open");
+            let sparse = SparseArtifact::open(&bytes).expect("open");
             let index = sparse.layer_index();
             for (l, layer) in model.layers.iter().enumerate() {
                 let meta = LayerRecordMeta::of(layer);
@@ -837,29 +705,45 @@ mod tests {
         }
     }
 
+    /// `bytes` written to a per-test scratch file (tests run in
+    /// parallel), opened file-backed; the path is returned for the
+    /// caller to rewrite and remove.
+    fn file_backed(bytes: &[u8], tag: &str) -> (SparseArtifact<'static>, PathBuf) {
+        let path =
+            std::env::temp_dir().join(format!("emmark-store-{}-{tag}.emqm", std::process::id()));
+        std::fs::write(&path, bytes).expect("write scratch file");
+        let artifact = SparseArtifact::open_file(File::open(&path).expect("open")).expect("open");
+        (artifact, path)
+    }
+
     #[test]
     fn artifact_store_round_trips_every_layer() {
         for model in models() {
             let bytes = encode_model(&model).to_vec();
-            let store = ArtifactLayerStore::open(Cursor::new(&bytes)).expect("open");
-            assert_eq!(store.store_layer_count(), model.layer_count());
-            assert_eq!(store.byte_len(), bytes.len());
-            let head = store.head().expect("head");
-            assert_eq!(head.cfg, model.cfg);
-            assert_eq!(head.scheme, model.scheme);
-            for (l, layer) in model.layers.iter().enumerate() {
-                let loaded = store.load_layer(l).expect("load");
-                assert_eq!(loaded.as_ref(), layer, "{}: layer {l}", model.scheme);
-                assert_eq!(
-                    store.layer_meta(l).expect("meta"),
-                    LayerRecordMeta::of(layer)
-                );
+            let (file, path) = file_backed(&bytes, &format!("roundtrip-{}", model.scheme));
+            for store in [SparseArtifact::open(&bytes).expect("open"), file] {
+                assert_eq!(store.store_layer_count(), model.layer_count());
+                let head = store.head().expect("head");
+                assert_eq!(head.cfg, model.cfg);
+                assert_eq!(head.scheme, model.scheme);
+                for (l, layer) in model.layers.iter().enumerate() {
+                    let loaded = store.load_layer(l).expect("load");
+                    assert_eq!(loaded.as_ref(), layer, "{}: layer {l}", model.scheme);
+                    assert_eq!(
+                        store.layer_meta(l).expect("meta"),
+                        LayerRecordMeta::of(layer)
+                    );
+                }
+                // Full materialization equals the canonical decoder.
+                let materialized = materialize(&store).expect("materialize");
+                let decoded = decode_model(&bytes).expect("decode");
+                assert!(materialized.same_weights(&decoded));
+                assert_eq!(materialized.cfg, decoded.cfg);
+                let mut copied = Vec::new();
+                copy_store(&store, &mut ArtifactSink::new(&mut copied)).expect("copy");
+                assert_eq!(copied, bytes, "{}: copy is byte-identical", model.scheme);
             }
-            // Full materialization equals the canonical decoder.
-            let materialized = materialize(&store).expect("materialize");
-            let decoded = decode_model(&bytes).expect("decode");
-            assert!(materialized.same_weights(&decoded));
-            assert_eq!(materialized.cfg, decoded.cfg);
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -867,36 +751,116 @@ mod tests {
     fn artifact_store_rejects_v1_and_truncation() {
         let model = &models()[0];
         let v2 = encode_model(model).to_vec();
+        let path =
+            std::env::temp_dir().join(format!("emmark-store-{}-refusals.emqm", std::process::id()));
+        let open_both = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("write scratch file");
+            let file = SparseArtifact::open_file(File::open(&path).expect("open")).err();
+            (SparseArtifact::open(bytes).err(), file)
+        };
         // A retired version-1 header in front of an otherwise valid body.
         let mut v1 = v2.clone();
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = ArtifactLayerStore::open(Cursor::new(&v1)).expect_err("v1");
-        assert!(matches!(err, StoreError::Codec(CodecError::BadVersion(1))));
-        for cut in [3usize, 9, 64, v2.len() / 2] {
-            let truncated = &v2[..cut];
-            assert!(
-                ArtifactLayerStore::open(Cursor::new(truncated)).is_err(),
-                "cut at {cut} must not open"
-            );
+        let (slice, file) = open_both(&v1);
+        assert_eq!(slice, Some(CodecError::BadVersion(1)));
+        assert!(matches!(
+            file,
+            Some(StoreError::Codec(CodecError::BadVersion(1)))
+        ));
+        // The structural walk needs the whole body, so every cut —
+        // including one inside the last record's trailing fields — is
+        // refused at open by both sources.
+        for cut in [3usize, 9, 64, v2.len() / 2, v2.len() - 3] {
+            let (slice, file) = open_both(&v2[..cut]);
+            assert!(slice.is_some(), "cut at {cut} must not open in memory");
+            assert!(file.is_some(), "cut at {cut} must not open from a file");
         }
-        // Cutting inside the last record's trailing fields (past its
-        // grid) leaves the header and index intact — a lazy store only
-        // notices when that layer is loaded.
-        let last = model.layer_count() - 1;
-        // (Rejecting at open would be fine too.)
-        if let Ok(store) = ArtifactLayerStore::open(Cursor::new(&v2[..v2.len() - 3])) {
-            assert!(store.load_layer(last).is_err(), "truncated record loaded");
-        }
-        // A record corrupted in place (header intact) surfaces at load
-        // time for exactly that layer, with codec context.
-        let sparse = crate::deploy::SparseArtifact::open(&v2).expect("open");
-        let record = sparse.layer_index()[0].record_offset;
+        // So is a corrupt bit-width byte in a record.
+        let record = SparseArtifact::open(&v2).expect("open").layer_index()[0].record_offset;
         let mut evil = v2.clone();
-        evil[record + 8] = 99; // the record's bit-width byte
-        let store = ArtifactLayerStore::open(Cursor::new(&evil)).expect("header intact");
-        let err = store.load_layer(0).expect_err("corrupt record");
-        assert!(matches!(err, StoreError::Codec(CodecError::Corrupt { .. })));
-        assert!(store.load_layer(1).is_ok(), "other layers stay readable");
+        evil[record + 8] = 99;
+        let (slice, file) = open_both(&evil);
+        assert!(matches!(slice, Some(CodecError::Corrupt { .. })));
+        assert!(matches!(
+            file,
+            Some(StoreError::Codec(CodecError::Corrupt { .. }))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bytes_after_the_last_record_belong_to_no_record() {
+        let model = &models()[0];
+        let mut bytes = encode_model(model).to_vec();
+        bytes.extend([0u8; 5]);
+        let expected = encode_model(&decode_model(&bytes).expect("decode")).to_vec();
+        let (file, path) = file_backed(&bytes, "appended");
+        for store in [SparseArtifact::open(&bytes).expect("open"), file] {
+            let last = store.store_layer_count() - 1;
+            assert_eq!(
+                store.layer_meta(last).expect("meta"),
+                LayerRecordMeta::of(&model.layers[last])
+            );
+            let mut copied = Vec::new();
+            copy_store(&store, &mut ArtifactSink::new(&mut copied)).expect("copy");
+            assert_eq!(copied, expected);
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_record_rewritten_after_open_fails_to_load_alone() {
+        let model = &models()[0];
+        let bytes = encode_model(model).to_vec();
+        let (store, path) = file_backed(&bytes, "rewritten");
+        // Records overwritten in place after open: the walk passed, so
+        // only the load of that very record notices.
+        let index = store.layer_index();
+        let file = File::options().write(true).open(&path).expect("open");
+        let rewrite = |offset: usize, data: &[u8]| {
+            std::os::unix::fs::FileExt::write_all_at(&file, data, offset as u64).expect("rewrite")
+        };
+        // Layer 0 gets an invalid bit width, layer 1 the other valid one
+        // (a record that decodes but disagrees with its index entry).
+        rewrite(index[0].record_offset + 8, &[99]);
+        rewrite(index[1].record_offset + 8, &[12 - index[1].bits]);
+        // A later layer with a bias becomes the same layer without one,
+        // zero-padded to its old length: it decodes, with the right
+        // shape, but ends short of where the next record starts.
+        let biased = (2..model.layer_count())
+            .find(|&l| model.layers[l].bias().is_some())
+            .expect("a layer with a bias");
+        let layer = &model.layers[biased];
+        let unbiased = QuantizedLinear::new(
+            layer.q_values().to_vec(),
+            layer.in_features(),
+            layer.out_features(),
+            layer.bits(),
+            layer.granularity(),
+            layer.scales().to_vec(),
+            layer.input_scale().map(<[f32]>::to_vec),
+            None,
+            layer.act_quant(),
+        );
+        let mut record = BytesMut::new();
+        put_qlinear(&mut record, &unbiased);
+        let mut record = record.to_vec();
+        record.resize(LayerRecordMeta::of(layer).record_len, 0);
+        rewrite(index[biased].record_offset, &record);
+        for l in [0, 1, biased] {
+            let err = store.load_layer(l).expect_err("rewritten record");
+            assert!(
+                matches!(&err, StoreError::Codec(CodecError::Corrupt { section: Section::Layer(at), .. }) if *at == l),
+                "layer {l}: {err:?}"
+            );
+            if l != 0 {
+                assert!(err.to_string().contains("index entry"), "layer {l}: {err}");
+            }
+        }
+        for l in (2..model.layer_count()).filter(|&l| l != biased) {
+            assert!(store.load_layer(l).is_ok(), "layer {l} stays readable");
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -942,17 +906,20 @@ mod tests {
     fn prefetched_iteration_matches_serial_and_propagates_errors() {
         for model in models() {
             let bytes = encode_model(&model).to_vec();
-            let store = ArtifactLayerStore::open(Cursor::new(&bytes)).expect("open");
-            let mut seen = Vec::new();
-            for_each_layer_prefetched(&store, |l, layer| {
-                seen.push((l, layer.into_owned()));
-                Ok(())
-            })
-            .expect("prefetched walk");
-            assert_eq!(seen.len(), model.layer_count(), "{}", model.scheme);
-            for (l, layer) in &seen {
-                assert_eq!(layer, &model.layers[*l], "{}: layer {l}", model.scheme);
+            let (file, path) = file_backed(&bytes, &format!("prefetch-{}", model.scheme));
+            for store in [SparseArtifact::open(&bytes).expect("open"), file] {
+                let mut seen = Vec::new();
+                for_each_layer_prefetched(&store, |l, layer| {
+                    seen.push((l, layer.into_owned()));
+                    Ok(())
+                })
+                .expect("prefetched walk");
+                assert_eq!(seen.len(), model.layer_count(), "{}", model.scheme);
+                for (l, layer) in &seen {
+                    assert_eq!(layer, &model.layers[*l], "{}: layer {l}", model.scheme);
+                }
             }
+            let _ = std::fs::remove_file(path);
             // In-memory stores hand over borrows through the channel.
             let mut borrowed = 0usize;
             for_each_layer_prefetched(&model, |_, layer| {
@@ -975,10 +942,15 @@ mod tests {
         .expect_err("consumer error surfaces");
         assert_eq!(calls, 1);
         assert!(err.to_string().contains("consumer stage"));
-        // A store error mid-stream surfaces for the failing layer.
+        // A store error mid-stream surfaces for the failing layer: the
+        // file shrinks after open, cutting into the last record.
         let bytes = encode_model(model).to_vec();
-        let store = ArtifactLayerStore::open(Cursor::new(&bytes[..bytes.len() - 3]))
-            .expect("header intact");
+        let (store, path) = file_backed(&bytes, "prefetch-truncated");
+        File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(bytes.len() as u64 - 3))
+            .expect("truncate");
         let mut ok_layers = 0usize;
         let err = for_each_layer_prefetched(&store, |_, _| {
             ok_layers += 1;
@@ -986,7 +958,8 @@ mod tests {
         })
         .expect_err("truncated last record");
         assert_eq!(ok_layers, model.layer_count() - 1);
-        assert!(matches!(err, StoreError::Io { .. } | StoreError::Codec(_)));
+        assert!(matches!(err, StoreError::Io { .. }), "{err:?}");
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

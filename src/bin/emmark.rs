@@ -86,7 +86,7 @@ use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into, LeakIndex,
 };
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
-use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
+use emmark::core::store::ArtifactSink;
 use emmark::core::telemetry::{peak_resident_mib, Snapshot, Telemetry};
 use emmark::core::vault::{audit_key, decode_secrets, encode_secrets, FleetBundleStream};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
@@ -100,15 +100,25 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Keeps every thread on glibc's main malloc arena when the process runs
-/// under an address-space cap (`ulimit -v`). glibc reserves 64 MiB of
-/// address space for each extra arena; under a smaller cap that
-/// reservation fails, and a worker thread then pays one `mmap` — a whole
-/// page of address space — per allocation, so a daemon worker holding a
-/// few thousand registry entries exhausts a cap the data fits in many
-/// times over. Uncapped processes keep glibc's per-thread arenas.
+/// Keeps every thread on glibc's main malloc arena in two cases:
+///
+/// * Under an address-space cap (`ulimit -v`). glibc reserves 64 MiB of
+///   address space for each extra arena; under a smaller cap that
+///   reservation fails, and a worker thread then pays one `mmap` — a
+///   whole page of address space — per allocation, so a daemon worker
+///   holding a few thousand registry entries exhausts a cap the data
+///   fits in many times over.
+/// * In `serve`. The daemon builds each family, verifier and provisioner
+///   once, on whichever worker takes the first request that needs it.
+///   With per-thread arenas the multi-megabyte buffers of those builds
+///   (the vault read, the base model copy, the encoded base artifact)
+///   stay in that worker's arena, so the daemon's peak resident size
+///   depended on which worker happened to take which request. On one
+///   arena every worker reuses the same freed space.
+///
+/// Other commands keep glibc's per-thread arenas.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn share_malloc_arena_under_address_cap() {
+fn share_malloc_arena(serve: bool) {
     extern "C" {
         fn mallopt(param: i32, value: i32) -> i32;
     }
@@ -118,7 +128,7 @@ fn share_malloc_arena_under_address_cap() {
             .lines()
             .any(|l| l.starts_with("Max address space") && !l.contains("unlimited"))
     });
-    if capped {
+    if serve || capped {
         // SAFETY: mallopt only tunes the allocator, and runs before this
         // process starts any thread.
         unsafe { mallopt(M_ARENA_MAX, 1) };
@@ -126,11 +136,11 @@ fn share_malloc_arena_under_address_cap() {
 }
 
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn share_malloc_arena_under_address_cap() {}
+fn share_malloc_arena(_serve: bool) {}
 
 fn main() -> ExitCode {
-    share_malloc_arena_under_address_cap();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    share_malloc_arena(args.first().is_some_and(|c| c == "serve"));
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
@@ -495,8 +505,7 @@ fn cmd_demo(opts: &HashMap<String, String>) -> Result<(), String> {
         // byte-identical to the resident-store stamp.
         let original = File::open(&original_path)
             .map_err(|e| format!("reading {}: {e}", original_path.display()))?;
-        let store =
-            ArtifactLayerStore::open(BufReader::new(original)).map_err(|e| e.to_string())?;
+        let store = SparseArtifact::open_file(original).map_err(|e| e.to_string())?;
         stream_watermark(
             &store,
             &secrets.stats,

@@ -4,14 +4,15 @@
 //! every quantization scheme's artifact, and the refusal of retired v1
 //! artifacts and vaults by every reader. The file-backed sparse reader
 //! must accept exactly what the in-memory one accepts, with the same
-//! errors and the same cells.
+//! errors and the same cells, and `decode_model` must refuse whatever
+//! they refuse, with the same error.
 
 use emmark::core::deploy::{
     artifact_version, decode_model, encode_model, CodecError, SparseArtifact, FORMAT_V2,
 };
 use emmark::core::fleet::{FleetError, FleetVerifier};
 use emmark::core::service::{Blob, Request, Response, Service, ServiceConfig};
-use emmark::core::store::{ArtifactLayerStore, StoreError};
+use emmark::core::store::{LayerStore, StoreError};
 use emmark::core::vault::{decode_secrets, encode_secrets};
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
@@ -44,11 +45,23 @@ fn open_file_backed(path: &PathBuf) -> Result<SparseArtifact<'static>, String> {
 }
 
 /// Both sparse sources over `bytes` agree: same acceptance, same error,
-/// same index and cells.
+/// same index and cells. The full decoder refuses whatever they refuse,
+/// with the same error, and beyond that only grid values outside their
+/// bit width.
 fn assert_sources_agree(bytes: &[u8], path: &PathBuf, what: &str) {
     std::fs::write(path, bytes).expect("write scratch file");
     let in_memory = SparseArtifact::open(bytes).map_err(|e| e.to_string());
     let file_backed = open_file_backed(path);
+    match (&in_memory, decode_model(bytes)) {
+        (Err(open), decoded) => assert_eq!(
+            decoded.err().map(|e| e.to_string()).as_ref(),
+            Some(open),
+            "{what}"
+        ),
+        (Ok(_), Err(CodecError::Corrupt { msg, .. })) if msg.contains("storage range") => {}
+        (Ok(_), Err(e)) => panic!("{what}: open accepts but decode_model refuses: {e}"),
+        (Ok(_), Ok(_)) => {}
+    }
     match (&in_memory, &file_backed) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.layer_index(), b.layer_index(), "{what}");
@@ -204,7 +217,8 @@ proptest! {
 
     /// Byte mutations of every quantization scheme's artifact: the
     /// file-backed reader accepts exactly when the in-memory reader
-    /// does, with the same error, and serves the same cells. Half the
+    /// does, with the same error, and serves the same cells; the full
+    /// decoder judges them alike up to grid value ranges. Half the
     /// mutations land within a few bytes after a section boundary,
     /// where the length words and tags the walk checks live.
     #[test]
@@ -295,13 +309,17 @@ fn retired_v1_artifacts_and_vaults_are_refused_with_bad_version() {
             let _ = std::fs::remove_file(&path);
             refusal
         }),
-        (
-            "ArtifactLayerStore::open",
-            match ArtifactLayerStore::open(std::io::Cursor::new(&v1_artifact)) {
+        ("SparseArtifact::open_file + load_layer", {
+            let path = scratch_path("v1-load");
+            std::fs::write(&path, &v1_artifact).expect("write scratch file");
+            let loaded = SparseArtifact::open_file(File::open(&path).expect("open scratch file"))
+                .and_then(|artifact| artifact.load_layer(0).map(|_| ()));
+            let _ = std::fs::remove_file(&path);
+            match loaded {
                 Err(StoreError::Codec(e)) => Some(e.to_string()),
                 _ => None,
-            },
-        ),
+            }
+        }),
         (
             "FleetVerifier::verify_artifact",
             match verifier.verify_artifact(&v1_artifact, -6.0) {

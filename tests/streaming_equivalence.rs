@@ -4,18 +4,18 @@
 //!
 //! * `stream_watermark` (score → insert → encode, one layer resident)
 //!   vs `insert_watermark` + `encode_model`;
-//! * the file-backed [`ArtifactLayerStore`] as a source, against the
-//!   in-memory store;
+//! * an encoded artifact ([`SparseArtifact`], in memory and in a file)
+//!   as a source, against the in-memory store;
 //! * the streaming fleet emitters (`provision_artifact_into`,
 //!   `provision_bundle_into`) vs their buffered counterparts;
 //! * the `WatermarkScheme::insert_into` trait path (EmMark's streaming
 //!   override vs the default materializing implementation).
 
-use emmark::core::deploy::encode_model;
+use emmark::core::deploy::{encode_model, SparseArtifact};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::scheme::{EmMarkScheme, WatermarkScheme};
 use emmark::core::signature::Signature;
-use emmark::core::store::{ArtifactLayerStore, ArtifactSink, ModelSink};
+use emmark::core::store::{ArtifactSink, ModelSink};
 use emmark::core::vault::encode_fleet_bundle;
 use emmark::core::watermark::{
     insert_watermark, stream_watermark, stream_watermark_reference, OwnerSecrets, WatermarkConfig,
@@ -29,7 +29,7 @@ use emmark::quant::rtn::quantize_linear_rtn;
 use emmark::quant::smoothquant::{smoothquant, SmoothQuantConfig};
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::fs::File;
 
 const SCHEMES: [&str; 5] = ["rtn", "awq", "gptq", "smoothquant", "llm_int8"];
 
@@ -116,21 +116,32 @@ proptest! {
             emmark::core::watermark::locate_watermark(&original, &stats, &cfg).expect("locate");
         prop_assert_eq!(&inserted.locations, &relocated);
 
-        // File-backed artifact store (the original encoded to v2 bytes,
-        // read back layer-at-a-time) → streaming sink.
+        // The original encoded to v2 bytes and read back layer-at-a-time,
+        // in memory and from a file → streaming sink.
         let original_bytes = encode_model(&original).to_vec();
-        let artifact_store =
-            ArtifactLayerStore::open(Cursor::new(&original_bytes)).expect("open");
-        let mut from_artifact = Vec::new();
-        stream_watermark(
-            &artifact_store,
-            &stats,
-            &sig,
-            &cfg,
-            &mut ArtifactSink::new(&mut from_artifact),
-        )
-        .expect("stream from artifact store");
-        prop_assert_eq!(&from_artifact, &buffered, "artifact store diverged ({})", scheme);
+        let path = std::env::temp_dir().join(format!(
+            "emmark-streaming-{}-{scheme}-{seed}.emqm",
+            std::process::id()
+        ));
+        std::fs::write(&path, &original_bytes).expect("write scratch file");
+        let file = File::open(&path).expect("open scratch file");
+        let stores = [
+            SparseArtifact::open(&original_bytes).expect("open"),
+            SparseArtifact::open_file(file).expect("open file"),
+        ];
+        let _ = std::fs::remove_file(&path);
+        for store in &stores {
+            let mut from_artifact = Vec::new();
+            stream_watermark(
+                store,
+                &stats,
+                &sig,
+                &cfg,
+                &mut ArtifactSink::new(&mut from_artifact),
+            )
+            .expect("stream from artifact");
+            prop_assert_eq!(&from_artifact, &buffered, "artifact store diverged ({})", scheme);
+        }
     }
 
     /// Streaming into a `ModelSink` materializes exactly the model the

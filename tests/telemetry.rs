@@ -13,18 +13,21 @@
 //!   span) both record.
 //! * **Disabled mode** — the same pipeline with telemetry off records
 //!   nothing: every counter zero, every histogram empty.
+//! * **Sparse-open accounting** — a full decode is not a sparse open:
+//!   `decode_model` leaves the sparse counters at zero.
 //!
 //! Bucketing edge cases live with the module's unit tests; this file
 //! covers the global state, which is why every test serializes on one
 //! lock and resets the registry before and after.
 
-use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
+use emmark::core::deploy::{decode_model, encode_model, SparseArtifact};
+use emmark::core::store::ArtifactSink;
 use emmark::core::telemetry::{Snapshot, Telemetry};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
 use emmark::quant::rtn::quantize_linear_rtn;
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
-use std::io::{Cursor, Write};
+use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The telemetry registry is process-global; tests that enable, record,
@@ -84,13 +87,14 @@ fn rtn_secrets(d_model: usize) -> OwnerSecrets {
     )
 }
 
-/// Runs the streaming stamp from a file-format store (real loads, so
-/// the prefetch worker participates) and returns the layer count.
+/// Runs the streaming stamp from an encoded artifact (records decoded
+/// per load, so the prefetch worker participates) and returns the layer
+/// count.
 fn run_streaming_stamp() -> usize {
     let secrets = rtn_secrets(16);
     let n_layers = secrets.original.layers.len();
-    let artifact = emmark::core::deploy::encode_model(&secrets.original);
-    let store = ArtifactLayerStore::open(Cursor::new(artifact)).expect("open artifact store");
+    let artifact = encode_model(&secrets.original);
+    let store = SparseArtifact::open(&artifact).expect("open artifact");
     let mut out = Vec::new();
     stream_watermark(
         &store,
@@ -405,6 +409,23 @@ fn jsonl_round_trip_matches_in_process_snapshot() {
         2 * n_layers as u64,
         "both sweeps stream every layer"
     );
+    Telemetry::reset();
+}
+
+#[test]
+fn a_full_decode_is_not_counted_as_a_sparse_open() {
+    let _guard = lock();
+    Telemetry::reset();
+    Telemetry::set_enabled(true);
+    let artifact = encode_model(&rtn_secrets(16).original);
+    let count = |name: &str| Telemetry::counter(name).expect("registered").get();
+    decode_model(&artifact).expect("decode");
+    assert_eq!(count("emmark_sparse_artifacts_opened_total"), 0);
+    assert_eq!(count("emmark_sparse_bytes_read_total"), 0);
+    SparseArtifact::open(&artifact).expect("open");
+    assert_eq!(count("emmark_sparse_artifacts_opened_total"), 1);
+    assert!(count("emmark_sparse_bytes_read_total") > 0);
+    Telemetry::set_enabled(false);
     Telemetry::reset();
 }
 
