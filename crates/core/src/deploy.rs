@@ -1506,6 +1506,20 @@ impl<'a> SparseArtifact<'a> {
         }
     }
 
+    /// Every byte of the artifact: a copy of the slice, or one
+    /// positioned read of the file.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the file read fails (the file shrank
+    /// since open, or the device failed).
+    pub(crate) fn read_all(&self) -> Result<Vec<u8>, StoreError> {
+        Ok(self
+            .source
+            .range(0, self.byte_len(), "reading the whole artifact")?
+            .into_owned())
+    }
+
     /// Random-access view of layer `l`'s integer grid.
     ///
     /// # Panics

@@ -10,15 +10,16 @@
 //! the leaked weights and returns the one with an overwhelming Eq. 8
 //! margin.
 
-use crate::deploy::SparseArtifact;
+use crate::deploy::{encode_model, SparseArtifact};
 use crate::scoring::layer_pool;
 use crate::signature::Signature;
-use crate::store::{materialize, StoreError};
+use crate::store::{materialize, LayerStore, StoreError};
 use crate::vault::key_binding;
 use crate::watermark::{
     apply_bits_at, extract_with_locations, locate_watermark, ExtractionReport, GridSource,
     Locations, OwnerSecrets, ProofCutoff, WatermarkConfig, WatermarkError,
 };
+use bytes::Bytes;
 use emmark_nanolm::model::ActivationStats;
 use emmark_quant::QuantizedModel;
 use emmark_tensor::rng::{SplitMix64, Xoshiro256};
@@ -84,12 +85,13 @@ impl Fleet {
         selection_seed: u64,
     ) -> Result<Locations, WatermarkError> {
         let base_locs = locate_watermark(&self.base.original, &self.base.stats, &self.base.config)?;
-        let pools = fingerprint_pools(
+        let (pools, _) = fingerprint_pools(
             base_deployed,
             &self.base.stats,
             &base_locs,
             &self.fingerprint_config,
-        )?;
+        )
+        .map_err(StoreError::into_watermark)?;
         Ok(sample_from_pools(
             &pools,
             &self.fingerprint_config,
@@ -181,41 +183,46 @@ pub(crate) fn keep_best<'a>(
 
 /// The device-*independent* half of fingerprint location reproduction:
 /// per-layer candidate pools over the base-watermarked model, with the
-/// base watermark's own cells score-excluded. The pools depend only on
-/// the model family (base weights, activation profile, coefficients),
-/// so a batch verifier ([`crate::fleet`]) computes them once and reuses
-/// them for every device instead of re-scoring per verification.
+/// base watermark's own cells score-excluded, and the model's value at
+/// every pool cell. The pools depend only on the model family (base
+/// weights, activation profile, coefficients), so a batch verifier
+/// ([`crate::fleet`]) computes them once and reuses them for every
+/// device instead of re-scoring per verification.
+///
+/// One pass, one layer at a time: a store over an artifact decodes (and
+/// value-checks) each record once, and holds one layer.
 ///
 /// # Errors
 ///
-/// Returns [`WatermarkError::Pool`] if a layer cannot fill its pool.
-pub(crate) fn fingerprint_pools(
-    base_deployed: &QuantizedModel,
+/// Returns [`WatermarkError::Pool`] if a layer cannot fill its pool, and
+/// the store's read and decode failures.
+pub(crate) fn fingerprint_pools<S: LayerStore + ?Sized>(
+    base_deployed: &S,
     stats: &ActivationStats,
     base_locs: &Locations,
     cfg: &WatermarkConfig,
-) -> Result<Vec<Vec<usize>>, WatermarkError> {
+) -> Result<(Vec<Vec<usize>>, CellTable), StoreError> {
     let coeffs = cfg.coefficients();
     let pool_size = cfg.pool_ratio * cfg.bits_per_layer;
-    let mut pools = Vec::with_capacity(base_deployed.layer_count());
+    // L covers every layer of the model it was located on (or, for a
+    // key, was checked to).
+    let mut pools = Vec::with_capacity(base_locs.len());
+    let mut values = Vec::with_capacity(base_locs.len());
     // Base locations arrive in sampled-pick order; the scoring kernel
     // wants them ascending. One scratch buffer serves every layer.
     let mut excluded: Vec<usize> = Vec::new();
-    for (l, layer) in base_deployed.layers.iter().enumerate() {
+    for (l, base_cells) in base_locs.iter().enumerate() {
+        let layer = base_deployed.load_layer(l)?;
         excluded.clear();
-        excluded.extend_from_slice(&base_locs[l]);
+        excluded.extend_from_slice(base_cells);
         excluded.sort_unstable();
-        let pool = layer_pool(
-            layer,
-            &stats.per_layer[l].mean_abs,
-            &coeffs,
-            pool_size,
-            &excluded,
-        )
-        .map_err(|source| WatermarkError::Pool { layer: l, source })?;
+        let act_mean = &stats.per_layer[l].mean_abs;
+        let pool = layer_pool(&layer, act_mean, &coeffs, pool_size, &excluded)
+            .map_err(|source| WatermarkError::Pool { layer: l, source })?;
+        values.push(CellTable::row(&pool, |_, f| layer.q_at_flat(f)));
         pools.push(pool);
     }
-    Ok(pools)
+    Ok((pools, CellTable(values)))
 }
 
 /// Values at a sparse set of grid cells: per layer, `(flat, value)`
@@ -235,17 +242,18 @@ impl CellTable {
         let layers = cells
             .iter()
             .enumerate()
-            .map(|(l, layer)| {
-                let mut row: Vec<(usize, i8)> = layer
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| (f, value(l, i, f)))
-                    .collect();
-                row.sort_unstable_by_key(|&(f, _)| f);
-                row
-            })
+            .map(|(l, layer)| Self::row(layer, |i, f| value(l, i, f)))
             .collect();
         Self(layers)
+    }
+
+    /// One layer's row: `value(i, f)` at the `i`-th cell `f`.
+    fn row(cells: &[usize], mut value: impl FnMut(usize, usize) -> i8) -> Vec<(usize, i8)> {
+        let mut row: Vec<(usize, i8)> = (cells.iter().enumerate())
+            .map(|(i, &f)| (f, value(i, f)))
+            .collect();
+        row.sort_unstable_by_key(|&(f, _)| f);
+        row
     }
 
     /// The value at `(l, f)`, if the table holds that cell.
@@ -431,17 +439,23 @@ impl Family {
         }
     }
 
-    /// The decoded secrets, when W is resident.
-    pub(crate) fn decoded_secrets(&self) -> Option<OwnerSecrets> {
-        match &self.weights {
-            Weights::Decoded(original) => Some(OwnerSecrets {
-                original: QuantizedModel::clone(original),
-                stats: self.stats.clone(),
-                signature: self.signature.clone(),
-                config: self.config,
-            }),
-            Weights::Vault { .. } => None,
-        }
+    /// The decoded secrets, decoding a keyed vault's artifact if W is
+    /// not resident.
+    ///
+    /// # Errors
+    ///
+    /// Read and decode failures of the vault's embedded artifact.
+    pub(crate) fn decoded_secrets(&self) -> Result<OwnerSecrets, StoreError> {
+        let original = match &self.weights {
+            Weights::Decoded(original) => QuantizedModel::clone(original),
+            Weights::Vault { artifact, .. } => materialize(artifact.as_ref())?,
+        };
+        Ok(OwnerSecrets {
+            original,
+            stats: self.stats.clone(),
+            signature: self.signature.clone(),
+            config: self.config,
+        })
     }
 
     /// The base-watermarked model (W with the ownership bits applied at
@@ -459,6 +473,47 @@ impl Family {
         };
         apply_bits_at(&mut base, &self.locations, &self.signature);
         Ok(base)
+    }
+
+    /// The base-watermarked model's v2 artifact. A keyed vault's
+    /// embedded artifact is read once, checked to still hold W at the
+    /// key cells (the table read at open, which the binding covers), and
+    /// patched with the ownership bit at every located cell: nothing is
+    /// decoded or re-encoded. Decoded secrets encode
+    /// [`Self::base_model`]. The two give the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// Read failures of the vault's artifact, and a vault whose W at a
+    /// key cell changed since open.
+    pub(crate) fn base_artifact(&self) -> Result<Bytes, StoreError> {
+        let Weights::Vault {
+            artifact, at_key, ..
+        } = &self.weights
+        else {
+            return Ok(encode_model(&self.base_model()?));
+        };
+        let mut bytes = artifact.read_all()?;
+        let index = artifact.layer_index();
+        let n = self.locations.len();
+        for (l, cells) in self.locations.iter().enumerate() {
+            for (&f, &b) in cells.iter().zip(self.signature.layer_bits(l, n)) {
+                // Open placed every key cell inside its grid, and refused
+                // one at a min/max level: W + b is in range.
+                let at = index[l].q_offset + f;
+                let w = bytes[at] as i8;
+                if Some(w) != at_key.get(l, f) {
+                    return Err(StoreError::Io {
+                        what: "re-reading the vault model",
+                        source: std::io::Error::other(format!(
+                            "W at key cell (layer {l}, flat {f}) changed since the vault was opened"
+                        )),
+                    });
+                }
+                bytes[at] = (w + b) as u8;
+            }
+        }
+        Ok(Bytes::from(bytes))
     }
 
     /// The base-watermarked model's value at `(l, f)`: W plus the
@@ -552,24 +607,26 @@ pub(crate) struct FamilyCache {
 
 impl FamilyCache {
     /// Scores the pools over `base_deployed` — the family's
-    /// base-watermarked model ([`Family::base_model`]).
+    /// base-watermarked model ([`Family::base_model`], or a store over
+    /// [`Family::base_artifact`]) — in one pass that also reads the
+    /// model at every pool cell.
     ///
     /// # Errors
     ///
-    /// Rejects an invalid config or a layer that cannot fill its pool.
-    pub(crate) fn scored(
+    /// Rejects an invalid config and propagates [`fingerprint_pools`]'s
+    /// errors.
+    pub(crate) fn scored<S: LayerStore + ?Sized>(
         family: Arc<Family>,
         fingerprint_config: WatermarkConfig,
-        base_deployed: &QuantizedModel,
-    ) -> Result<Self, WatermarkError> {
+        base_deployed: &S,
+    ) -> Result<Self, StoreError> {
         fingerprint_config.validate()?;
-        let pools = fingerprint_pools(
+        let (pools, base) = fingerprint_pools(
             base_deployed,
             &family.stats,
             &family.locations,
             &fingerprint_config,
         )?;
-        let base = CellTable::collect(&pools, |l, _, f| base_deployed.q_at(l, f));
         Ok(Self::assemble(family, fingerprint_config, pools, base))
     }
 
@@ -585,7 +642,7 @@ impl FamilyCache {
         fingerprint_config: WatermarkConfig,
     ) -> Result<Self, StoreError> {
         let base = family.base_model()?;
-        Ok(Self::scored(family, fingerprint_config, &base)?)
+        Self::scored(family, fingerprint_config, &base)
     }
 
     /// Takes the pools a manifest persisted instead of scoring: checks

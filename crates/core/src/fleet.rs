@@ -549,9 +549,9 @@ pub(crate) const WORKER_STACK_BYTES: usize = 512 * 1024;
 /// DESIGN.md §6). A helper thread the OS refuses to spawn only means
 /// fewer helpers — the calling thread drains whatever is left — never a
 /// panic or a lost item. Shared by batch verification and batch
-/// provisioning ([`crate::provision`]), so the two engines' threading
-/// policy cannot drift apart.
-pub(crate) fn par_map<T, U, F>(items: &[T], jobs: Option<usize>, f: F) -> Vec<U>
+/// provisioning ([`crate::provision`], and the CLI's per-device file
+/// writers), so their threading policy cannot drift apart.
+pub fn par_map<T, U, F>(items: &[T], jobs: Option<usize>, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,

@@ -10,30 +10,37 @@
 //! [`crate::deploy::encode_model`] pass to produce the device artifact.
 //!
 //! [`FleetProvisioner`] holds the family cache its verifiers share
-//! (ownership locations, base-watermarked reference, fingerprint pools)
-//! plus the base artifact's **v2 encoding and layer-offset index**, so
-//! provisioning one device is pure PRNG sampling plus a delta patch:
-//! the device artifact is the base artifact with the
-//! fingerprinted cells poked through the offset index
-//! ([`crate::deploy::patch_artifact`]) — one buffer copy and
+//! (ownership locations, fingerprint pools, the base-watermarked model
+//! at every pool cell) plus the base artifact's **v2 bytes and
+//! layer-offset index** — no model. Everything is built from one set of
+//! bytes (`Family::base_artifact`): a keyed vault's embedded artifact
+//! with the ownership bits patched in, or the encoding of decoded
+//! secrets' base model. The pools are scored over those bytes one
+//! decoded record at a time. Provisioning one device is then pure PRNG
+//! sampling plus a delta patch: the device artifact is the base artifact
+//! with the fingerprinted cells poked through the offset index
+//! ([`crate::deploy::patch_artifact`]), or spliced in flight straight to
+//! its sink ([`FleetProvisioner::provision_artifact_into`]) —
 //! O(fingerprint bits) byte writes instead of an O(params) re-encode.
 //! Batches fan out across scoped threads exactly like
 //! [`FleetVerifier::verify_batch`].
 //!
 //! Cached and serial paths are bit-for-bit identical: provisioned
 //! models equal [`Fleet::provision`]'s, and provisioned artifacts are
-//! *byte*-identical to encoding the serial models. The module tests and
-//! `tests/provision_equivalence.rs` pin both equivalences.
+//! *byte*-identical to encoding the serial models, whether the family
+//! came from decoded secrets or a keyed vault. The module tests and
+//! `tests/provision_equivalence.rs` pin these equivalences.
 
-use crate::deploy::{encode_model, splice_patches, CellPatch, LayerIndexEntry, SparseArtifact};
+use crate::deploy::{decode_model, splice_patches, CellPatch, LayerIndexEntry, SparseArtifact};
 use crate::fingerprint::{DeviceFingerprint, Family, FamilyCache, Fleet};
 use crate::fleet::{encode_registry, par_map, FleetVerifier};
-use crate::store::StoreError;
+use crate::store::{LayerStore, StoreError};
 use crate::telemetry::{self, Telemetry};
 use crate::vault::FleetBundleWriter;
-use crate::watermark::{apply_bits_at, OwnerSecrets, WatermarkConfig, WatermarkError};
+use crate::watermark::{GridSource, OwnerSecrets, WatermarkConfig, WatermarkError};
 use bytes::Bytes;
 use emmark_quant::QuantizedModel;
+use std::io::Write;
 use std::sync::Arc;
 
 /// One provisioned device: its registry entry and its deployable v2
@@ -58,9 +65,7 @@ pub struct ProvisionedDevice {
 pub struct FleetProvisioner {
     /// Shared with every verifier [`Self::verifier`] hands out.
     cache: Arc<FamilyCache>,
-    /// The base-watermarked model every device is a delta of.
-    base_deployed: Arc<QuantizedModel>,
-    /// The base-watermarked model encoded to v2 bytes, once.
+    /// The base-watermarked model's v2 bytes, every device's delta base.
     base_artifact: Bytes,
     /// The base artifact's layer-offset table, parsed once — the delta
     /// encoder patches device cells straight through it.
@@ -82,30 +87,34 @@ impl FleetProvisioner {
         fingerprint_config: WatermarkConfig,
     ) -> Result<Self, WatermarkError> {
         Self::for_family(Arc::new(Family::new(base)?), fingerprint_config)
+            .map_err(StoreError::into_watermark)
     }
 
-    /// Builds the engine over an already-located family (emmarkd's
-    /// path); errors as [`FamilyCache::scored`]. Stamping needs W
-    /// resident: a family opened from a keyed vault is refused.
-    pub(crate) fn for_family(
+    /// Builds the engine over a located family: decoded secrets, or a
+    /// keyed vault opened with [`Family::open`] (no decode, no
+    /// Eqs. 2–4). Both take the same path from the base artifact's bytes
+    /// on, and provision byte-identical devices.
+    ///
+    /// The whole base artifact is decoded once, one record at a time, as
+    /// the pools are scored over it: a vault whose embedded model does
+    /// not decode is refused here, before any device is stamped.
+    ///
+    /// # Errors
+    ///
+    /// An invalid fingerprint config, pool-scoring errors, and read or
+    /// decode failures of a keyed vault's artifact.
+    pub fn for_family(
         family: Arc<Family>,
         fingerprint_config: WatermarkConfig,
-    ) -> Result<Self, WatermarkError> {
-        if family.is_keyed() {
-            return Err(WatermarkError::InvalidConfig(
-                "provisioning needs the decoded vault, not a keyed verification view".into(),
-            ));
-        }
-        let base_deployed = family.base_model().map_err(StoreError::into_watermark)?;
-        let cache = FamilyCache::scored(family, fingerprint_config, &base_deployed)?;
-        let base_artifact = encode_model(&base_deployed);
-        let index = SparseArtifact::open(&base_artifact)
-            .expect("freshly encoded artifact is well-formed")
-            .layer_index()
-            .to_vec();
+    ) -> Result<Self, StoreError> {
+        let base_artifact = family.base_artifact()?;
+        let base = SparseArtifact::open(&base_artifact)?;
+        // Every device ships the head too; scoring decodes the records.
+        base.head()?;
+        let cache = FamilyCache::scored(family, fingerprint_config, &base)?;
+        let index = base.layer_index().to_vec();
         Ok(Self {
             cache: Arc::new(cache),
-            base_deployed: Arc::new(base_deployed),
             base_artifact,
             index,
         })
@@ -122,10 +131,11 @@ impl FleetProvisioner {
         &self.cache
     }
 
-    /// The shared base-watermarked model (ownership watermark only, no
-    /// fingerprint) — the state every device artifact is a delta of.
-    pub fn base_deployed(&self) -> &QuantizedModel {
-        &self.base_deployed
+    /// The base-watermarked model (ownership watermark only, no
+    /// fingerprint) — the state every device artifact is a delta of —
+    /// decoded from [`Self::base_artifact`] on each call.
+    pub fn base_deployed(&self) -> QuantizedModel {
+        decode_model(&self.base_artifact).expect("construction decoded the base artifact")
     }
 
     /// The base-watermarked model's v2 artifact bytes.
@@ -135,12 +145,12 @@ impl FleetProvisioner {
 
     /// Provisions one device as an in-memory model — bit-identical to
     /// [`Fleet::provision`] for the same device id, without mutating a
-    /// registry.
+    /// registry. Decodes the device artifact.
     pub fn provision_model(&self, device_id: &str) -> (DeviceFingerprint, QuantizedModel) {
-        let (fp, sig, locs) = self.cache.device_material(device_id);
-        let mut deployed = QuantizedModel::clone(&self.base_deployed);
-        apply_bits_at(&mut deployed, &locs, &sig);
-        (fp, deployed)
+        let device = self.provision_artifact(device_id);
+        let model =
+            decode_model(&device.artifact).expect("a patched base artifact decodes like the base");
+        (device.fingerprint, model)
     }
 
     /// A device's registry entry and the delta its fingerprint makes
@@ -148,14 +158,15 @@ impl FleetProvisioner {
     /// Shared by the buffered and streaming artifact emitters.
     fn device_delta(&self, device_id: &str) -> (DeviceFingerprint, Vec<CellPatch>) {
         let (fingerprint, sig, locs) = self.cache.device_material(device_id);
-        let n = self.base_deployed.layer_count();
+        let n = self.index.len();
         let mut patches = Vec::with_capacity(sig.len());
         for (l, layer_locs) in locs.iter().enumerate() {
             let bits = sig.layer_bits(l, n);
             for (&f, &b) in layer_locs.iter().zip(bits) {
                 // Same arithmetic as `bump_q_flat`: pools exclude
-                // clamped cells, so the bump stays in range.
-                let q = self.base_deployed.layers[l].q_at_flat(f) + b;
+                // clamped cells, so the bump stays in range. The cache
+                // holds the base model at every pool cell.
+                let q = self.cache.q_at(l, f) + b;
                 patches.push(CellPatch {
                     layer: l,
                     flat: f,
@@ -190,18 +201,24 @@ impl FleetProvisioner {
     /// [`Self::provision_artifact`], but the device artifact is *never*
     /// resident: per-device memory is O(fingerprint bits) beyond the
     /// shared base, which is what lets `fleet-provision` stamp
-    /// arbitrarily many devices under a fixed memory budget.
+    /// arbitrarily many devices under a fixed memory budget. `out` is
+    /// flushed before this returns, so a buffered sink's failed tail is
+    /// an error, not a short file.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures from `out`.
-    pub fn provision_artifact_into<W: std::io::Write>(
+    /// Propagates I/O failures from `out`, the final flush included.
+    pub fn provision_artifact_into<W: Write>(
         &self,
         device_id: &str,
         out: W,
     ) -> Result<DeviceFingerprint, StoreError> {
-        self.provision_artifact_after(device_id, |_, _| out)
-            .map(|(fingerprint, _)| fingerprint)
+        let (fingerprint, mut out) = self.provision_artifact_after(device_id, |_, _| out)?;
+        out.flush().map_err(|source| StoreError::Io {
+            what: "flushing a provisioned artifact",
+            source,
+        })?;
+        Ok(fingerprint)
     }
 
     /// [`Self::provision_artifact_into`] behind a header that depends on
@@ -213,7 +230,7 @@ impl FleetProvisioner {
     /// # Errors
     ///
     /// Propagates I/O failures from the sink.
-    pub(crate) fn provision_artifact_after<W: std::io::Write>(
+    pub(crate) fn provision_artifact_after<W: Write>(
         &self,
         device_id: &str,
         open: impl FnOnce(&DeviceFingerprint, usize) -> W,
@@ -239,7 +256,7 @@ impl FleetProvisioner {
     /// # Errors
     ///
     /// Propagates writer failures.
-    pub fn provision_bundle_into<W: std::io::Write, S: AsRef<str>>(
+    pub fn provision_bundle_into<W: Write, S: AsRef<str>>(
         &self,
         device_ids: &[S],
         out: W,
@@ -293,19 +310,26 @@ impl FleetProvisioner {
     }
 
     /// Converts into the serial [`Fleet`] API with `devices` already
-    /// registered (e.g. to keep provisioning incrementally).
-    pub fn into_fleet(self, devices: Vec<DeviceFingerprint>) -> Fleet {
-        let secrets = (self.cache.family)
-            .decoded_secrets()
-            .expect("provisioners are built over decoded families");
-        Fleet::with_devices(secrets, *self.fingerprint_config(), devices)
+    /// registered (e.g. to keep provisioning incrementally), decoding a
+    /// keyed vault's W.
+    ///
+    /// # Errors
+    ///
+    /// Read and decode failures of a keyed vault's artifact.
+    pub fn into_fleet(self, devices: Vec<DeviceFingerprint>) -> Result<Fleet, StoreError> {
+        let secrets = self.cache.family.decoded_secrets()?;
+        Ok(Fleet::with_devices(
+            secrets,
+            *self.fingerprint_config(),
+            devices,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::decode_model;
+    use crate::deploy::encode_model;
     use emmark_nanolm::config::ModelConfig;
     use emmark_nanolm::TransformerModel;
     use emmark_quant::awq::{awq, AwqConfig};
@@ -431,7 +455,7 @@ mod tests {
     fn base_artifact_decodes_to_the_base_deployed_model() {
         let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");
         let decoded = decode_model(provisioner.base_artifact()).expect("decode");
-        assert!(decoded.same_weights(provisioner.base_deployed()));
+        assert!(decoded.same_weights(&base_secrets().watermark_for_deployment().expect("deploy")));
         // The base artifact carries the ownership watermark but no
         // fingerprint: never attributed to any provisioned device.
         let provisioned = provisioner.provision_batch(&["a", "b"], None);
@@ -450,7 +474,7 @@ mod tests {
         let provisioned = provisioner.provision_batch(&["a", "b"], None);
         let devices: Vec<DeviceFingerprint> =
             provisioned.iter().map(|p| p.fingerprint.clone()).collect();
-        let mut fleet = provisioner.into_fleet(devices.clone());
+        let mut fleet = provisioner.into_fleet(devices.clone()).expect("fleet");
         assert_eq!(fleet.devices(), devices.as_slice());
         let c = fleet.provision("c").expect("provision");
         assert_eq!(fleet.devices().len(), 3);

@@ -273,6 +273,35 @@ fn read_key(section: &[u8], origin: usize) -> Result<(u64, Locations), CodecErro
     Ok((binding, locations))
 }
 
+/// Checks that A_f profiles every input channel of every layer of the
+/// model (Eq. 3's scoring reads one activation per row), at the offset
+/// where the model ends.
+fn check_stats_fit<G: GridSource + ?Sized>(
+    stats: &ActivationStats,
+    grid: &G,
+    offset: usize,
+) -> Result<(), CodecError> {
+    let n = grid.source_layer_count();
+    let msg = if stats.layer_count() != n {
+        format!("stats cover {} layers, model has {n}", stats.layer_count())
+    } else if let Some(l) =
+        (0..n).find(|&l| stats.per_layer[l].mean_abs.len() != grid.layer_dims(l).0)
+    {
+        format!(
+            "stats of layer {l} cover {} channels, the layer has {} inputs",
+            stats.per_layer[l].mean_abs.len(),
+            grid.layer_dims(l).0
+        )
+    } else {
+        return Ok(());
+    };
+    Err(CodecError::Corrupt {
+        section: Section::Vault,
+        offset,
+        msg,
+    })
+}
+
 /// The [`CodecError`] of a key that does not fit its vault.
 fn key_mismatch(offset: usize, msg: String) -> CodecError {
     CodecError::Corrupt {
@@ -346,14 +375,8 @@ fn decode_vault(bytes: &[u8]) -> Result<(OwnerSecrets, Option<Locations>), Codec
     let model_bytes = r.take(head.model_len, "model bytes")?;
     check_model_version(model_bytes)?;
     let original = decode_model(model_bytes)?;
-    if head.stats.layer_count() != original.layer_count() {
-        return Err(r.corrupt(format!(
-            "stats cover {} layers, model has {}",
-            head.stats.layer_count(),
-            original.layer_count()
-        )));
-    }
     let key_start = r.offset();
+    check_stats_fit(&head.stats, &original, key_start)?;
     let key = if key_start == bytes.len() {
         None
     } else {
@@ -470,18 +493,7 @@ pub(crate) fn open_family(file: File) -> Result<Family, StoreError> {
     let key_bytes = read(key_start, len - key_start, "reading the vault key")?;
     let (binding, locations) = read_key(&key_bytes, key_start)?;
     let artifact = SparseArtifact::open_file_at(file, model_start, head.model_len)?;
-    if head.stats.layer_count() != artifact.layer_count() {
-        return Err(CodecError::Corrupt {
-            section: Section::Vault,
-            offset: key_start,
-            msg: format!(
-                "stats cover {} layers, model has {}",
-                head.stats.layer_count(),
-                artifact.layer_count()
-            ),
-        }
-        .into());
-    }
+    check_stats_fit(&head.stats, &artifact, key_start)?;
     check_key_shape(&locations, &head.config, &artifact, key_start)?;
     // W at the key cells, read once: the binding covers them, and every
     // ownership report reads them.
@@ -1160,6 +1172,57 @@ mod tests {
         );
     }
 
+    /// `vault` followed by a well-formed key section.
+    fn with_key(vault: &[u8], binding: u64, key: &Locations) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        out.put_slice(vault);
+        out.put_slice(KEY_TAG);
+        out.put_u64_le(binding);
+        out.put_u32_le(key.len() as u32);
+        for layer in key {
+            out.put_u32_le(layer.len() as u32);
+            for &f in layer {
+                out.put_u64_le(f as u64);
+            }
+        }
+        let checksum = fxhash(&out[vault.len()..]);
+        out.put_u64_le(checksum);
+        out.to_vec()
+    }
+
+    /// Stats that miss an input channel of a layer are refused by both
+    /// readers, keyless or keyed (the key bound to those stats), before
+    /// anything scores with them.
+    #[test]
+    fn stats_that_do_not_profile_every_input_are_refused() {
+        let secrets = secrets();
+        let key =
+            locate_watermark(&secrets.original, &secrets.stats, &secrets.config).expect("locate");
+        let mut stats = secrets.stats.clone();
+        stats.per_layer[0].mean_abs.pop();
+        stats.per_layer[0].max_abs.pop();
+        let mut keyless = BytesMut::new();
+        keyless.put_slice(MAGIC);
+        keyless.put_u32_le(VERSION);
+        put_head(&mut keyless, &secrets.config, &secrets.signature, &stats);
+        let binding = bind_cells(fxhash(&keyless[HEAD_START..]), &key, |l, f| {
+            secrets.original.q_at(l, f)
+        });
+        let model = encode_model(&secrets.original);
+        keyless.put_u32_le(model.len() as u32);
+        keyless.put_slice(&model);
+        let keyed = with_key(&keyless, binding, &key);
+        let path = std::env::temp_dir().join(format!("emmark-bad-stats-{}", std::process::id()));
+        for vault in [&keyless[..], &keyed[..]] {
+            let err = decode_secrets(vault).expect_err("decode");
+            assert!(err.to_string().contains("stats of layer 0 cover"), "{err}");
+            std::fs::write(&path, vault).expect("write");
+            let err = Family::open(File::open(&path).expect("open")).expect_err("Family::open");
+            assert!(err.to_string().contains("stats of layer 0 cover"), "{err}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// A key that passes its checksum and binding but is not L — what a
     /// faulty stamping tool could write — decodes, and only the audit
     /// catches it.
@@ -1183,20 +1246,7 @@ mod tests {
             &secrets.stats,
         );
         let binding = bind_cells(fxhash(&head), &key, |l, f| secrets.original.q_at(l, f));
-        let mut forged = BytesMut::new();
-        forged.put_slice(&vault[..model_end]);
-        let start = forged.len();
-        forged.put_slice(KEY_TAG);
-        forged.put_u64_le(binding);
-        forged.put_u32_le(key.len() as u32);
-        for layer in &key {
-            forged.put_u32_le(layer.len() as u32);
-            for &f in layer {
-                forged.put_u64_le(f as u64);
-            }
-        }
-        let checksum = fxhash(&forged[start..]);
-        forged.put_u64_le(checksum);
+        let forged = with_key(&vault[..model_end], binding, &key);
 
         assert!(decode_secrets(&forged).is_ok(), "well-formed and bound");
         let audit = audit_key(&forged).expect("audit");

@@ -22,18 +22,21 @@
 //!                        [--jobs N] [--bundle FILE] [--shards N]
 //!                        [--max-resident-mb M]
 //!                                                   score-once/insert-many batch
-//!                                                   provisioning: fingerprint N
-//!                                                   device artifacts by delta-
-//!                                                   patching the base artifact,
-//!                                                   write the fleet registry (and
-//!                                                   optionally one bundle file);
-//!                                                   with --shards, also an EMFM
-//!                                                   sharded registry (manifest +
-//!                                                   registry-NNNNN.emfr shard
-//!                                                   files + leak index); with a
-//!                                                   budget, artifacts and bundle
-//!                                                   are spliced straight to disk,
-//!                                                   never resident
+//!                                                   provisioning from the vault's
+//!                                                   embedded artifact (a keyed
+//!                                                   vault is not decoded or
+//!                                                   re-located): fingerprint N
+//!                                                   device artifacts by splicing
+//!                                                   patches into the base
+//!                                                   artifact straight to disk
+//!                                                   (--jobs files at a time,
+//!                                                   serial under a budget), write
+//!                                                   the fleet registry (and
+//!                                                   optionally one streamed
+//!                                                   bundle file); with --shards,
+//!                                                   also an EMFM sharded registry
+//!                                                   (manifest + registry-NNNNN.emfr
+//!                                                   shard files + leak index)
 //! emmark fleet-verify --secrets FILE (--registry FILE --artifacts DIR
 //!                     | --manifest FILE --artifacts DIR | --bundle FILE)
 //!                     [--threshold L] [--jobs N]    parallel batch verification +
@@ -79,7 +82,7 @@ use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::deploy::{decode_model, encode_model, encode_model_into, SparseArtifact};
 use emmark::core::fingerprint::Family;
 use emmark::core::fleet::{
-    decode_registry, encode_registry, FleetError, FleetVerdict, FleetVerifier,
+    decode_registry, encode_registry, par_map, FleetError, FleetVerdict, FleetVerifier,
 };
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
@@ -88,7 +91,7 @@ use emmark::core::registry::{
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
 use emmark::core::store::ArtifactSink;
 use emmark::core::telemetry::{peak_resident_mib, Snapshot, Telemetry};
-use emmark::core::vault::{audit_key, decode_secrets, encode_secrets, FleetBundleStream};
+use emmark::core::vault::{audit_key, encode_secrets, FleetBundleStream};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::corpus::{Corpus, Grammar};
 use emmark::nanolm::train::{train, TrainConfig};
@@ -99,6 +102,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// Keeps every thread on glibc's main malloc arena in two cases:
 ///
@@ -218,9 +222,14 @@ USAGE:
                          [--max-resident-mb M]
 
 --max-resident-mb switches the stamp side onto the streaming LayerStore
-pipeline (score → insert → encode one layer at a time; device artifacts
-spliced straight to disk) and fails the run if peak resident memory
-exceeded the budget (Linux VmHWM; reported best-effort elsewhere).
+pipeline (score → insert → encode one layer at a time) and fails the run
+if peak resident memory exceeded the budget (Linux VmHWM; reported
+best-effort elsewhere).
+
+fleet-provision splices every device artifact straight to its file;
+--jobs N is how many device files are written at a time, and how many
+threads derive the shard registry's entries (default: one per core;
+one under --max-resident-mb).
 
 demo, verify, fleet-provision, fleet-verify, identify-leak, and serve
 also take
@@ -926,8 +935,7 @@ fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
 }
 
 fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
-    let secrets =
-        decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
+    let secrets_path = required(opts, "secrets")?;
     let out_dir = PathBuf::from(required(opts, "out-dir")?);
     let devices_raw = required(opts, "devices")?;
     let devices: usize = devices_raw
@@ -937,9 +945,6 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
     let fp_bits: usize = parsed(opts, "fp-bits", 3)?;
     let fp_pool: usize = parsed(opts, "fp-pool", 10)?;
     let fp_seed: u64 = parsed(opts, "fp-seed", 0xDE11CE)?;
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-
     let jobs: usize = parsed(opts, "jobs", 0)?;
     let jobs = if jobs == 0 { None } else { Some(jobs) };
     let budget = memory_budget(opts)?;
@@ -950,68 +955,52 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
         ..Default::default()
     };
 
-    // Score once (ownership locations, fingerprint pools, base artifact
-    // encode), then stamp every device by delta-patching the base
-    // artifact — O(fingerprint bits) per device.
+    // Score once: open the vault (a keyed one is read through its key,
+    // not decoded or re-located), take the base artifact's bytes and
+    // score the fingerprint pools over them. Every device is then the
+    // base artifact with its patches spliced in flight straight to its
+    // file — O(fingerprint bits) per device, and no device artifact
+    // (let alone the fleet) is ever resident. Nothing is written before
+    // the vault has been read and checked.
     let start = std::time::Instant::now();
-    let provisioner = FleetProvisioner::new(secrets, fp_cfg).map_err(|e| e.to_string())?;
+    let provisioner = FleetProvisioner::for_family(Arc::new(open_family(secrets_path)?), fp_cfg)
+        .map_err(|e| e.to_string())?;
     let cache_time = start.elapsed();
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
     let ids: Vec<String> = (0..devices).map(|i| format!("{prefix}-{i:04}")).collect();
 
-    let start = std::time::Instant::now();
-    let batch_time;
-    if budget.is_some() {
-        // Streaming mode: each device artifact is the base artifact
-        // with its patches spliced in flight, written straight to its
-        // file — no device artifact (let alone the fleet) is ever
-        // resident. The bundle, when requested, streams the same way.
+    let jobs = if budget.is_some() {
         if jobs.is_some() {
             println!("note: --jobs is ignored under --max-resident-mb (streaming mode is serial)");
         }
         println!("streaming provisioning (device artifacts spliced straight to disk)…");
-        let mut fingerprints = Vec::with_capacity(ids.len());
-        for id in &ids {
-            let out = create_file(&out_dir.join(format!("{id}.emqm")))?;
-            fingerprints.push(
-                provisioner
-                    .provision_artifact_into(id, out)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-        batch_time = start.elapsed();
-        write_file(
-            &out_dir.join("fleet.emfr"),
-            &encode_registry(provisioner.fingerprint_config(), &fingerprints),
-        )?;
-        if let Some(bundle_path) = opts.get("bundle") {
-            provisioner
-                .provision_bundle_into(&ids, create_file(Path::new(bundle_path))?)
-                .map_err(|e| e.to_string())?;
-            println!("wrote fleet bundle to {bundle_path} (streamed)");
-        }
+        Some(1)
     } else {
-        let provisioned = provisioner.provision_batch(&ids, jobs);
-        batch_time = start.elapsed();
-        for device in &provisioned {
-            write_file(
-                &out_dir.join(format!("{}.emqm", device.fingerprint.device_id)),
-                &device.artifact,
-            )?;
-        }
-        write_file(
-            &out_dir.join("fleet.emfr"),
-            &provisioner.registry(&provisioned),
-        )?;
-        if let Some(bundle_path) = opts.get("bundle") {
-            write_file(
-                Path::new(bundle_path),
-                &emmark::core::vault::encode_fleet_bundle(
-                    provisioner.fingerprint_config(),
-                    &provisioned,
-                ),
-            )?;
-            println!("wrote fleet bundle to {bundle_path}");
-        }
+        jobs
+    };
+    // `jobs` workers each splice whole device files; the output does not
+    // depend on how many.
+    let start = std::time::Instant::now();
+    let fingerprints = par_map(&ids, jobs, |id| {
+        let path = out_dir.join(format!("{id}.emqm"));
+        provisioner
+            .provision_artifact_into(id, create_file(&path)?)
+            .map_err(|e| format!("writing {}: {e}", path.display()))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let batch_time = start.elapsed();
+    write_file(
+        &out_dir.join("fleet.emfr"),
+        &encode_registry(provisioner.fingerprint_config(), &fingerprints),
+    )?;
+    if let Some(bundle_path) = opts.get("bundle") {
+        provisioner
+            .provision_bundle_into(&ids, create_file(Path::new(bundle_path))?)
+            .map_err(|e| format!("writing {bundle_path}: {e}"))?;
+        let streamed = if budget.is_some() { " (streamed)" } else { "" };
+        println!("wrote fleet bundle to {bundle_path}{streamed}");
     }
     if let Some(raw) = opts.get("shards") {
         let shard_count: usize = raw

@@ -5,7 +5,8 @@
 //! `fleet-provision --shards 2` over it, the artifact of device-0005,
 //! and the base-watermarked (ownership only) artifact. `verify` and
 //! `identify-leak` must reach the verdicts the release that wrote them
-//! printed, through the recompute path.
+//! printed, through the recompute path, and `fleet-provision` must
+//! still write the devices and shards that release wrote.
 
 use emmark::core::fingerprint::Family;
 use emmark::core::registry::decode_manifest;
@@ -113,4 +114,32 @@ fn identify_leak_reaches_the_verdicts_the_writing_release_printed() {
         String::from_utf8_lossy(&out.stderr).trim(),
         "error: no registered device clears the 10^-6 threshold"
     );
+}
+
+#[test]
+fn fleet_provision_rewrites_the_devices_and_shards_the_writing_release_wrote() {
+    let dir = std::env::temp_dir().join(format!("emmark-keyless-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_dir = dir.display().to_string();
+    let out = emmark(&[
+        "fleet-provision",
+        "--secrets",
+        &fixture("secrets.emws"),
+        "--out-dir",
+        &out_dir,
+        "--devices",
+        "8",
+        "--shards",
+        "2",
+    ]);
+    let read = |path: PathBuf| std::fs::read(&path).expect("read");
+    let same = |written: &str, fixture_name: &str| {
+        read(dir.join(written)) == read(PathBuf::from(fixture(fixture_name)))
+    };
+    let ok = out.status.success()
+        && same("device-0005.emqm", "leaked-device-0005.emqm")
+        && same("registry-00000.emfr", "registry-00000.emfr")
+        && same("registry-00001.emfr", "registry-00001.emfr");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{}", String::from_utf8_lossy(&out.stderr));
 }

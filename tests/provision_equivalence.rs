@@ -2,14 +2,17 @@
 //! watermark/fingerprint configurations, device sets, and bit widths,
 //!
 //! * [`FleetProvisioner`] artifacts are **byte-identical** to running
-//!   the serial `Fleet::provision` + `encode_model` path, and
+//!   the serial `Fleet::provision` + `encode_model` path, whether the
+//!   provisioner was built from decoded secrets or from the keyed vault
+//!   they encode to, and
 //! * delta-patched artifacts decode to the same integer grids as full
 //!   re-encodes (the patch path can never corrupt a cell the
 //!   fingerprint didn't touch).
 
 use emmark::core::deploy::{decode_model, encode_model};
-use emmark::core::fingerprint::Fleet;
+use emmark::core::fingerprint::{Family, Fleet};
 use emmark::core::provision::FleetProvisioner;
+use emmark::core::vault::encode_secrets;
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::model::ActivationStats;
 use emmark::nanolm::{ModelConfig, TransformerModel};
@@ -17,6 +20,7 @@ use emmark::quant::awq::{awq, AwqConfig};
 use emmark::quant::rtn::quantize_linear_rtn;
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A quantized tiny model (with its activation profile) parameterized
 /// by bit width and init seed.
@@ -73,6 +77,13 @@ proptest! {
 
         let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("cache");
         let provisioned = provisioner.provision_batch(&ids, Some(2));
+        let vault = std::env::temp_dir().join(format!("emmark-prov-eq-{}.emws", std::process::id()));
+        std::fs::write(&vault, encode_secrets(&secrets)).expect("write vault");
+        let family = Family::open(std::fs::File::open(&vault).expect("open")).expect("keyed");
+        let _ = std::fs::remove_file(&vault);
+        prop_assert!(family.is_keyed());
+        let keyed = FleetProvisioner::for_family(Arc::new(family), fp_cfg).expect("keyed");
+        prop_assert_eq!(keyed.provision_batch(&ids, Some(2)), provisioned.clone());
 
         let mut fleet = Fleet::new(secrets, fp_cfg);
         for (id, p) in ids.iter().zip(&provisioned) {

@@ -196,6 +196,43 @@ fn streamed_device_artifacts_match_the_buffered_delta_encoder() {
     }
 }
 
+/// A sink that takes the first `left` bytes and fails every write after.
+struct FailAfter {
+    left: usize,
+}
+
+impl std::io::Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.left == 0 {
+            return Err(std::io::Error::other("device full"));
+        }
+        let n = buf.len().min(self.left);
+        self.left -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A write that fails anywhere in a device artifact is an error, also
+/// when it fails on the tail a `BufWriter` still holds when the splice
+/// returns: `provision_artifact_into` flushes its sink.
+#[test]
+fn a_failed_write_anywhere_in_the_tail_is_an_error() {
+    let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");
+    let len = provisioner.base_artifact().len();
+    let splice = |left| {
+        let out = std::io::BufWriter::new(FailAfter { left });
+        provisioner.provision_artifact_into("edge-00", out)
+    };
+    for left in len.saturating_sub(9000)..len {
+        assert!(splice(left).is_err(), "cut after {left} of {len} bytes");
+    }
+    splice(len).expect("a sink that takes every byte");
+}
+
 #[test]
 fn streamed_bundle_matches_the_buffered_bundle_encoder() {
     let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");

@@ -5,9 +5,10 @@
 //! ([`Family::open`] on a keyed vault, pools from a version 2 manifest)
 //! must be bit-identical to the recompute path (decoded secrets,
 //! keyless vault, version 1 manifest) on honest, near-miss, pristine and
-//! attacked suspects; and a key or pools that do not belong to their
+//! attacked suspects; provisioning through the keyed path must write
+//! byte-identical fleets; and a key or pools that do not belong to their
 //! vault or fingerprint config — a flipped byte, a splice — are errors,
-//! never verdicts.
+//! never verdicts or fleets.
 
 use emmark::attacks::adaptive::{adaptive_attack, AdaptiveConfig};
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
@@ -17,7 +18,7 @@ use emmark::attacks::rewatermark::{rewatermark_attack, RewatermarkConfig};
 use emmark::core::deploy::{encode_model, CodecError, SparseArtifact};
 use emmark::core::fingerprint::Family;
 use emmark::core::fleet::FleetVerifier;
-use emmark::core::provision::FleetProvisioner;
+use emmark::core::provision::{FleetProvisioner, ProvisionedDevice};
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded, FingerprintPools,
     ShardedFleet, ShardedRegistry,
@@ -36,7 +37,8 @@ use emmark::quant::{ActQuant, Granularity, QuantizedModel};
 use proptest::prelude::*;
 use std::fs::File;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::process::Output;
+use std::sync::{Arc, OnceLock};
 
 /// Thresholds of the identification comparisons: vacuous, ordinary,
 /// strict.
@@ -478,4 +480,150 @@ proptest! {
             }
         }
     }
+}
+
+/// Everything a provisioner writes for `ids`: the base artifact, every
+/// device, the flat registry, the bundle, the shards and the manifest.
+type FleetFiles = (
+    Vec<u8>,
+    Vec<ProvisionedDevice>,
+    Vec<u8>,
+    Vec<u8>,
+    Vec<(String, Vec<u8>)>,
+    Vec<u8>,
+);
+
+fn fleet_files(p: &FleetProvisioner, ids: &[String]) -> FleetFiles {
+    let devices = p.provision_batch(ids, Some(2));
+    let registry = p.registry(&devices);
+    let mut bundle = Vec::new();
+    p.provision_bundle_into(ids, &mut bundle).expect("bundle");
+    let sharded = provision_sharded(p, ids, 2, None).expect("shards");
+    let shards = (sharded.shards.iter())
+        .map(|(name, bytes)| (name.clone(), bytes.to_vec()))
+        .collect();
+    (
+        p.base_artifact().to_vec(),
+        devices,
+        registry.to_vec(),
+        bundle,
+        shards,
+        encode_manifest(&sharded.manifest).to_vec(),
+    )
+}
+
+#[test]
+fn keyed_and_decoded_provisioning_write_byte_identical_fleets_on_every_scheme() {
+    let scratch = Scratch::new("provision");
+    let (models, stats) = all_schemes();
+    let ids: Vec<String> = (0..5).map(|d| format!("edge-{d}")).collect();
+    for (i, qm) in models.iter().enumerate() {
+        let secrets = secrets_for(qm, stats, 0x9A0 + i as u64);
+        let vault = encode_secrets(&secrets);
+        let fp = fp_config(0x5EED + i as u64);
+        let family = scratch.family("keyed.emws", &vault).expect("open keyed");
+        assert!(family.is_keyed());
+        let keyed = FleetProvisioner::for_family(Arc::new(family), fp).expect("keyed");
+        let decoded = decode_secrets(&vault).expect("decode");
+        let decoded = FleetProvisioner::new(decoded, fp).expect("decoded");
+        assert!(
+            fleet_files(&keyed, &ids) == fleet_files(&decoded, &ids),
+            "{}: fleets differ",
+            qm.scheme
+        );
+        // The keyed provisioner continues as a serial fleet: W is
+        // decoded from the vault's artifact.
+        let mut fleet = keyed.into_fleet(Vec::new()).expect("fleet");
+        let next = fleet.provision("edge-9").expect("provision");
+        assert!(next.same_weights(&decoded.provision_model("edge-9").1));
+    }
+}
+
+fn emmark(args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_emmark"))
+        .args(args)
+        .output()
+        .expect("run emmark")
+}
+
+/// `fleet-provision` over a keyed vault the decoder refuses fails with
+/// the decoder's words, and writes nothing: not even the output
+/// directory.
+#[test]
+fn fleet_provision_refuses_a_corrupt_keyed_vault_before_writing_anything() {
+    let scratch = Scratch::new("refuse");
+    let (secrets, vault, key_start) = keyed_vault(0x7E);
+    let key = audit_key(&vault).expect("audit").key.expect("keyed");
+    let model_start = key_start - encode_model(&secrets.original).len();
+    let entry = SparseArtifact::open(&vault[model_start..key_start])
+        .expect("embedded")
+        .layer_index()[0];
+    assert_eq!(entry.bits, 4);
+    // A byte no 4-bit grid holds, at a cell the key does not name: the
+    // keyed open never reads it, the provisioner's decode must.
+    let cell = (0..entry.cells())
+        .find(|f| !key[0].contains(f))
+        .expect("a non-key cell");
+    let mut grid = vault.clone();
+    grid[model_start + entry.q_offset + cell] = 0x7F;
+    let mut flipped = vault.clone();
+    flipped[key_start + 20] ^= 0x01;
+    for (name, evil) in [("grid", grid), ("key", flipped)] {
+        let expected = decode_secrets(&evil).expect_err(name).to_string();
+        let vault_path = scratch.write(&format!("{name}.emws"), &evil);
+        let out_dir = scratch.0.join(format!("{name}-fleet"));
+        let out = emmark(&[
+            "fleet-provision",
+            "--secrets",
+            &vault_path.display().to_string(),
+            "--out-dir",
+            &out_dir.display().to_string(),
+            "--devices",
+            "2",
+        ]);
+        assert!(!out.status.success(), "{name}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim(),
+            format!("error: {expected}"),
+            "{name}"
+        );
+        assert!(!out_dir.exists(), "{name}: nothing may be written");
+    }
+    let grid = std::fs::read(scratch.0.join("grid.emws")).expect("read");
+    let grid_error = decode_secrets(&grid).expect_err("grid").to_string();
+    assert!(
+        grid_error.ends_with("grid values exceed the 4-bit storage range"),
+        "{grid_error}"
+    );
+}
+
+/// A keyed vault that changes between open and the provisioner's read
+/// of its artifact is an error, never a fleet: truncated, or W edited at
+/// a key cell (what the binding was checked against).
+#[test]
+fn a_vault_changed_after_open_is_an_error_not_a_fleet() {
+    let scratch = Scratch::new("changed");
+    let (secrets, vault, key_start) = keyed_vault(0x7F);
+    let key = audit_key(&vault).expect("audit").key.expect("keyed");
+    let model_start = key_start - encode_model(&secrets.original).len();
+    let q_offset = SparseArtifact::open(&vault[model_start..key_start])
+        .expect("embedded")
+        .layer_index()[0]
+        .q_offset;
+    let path = scratch.write("changed.emws", &vault);
+    let reopen = || Arc::new(Family::open(File::open(&path).expect("open")).expect("keyed"));
+    let rewrite = |bytes: &[u8]| std::fs::write(&path, bytes).expect("rewrite");
+
+    let family = reopen();
+    rewrite(&vault[..key_start - 100]);
+    let err = FleetProvisioner::for_family(family, fp_config(1)).expect_err("truncated");
+    assert!(matches!(err, StoreError::Io { .. }), "{err}");
+
+    rewrite(&vault);
+    let family = reopen();
+    let mut edited = vault.clone();
+    edited[model_start + q_offset + key[0][0]] ^= 0x01;
+    rewrite(&edited);
+    let err = FleetProvisioner::for_family(family, fp_config(1)).expect_err("edited");
+    assert!(err.to_string().contains("changed since"), "{err}");
 }
