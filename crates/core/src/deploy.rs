@@ -28,6 +28,7 @@ use emmark_quant::{ActQuant, Granularity, QuantizedLinear, QuantizedModel};
 use emmark_tensor::Matrix;
 use std::borrow::Cow;
 use std::fs::File;
+use std::ops::{Deref, Range};
 use std::os::unix::fs::FileExt;
 use std::sync::{Arc, OnceLock};
 
@@ -844,12 +845,12 @@ fn parse_v2_header_windowed<E: From<CodecError>>(
 /// returns its first `n` bytes. Headers have no length prefix, so a
 /// window is read and widened until the parse no longer runs out of
 /// bytes. Returns the parse and the last window read.
-pub(crate) fn parse_windowed<T, E: From<CodecError>>(
+pub(crate) fn parse_windowed<T, B: Deref<Target = [u8]>, E: From<CodecError>>(
     total_len: usize,
     initial: usize,
-    mut read: impl FnMut(usize) -> Result<Vec<u8>, E>,
+    mut read: impl FnMut(usize) -> Result<B, E>,
     parse: impl Fn(&[u8]) -> Result<T, CodecError>,
-) -> Result<(T, Vec<u8>), E> {
+) -> Result<(T, B), E> {
     let mut want = initial.min(total_len);
     loop {
         let prefix = read(want)?;
@@ -1229,6 +1230,9 @@ impl LayerGridView<'_> {
 enum Source<'a> {
     /// Borrowed in-memory bytes.
     Slice(&'a [u8]),
+    /// The range of an owned buffer, shared by clones: the artifact a
+    /// vault read into memory embeds, or a model encoded in memory.
+    Owned(Arc<Vec<u8>>, Range<usize>),
     /// A file, read by positioned reads (shared by clones, error latch
     /// included).
     File(Arc<FileSource>),
@@ -1238,6 +1242,7 @@ impl Source<'_> {
     fn len(&self) -> usize {
         match self {
             Source::Slice(data) => data.len(),
+            Source::Owned(_, range) => range.len(),
             Source::File(file) => file.len,
         }
     }
@@ -1246,6 +1251,7 @@ impl Source<'_> {
     fn cell(&self, offset: usize) -> i8 {
         match self {
             Source::Slice(data) => data[offset] as i8,
+            Source::Owned(bytes, range) => bytes[range.start + offset] as i8,
             Source::File(file) => file.cell(offset),
         }
     }
@@ -1260,6 +1266,7 @@ impl Source<'_> {
     ) -> Result<Cow<'_, [u8]>, StoreError> {
         match self {
             Source::Slice(data) => Ok(Cow::Borrowed(&data[start..end])),
+            Source::Owned(bytes, range) => Ok(Cow::Borrowed(&bytes[range.clone()][start..end])),
             Source::File(file) => {
                 let mut buf = vec![0u8; end - start];
                 file.read_at(start, &mut buf)
@@ -1358,9 +1365,11 @@ impl Fetch for FileWindow<'_> {
 /// watermark extraction costs exactly the cells it probes — no float
 /// parsing, no grid copies, ever.
 ///
-/// Two sources, one structural walk:
+/// Three sources, one structural walk:
 ///
 /// * [`Self::open`] borrows in-memory bytes (no copy taken);
+/// * inside the crate, an owned in-memory buffer is shared instead of
+///   borrowed (a vault read into memory, a model encoded in memory);
 /// * [`Self::open_file`] reads a file with positioned reads: a prefix
 ///   window for the header and index, small windows for the length
 ///   words and tags the walk checks, and one byte per probed cell. The
@@ -1408,6 +1417,11 @@ impl<'a> SparseArtifact<'a> {
 
     /// [`Self::open`] without counting a sparse open.
     fn open_uncounted(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        Self::open_memory(bytes, Source::Slice(bytes))
+    }
+
+    /// The in-memory open: `bytes` are what `source` serves.
+    fn open_memory(bytes: &[u8], source: Source<'a>) -> Result<Self, CodecError> {
         let (cfg, scheme, index, body_start) = parse_v2_header(bytes, bytes.len())?;
         // Walk the body structure (length words, tags, record offsets)
         // without materializing it, so structurally corrupt or
@@ -1420,7 +1434,7 @@ impl<'a> SparseArtifact<'a> {
         }
         .validate_v2_body(&cfg, &index)?;
         Ok(Self {
-            source: Source::Slice(bytes),
+            source,
             cfg,
             scheme,
             index,
@@ -1430,7 +1444,7 @@ impl<'a> SparseArtifact<'a> {
         })
     }
 
-    fn counted(self) -> Self {
+    pub(crate) fn counted(self) -> Self {
         if Telemetry::enabled() {
             telemetry::SPARSE_ARTIFACTS.incr();
             // Opening costs the header, config, and offset table;
@@ -1502,7 +1516,7 @@ impl<'a> SparseArtifact<'a> {
                 }),
                 None => Ok(()),
             },
-            Source::Slice(_) => Ok(()),
+            Source::Slice(_) | Source::Owned(..) => Ok(()),
         }
     }
 
@@ -1685,6 +1699,13 @@ impl SparseArtifact<'static> {
             held,
         }
         .counted())
+    }
+
+    /// [`Self::open`] over the `range` of an owned buffer, which the
+    /// reader shares instead of borrowing. Not counted as a sparse open.
+    pub(crate) fn open_owned(bytes: Arc<Vec<u8>>, range: Range<usize>) -> Result<Self, CodecError> {
+        let shared = Arc::clone(&bytes);
+        Self::open_memory(&shared[range.clone()], Source::Owned(bytes, range))
     }
 }
 

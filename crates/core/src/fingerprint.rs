@@ -10,7 +10,7 @@
 //! the leaked weights and returns the one with an overwhelming Eq. 8
 //! margin.
 
-use crate::deploy::{encode_model, SparseArtifact};
+use crate::deploy::{encode_model_into, SparseArtifact};
 use crate::scoring::layer_pool;
 use crate::signature::Signature;
 use crate::store::{materialize, LayerStore, StoreError};
@@ -265,35 +265,21 @@ impl CellTable {
     }
 }
 
-/// Where a family's pristine weights W are read from.
-#[derive(Debug)]
-enum Weights {
-    /// Decoded in memory — the recompute path, and every engine that
-    /// scores or stamps.
-    Decoded(Box<QuantizedModel>),
-    /// A keyed vault's embedded v2 artifact behind positioned reads, with
-    /// W at the key cells read once at open, and the key's binding.
-    /// Nothing else of the model is read unless pools have to be
-    /// recomputed.
-    Vault {
-        artifact: Box<SparseArtifact<'static>>,
-        at_key: CellTable,
-        binding: u64,
-    },
-}
-
 /// One owner's model family, located once: the signature and insertion
 /// parameters, the activation profile A_f, the ownership locations L
 /// (Eqs. 2–4, a pure function of the secrets — DESIGN.md §5,
 /// invariant 2), and the pristine weights W. Every engine over the
 /// family shares one `Arc` of it.
 ///
-/// Two sources, one family: [`Self::new`] recomputes L from decoded
-/// secrets; [`Self::open`] reads a keyed vault's derived key and leaves
-/// W behind a sparse reader, so verification never re-runs Eqs. 2–4 or
-/// decodes the model. Extraction code cannot tell them apart: it reads W
-/// and the base-watermarked model through [`GridSource`], and the two
-/// sources give bit-identical reports (DESIGN.md §5, invariant 13).
+/// W is always read through one [`SparseArtifact`] plus the table of W
+/// at the key cells, over one of three byte sources: a keyed vault file
+/// ([`Self::open`]), keyed vault bytes already in memory (the daemon's
+/// open, the same parse), or the encoding of decoded secrets
+/// ([`Self::new`], which recomputes L). Verification from a keyed vault
+/// never re-runs Eqs. 2–4 or decodes the model. Extraction code cannot
+/// tell the sources apart: it reads W and the base-watermarked model
+/// through [`GridSource`], and they give bit-identical reports
+/// (DESIGN.md §5, invariant 13).
 #[derive(Debug)]
 pub struct Family {
     config: WatermarkConfig,
@@ -303,39 +289,51 @@ pub struct Family {
     /// The ownership bit at every located cell: overlaid on W, it reads
     /// as the base-watermarked model every device starts from.
     bits: CellTable,
-    weights: Weights,
+    /// W behind positioned reads or in memory. Nothing of it but the key
+    /// cells is read unless pools have to be scored or devices stamped.
+    artifact: SparseArtifact<'static>,
+    /// W at every key cell, read once at open.
+    at_key: CellTable,
+    /// The binding the vault key and manifest pools carry
+    /// ([`crate::vault`]).
+    binding: u64,
+    /// Whether L came from a vault key rather than a recomputation.
+    keyed: bool,
 }
 
 impl Family {
     /// Validates the secret bundle and locates its ownership watermark
     /// (the recompute path); a mis-sized signature is
-    /// [`WatermarkError::SignatureLength`].
+    /// [`WatermarkError::SignatureLength`]. W is encoded once and read
+    /// through the encoding, as from a vault.
     ///
     /// # Errors
     ///
     /// Rejects an inconsistent bundle and propagates location errors.
     pub fn new(secrets: OwnerSecrets) -> Result<Self, WatermarkError> {
-        // Corrupt or hand-edited vaults must surface as errors here, once,
-        // not as panics inside batch workers or on every warm request.
-        check_signature_len(
-            &secrets.config,
-            &secrets.signature,
-            secrets.original.layer_count(),
-        )?;
-        let locations = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)?;
         let OwnerSecrets {
             original,
             stats,
             signature,
             config,
         } = secrets;
-        Ok(Self::assemble(
-            config,
-            signature,
-            stats,
-            locations,
-            Weights::Decoded(Box::new(original)),
-        ))
+        let locations = locate_watermark(&original, &stats, &config)?;
+        let binding = key_binding(&config, &signature, &stats, &original, &locations);
+        let at_key = CellTable::collect(&locations, |l, _, f| original.q_at(l, f));
+        let mut encoded = Vec::new();
+        encode_model_into(&original, &mut encoded).expect("encoding into a Vec cannot fail");
+        drop(original);
+        let range = 0..encoded.len();
+        let artifact =
+            SparseArtifact::open_owned(Arc::new(encoded), range).expect("an encoded model opens");
+        // The key derived here, as a vault would carry it.
+        let family = Self::keyed(
+            config, signature, stats, locations, binding, artifact, at_key,
+        )?;
+        Ok(Self {
+            keyed: false,
+            ..family
+        })
     }
 
     /// Opens an owner vault for verification. A keyed vault yields its
@@ -352,8 +350,9 @@ impl Family {
         crate::vault::open_family(file)
     }
 
-    /// A keyed vault's family; the reader has checked the key's
-    /// checksum, shape, and binding against the vault.
+    /// A family over a key: L, its binding, and W's artifact with W at
+    /// the key cells. A vault reader has checked the key's checksum,
+    /// shape, and binding against the vault.
     pub(crate) fn keyed(
         config: WatermarkConfig,
         signature: Signature,
@@ -364,44 +363,29 @@ impl Family {
         at_key: CellTable,
     ) -> Result<Self, WatermarkError> {
         // What `locate_watermark` would have refused, the key may not
-        // smuggle in.
+        // smuggle in. Corrupt or hand-edited secrets surface as errors
+        // here, once, not as panics inside batch workers or on every
+        // warm request.
         config.validate()?;
         check_signature_len(&config, &signature, artifact.layer_count())?;
-        Ok(Self::assemble(
-            config,
-            signature,
-            stats,
-            locations,
-            Weights::Vault {
-                artifact: Box::new(artifact),
-                at_key,
-                binding,
-            },
-        ))
-    }
-
-    fn assemble(
-        config: WatermarkConfig,
-        signature: Signature,
-        stats: ActivationStats,
-        locations: Locations,
-        weights: Weights,
-    ) -> Self {
         let n = locations.len();
         let bits = CellTable::collect(&locations, |l, i, _| signature.layer_bits(l, n)[i]);
-        Self {
+        Ok(Self {
             config,
             signature,
             stats,
             locations,
             bits,
-            weights,
-        }
+            artifact,
+            at_key,
+            binding,
+            keyed: true,
+        })
     }
 
     /// Whether L came from a vault key rather than a recomputation.
     pub fn is_keyed(&self) -> bool {
-        matches!(self.weights, Weights::Vault { .. })
+        self.keyed
     }
 
     /// The ownership locations L.
@@ -410,48 +394,31 @@ impl Family {
     }
 
     /// The binding the vault key and manifest pools must carry
-    /// ([`crate::vault`]): read from a keyed vault, hashed on demand for
-    /// decoded secrets (only pool persistence and checks need it).
+    /// ([`crate::vault`]): read from a keyed vault, hashed at
+    /// construction for decoded secrets.
     pub(crate) fn binding(&self) -> u64 {
-        match &self.weights {
-            Weights::Decoded(original) => key_binding(
-                &self.config,
-                &self.signature,
-                &self.stats,
-                original,
-                &self.locations,
-            ),
-            Weights::Vault { binding, .. } => *binding,
-        }
+        self.binding
     }
 
-    /// The first I/O error a read of a keyed vault's artifact hit since
-    /// open ([`SparseArtifact::check_reads`]); always `Ok` for a decoded
-    /// family. A verdict over this family is valid only when it is `Ok`.
+    /// The first I/O error a read of W hit since open
+    /// ([`SparseArtifact::check_reads`]); always `Ok` when W is in
+    /// memory. A verdict over this family is valid only when it is `Ok`.
     ///
     /// # Errors
     ///
     /// The latched read error.
     pub fn check_reads(&self) -> Result<(), StoreError> {
-        match &self.weights {
-            Weights::Decoded(_) => Ok(()),
-            Weights::Vault { artifact, .. } => artifact.check_reads(),
-        }
+        self.artifact.check_reads()
     }
 
-    /// The decoded secrets, decoding a keyed vault's artifact if W is
-    /// not resident.
+    /// The decoded secrets: W decoded from the family's artifact.
     ///
     /// # Errors
     ///
-    /// Read and decode failures of the vault's embedded artifact.
+    /// Read and decode failures of the artifact.
     pub(crate) fn decoded_secrets(&self) -> Result<OwnerSecrets, StoreError> {
-        let original = match &self.weights {
-            Weights::Decoded(original) => QuantizedModel::clone(original),
-            Weights::Vault { artifact, .. } => materialize(artifact.as_ref())?,
-        };
         Ok(OwnerSecrets {
-            original,
+            original: materialize(&self.artifact)?,
             stats: self.stats.clone(),
             signature: self.signature.clone(),
             config: self.config,
@@ -460,41 +427,30 @@ impl Family {
 
     /// The base-watermarked model (W with the ownership bits applied at
     /// L, identical to [`OwnerSecrets::watermark_for_deployment`] without
-    /// re-locating), decoding a keyed vault's artifact if W is not
-    /// resident.
+    /// re-locating), decoded from the family's artifact.
     ///
     /// # Errors
     ///
-    /// Read and decode failures of the vault's embedded artifact.
+    /// Read and decode failures of the artifact.
     pub(crate) fn base_model(&self) -> Result<QuantizedModel, StoreError> {
-        let mut base = match &self.weights {
-            Weights::Decoded(original) => QuantizedModel::clone(original),
-            Weights::Vault { artifact, .. } => materialize(artifact.as_ref())?,
-        };
+        let mut base = materialize(&self.artifact)?;
         apply_bits_at(&mut base, &self.locations, &self.signature);
         Ok(base)
     }
 
-    /// The base-watermarked model's v2 artifact. A keyed vault's
-    /// embedded artifact is read once, checked to still hold W at the
-    /// key cells (the table read at open, which the binding covers), and
-    /// patched with the ownership bit at every located cell: nothing is
-    /// decoded or re-encoded. Decoded secrets encode
-    /// [`Self::base_model`]. The two give the same bytes.
+    /// The base-watermarked model's v2 artifact: W's artifact read once,
+    /// checked to still hold W at the key cells (the table read at open,
+    /// which the binding covers), and patched with the ownership bit at
+    /// every located cell. Nothing is decoded or re-encoded, and the
+    /// bytes equal the encoding of [`Self::base_model`].
     ///
     /// # Errors
     ///
-    /// Read failures of the vault's artifact, and a vault whose W at a
-    /// key cell changed since open.
+    /// Read failures of a vault's artifact, and a vault whose W at a key
+    /// cell changed since open.
     pub(crate) fn base_artifact(&self) -> Result<Bytes, StoreError> {
-        let Weights::Vault {
-            artifact, at_key, ..
-        } = &self.weights
-        else {
-            return Ok(encode_model(&self.base_model()?));
-        };
-        let mut bytes = artifact.read_all()?;
-        let index = artifact.layer_index();
+        let mut bytes = self.artifact.read_all()?;
+        let index = self.artifact.layer_index();
         let n = self.locations.len();
         for (l, cells) in self.locations.iter().enumerate() {
             for (&f, &b) in cells.iter().zip(self.signature.layer_bits(l, n)) {
@@ -502,7 +458,7 @@ impl Family {
                 // one at a min/max level: W + b is in range.
                 let at = index[l].q_offset + f;
                 let w = bytes[at] as i8;
-                if Some(w) != at_key.get(l, f) {
+                if Some(w) != self.at_key.get(l, f) {
                     return Err(StoreError::Io {
                         what: "re-reading the vault model",
                         source: std::io::Error::other(format!(
@@ -541,30 +497,18 @@ impl Family {
     }
 }
 
-/// W: the decoded model, or the vault's artifact (key cells from the
-/// table read at open).
+/// W: the key-cell table, falling back to the artifact.
 impl GridSource for Family {
     fn source_layer_count(&self) -> usize {
-        match &self.weights {
-            Weights::Decoded(m) => m.source_layer_count(),
-            Weights::Vault { artifact, .. } => artifact.source_layer_count(),
-        }
+        self.artifact.source_layer_count()
     }
 
     fn layer_dims(&self, l: usize) -> (usize, usize) {
-        match &self.weights {
-            Weights::Decoded(m) => m.layer_dims(l),
-            Weights::Vault { artifact, .. } => artifact.layer_dims(l),
-        }
+        self.artifact.layer_dims(l)
     }
 
     fn q_at(&self, l: usize, f: usize) -> i8 {
-        match &self.weights {
-            Weights::Decoded(m) => m.q_at(l, f),
-            Weights::Vault {
-                artifact, at_key, ..
-            } => at_key.get(l, f).unwrap_or_else(|| artifact.q_cell(l, f)),
-        }
+        (self.at_key.get(l, f)).unwrap_or_else(|| self.artifact.q_cell(l, f))
     }
 }
 
@@ -635,7 +579,7 @@ impl FamilyCache {
     ///
     /// # Errors
     ///
-    /// Decode failures of a keyed vault's artifact, and
+    /// Decode failures of the family's artifact, and
     /// [`Self::scored`]'s errors.
     pub(crate) fn new(
         family: Arc<Family>,

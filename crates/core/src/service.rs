@@ -1,11 +1,15 @@
 //! `emmarkd`: a cache-warm batched verification/provisioning service.
 //!
 //! The one-shot CLI pays the family cold-start tax on every invocation:
-//! decoding the owner vault, re-scoring ownership locations, and rebuilding
-//! fingerprint pools. When requests arrive as traffic rather than one-offs,
-//! that tax dominates wall-clock. This module keeps one warm family entry per
-//! owner vault behind a small LRU and schedules framed requests across a
-//! bounded worker pool with explicit backpressure.
+//! opening the owner vault and scoring the fingerprint pools. When
+//! requests arrive as traffic rather than one-offs, that tax dominates
+//! wall-clock. This module keeps one warm family entry per owner vault
+//! behind a small LRU and schedules framed requests across a bounded
+//! worker pool with explicit backpressure. A family is opened from the
+//! vault bytes the request read, with the parse the CLI runs on a vault
+//! file ([`Family::open`]): a keyed vault is neither decoded nor
+//! re-located, and the daemon accepts and refuses the vaults the CLI
+//! does.
 //!
 //! # Framing protocol
 //!
@@ -18,7 +22,7 @@
 //! artifacts need not cross the socket at all.
 //!
 //! Responses are bit-identical to the one-shot CLI for the same inputs: a
-//! warm family is one located `Family` (the vault's secrets and ownership
+//! warm family is one located `Family` (the vault's bytes and ownership
 //! locations) shared by every engine built over it, and each request
 //! replays deterministic extraction against it.
 //!
@@ -60,7 +64,7 @@ use crate::telemetry::{
     SERVICE_PROVISION_NS, SERVICE_QUEUE_DEPTH, SERVICE_REJECTED, SERVICE_REQUESTS,
     SERVICE_RESIDENT_BYTES, SERVICE_VERIFY_NS,
 };
-use crate::vault::{decode_secrets, FleetBundleStream};
+use crate::vault::{decode_secrets, open_family_bytes, FleetBundleStream};
 use crate::watermark::{ExtractionReport, GridSource, WatermarkConfig, WatermarkError};
 
 /// Protocol version carried in every frame payload.
@@ -846,9 +850,11 @@ struct FamilyEntry {
 }
 
 impl FamilyEntry {
-    fn load(bytes: &[u8]) -> Result<Self, ServiceError> {
+    /// Opens the vault as the CLI does ([`Family::open`]), over the
+    /// bytes already read and hashed.
+    fn load(bytes: Vec<u8>) -> Result<Self, ServiceError> {
         Ok(FamilyEntry {
-            family: Arc::new(Family::new(decode_secrets(bytes)?)?),
+            family: Arc::new(open_family_bytes(bytes)?),
             provisioners: Mutex::new(HashMap::new()),
             verifiers: Mutex::new(HashMap::new()),
         })
@@ -995,7 +1001,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Warm family (vault) entries kept behind the LRU. This — not
     /// `max_resident_bytes` — is what bounds steady-state cache memory:
-    /// resident memory is roughly this many decoded vaults plus their
+    /// resident memory is roughly this many vaults' bytes plus their
     /// location tables and sub-caches.
     pub cache_capacity: usize,
     /// Shared cap on *transient per-request* bytes, if any: inline blobs
@@ -1509,7 +1515,7 @@ fn load_family(
     // slot, outside the LRU lock, so it never serializes unrelated
     // families and runs once however many requests race for this one.
     resolve(&slot, || {
-        let entry = FamilyEntry::load(&bytes)?;
+        let entry = FamilyEntry::load(bytes)?;
         let mut lru = lock(&inner.cache);
         while lru.entries.len() > lru.capacity {
             let Some((&oldest, _)) = lru.entries.iter().min_by_key(|(_, (at, _))| *at) else {

@@ -63,9 +63,11 @@ use crate::watermark::{locate_watermark, GridSource, Locations, OwnerSecrets, Wa
 use bytes::{BufMut, Bytes, BytesMut};
 use emmark_nanolm::model::{ActivationStats, LayerActivation};
 use emmark_quant::QuantizedModel;
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"EMWS";
 /// Vault version; matches the deploy codec's
@@ -465,8 +467,35 @@ pub(crate) fn open_family(file: File) -> Result<Family, StoreError> {
         let mut buf = vec![0u8; n];
         file.read_exact_at(&mut buf, offset as u64)
             .map_err(io(what))?;
-        Ok::<_, StoreError>(buf)
+        Ok(Cow::Owned(buf))
     };
+    open_vault(len, read, |start, len| {
+        let file = file.try_clone().map_err(io("opening the vault model"))?;
+        SparseArtifact::open_file_at(file, start, len)
+    })
+}
+
+/// [`Family::open`] over vault bytes already in memory, which the
+/// family keeps: the same parse, so the same vaults are accepted and
+/// refused with the same errors.
+pub(crate) fn open_family_bytes(bytes: Vec<u8>) -> Result<Family, StoreError> {
+    let bytes = Arc::new(bytes);
+    let read = |offset: usize, n: usize, _| Ok(Cow::Borrowed(&bytes[offset..offset + n]));
+    open_vault(bytes.len(), read, |start, len| {
+        Ok(SparseArtifact::open_owned(Arc::clone(&bytes), start..start + len)?.counted())
+    })
+}
+
+/// The one vault parse, over a vault of `len` bytes that `read(offset,
+/// n, what)` serves: header, signature, stats and key are read, and W
+/// only at the key cells, through the embedded artifact `artifact(start,
+/// len)` opens. A keyless vault is read whole, decoded, and located
+/// ([`Family::new`]).
+fn open_vault<'v>(
+    len: usize,
+    read: impl Fn(usize, usize, &'static str) -> Result<Cow<'v, [u8]>, StoreError>,
+    artifact: impl FnOnce(usize, usize) -> Result<SparseArtifact<'static>, StoreError>,
+) -> Result<Family, StoreError> {
     let ((head, model_start), window) = parse_windowed(
         len,
         HEAD_WINDOW,
@@ -492,7 +521,7 @@ pub(crate) fn open_family(file: File) -> Result<Family, StoreError> {
     )?)?;
     let key_bytes = read(key_start, len - key_start, "reading the vault key")?;
     let (binding, locations) = read_key(&key_bytes, key_start)?;
-    let artifact = SparseArtifact::open_file_at(file, model_start, head.model_len)?;
+    let artifact = artifact(model_start, head.model_len)?;
     check_stats_fit(&head.stats, &artifact, key_start)?;
     check_key_shape(&locations, &head.config, &artifact, key_start)?;
     // W at the key cells, read once: the binding covers them, and every

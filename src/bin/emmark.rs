@@ -5,8 +5,8 @@
 //!                                                   build a demo: train, quantize,
 //!                                                   watermark; writes deployed.emqm,
 //!                                                   secrets.emws, original.emqm
-//!                                                   (with a budget: the streaming
-//!                                                   stamp pipeline, one layer
+//!                                                   (stamped by the streaming
+//!                                                   pipeline, one layer
 //!                                                   resident at a time)
 //! emmark verify --secrets FILE --suspect FILE       ownership proof (Eqs. 6–8);
 //!                                                   the artifact is probed sparsely
@@ -221,10 +221,10 @@ USAGE:
                          [--cache-families N] [--retry-after-ms MS]
                          [--max-resident-mb M]
 
---max-resident-mb switches the stamp side onto the streaming LayerStore
-pipeline (score → insert → encode one layer at a time) and fails the run
-if peak resident memory exceeded the budget (Linux VmHWM; reported
-best-effort elsewhere).
+--max-resident-mb fails the run if peak resident memory exceeded the
+budget (Linux VmHWM; reported best-effort elsewhere). demo always stamps
+through the streaming LayerStore pipeline (score → insert → encode one
+layer at a time).
 
 fleet-provision splices every device artifact straight to its file;
 --jobs N is how many device files are written at a time, and how many
@@ -498,41 +498,28 @@ fn cmd_demo(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     let secrets = OwnerSecrets::new(quantized, stats, wm_cfg, seed ^ 0x51C);
 
-    if budget.is_some() {
-        // Streaming stamp path: score → insert → encode one layer at a
-        // time, records flowing straight to disk — neither the
-        // watermarked model nor either artifact is ever resident.
-        println!("streaming stamp path (one layer resident at a time)…");
-        let original_path = out_dir.join("original.emqm");
-        encode_model_into(&secrets.original, create_file(&original_path)?)
-            .map_err(|e| e.to_string())?;
-        // Stamp from the just-encoded artifact on disk rather than the
-        // resident model: real file loads let the pipeline-parallel
-        // stamp overlap layer N+1's read with layer N's bump + encode
-        // (a borrow of a resident layer has nothing to overlap). The
-        // loaded layers are bit-identical, so the deployed artifact is
-        // byte-identical to the resident-store stamp.
-        let original = File::open(&original_path)
-            .map_err(|e| format!("reading {}: {e}", original_path.display()))?;
-        let store = SparseArtifact::open_file(original).map_err(|e| e.to_string())?;
-        stream_watermark(
-            &store,
-            &secrets.stats,
-            &secrets.signature,
-            &secrets.config,
-            &mut ArtifactSink::new(create_file(&out_dir.join("deployed.emqm"))?),
-        )
+    // Score → insert → encode one layer at a time, records flowing
+    // straight to disk: neither the watermarked model nor either
+    // artifact is ever resident. The stamp reads the just-encoded
+    // original back from disk rather than the resident model: real file
+    // loads let the pipeline-parallel stamp overlap layer N+1's read with
+    // layer N's bump + encode (a borrow of a resident layer has nothing
+    // to overlap). The loaded layers are bit-identical, so the deployed
+    // artifact is byte-identical to a resident-model stamp.
+    let original_path = out_dir.join("original.emqm");
+    encode_model_into(&secrets.original, create_file(&original_path)?)
         .map_err(|e| e.to_string())?;
-    } else {
-        let deployed = secrets
-            .watermark_for_deployment()
-            .map_err(|e| e.to_string())?;
-        write_file(
-            &out_dir.join("original.emqm"),
-            &encode_model(&secrets.original),
-        )?;
-        write_file(&out_dir.join("deployed.emqm"), &encode_model(&deployed))?;
-    }
+    let original = File::open(&original_path)
+        .map_err(|e| format!("reading {}: {e}", original_path.display()))?;
+    let store = SparseArtifact::open_file(original).map_err(|e| e.to_string())?;
+    stream_watermark(
+        &store,
+        &secrets.stats,
+        &secrets.signature,
+        &secrets.config,
+        &mut ArtifactSink::new(create_file(&out_dir.join("deployed.emqm"))?),
+    )
+    .map_err(|e| e.to_string())?;
     write_file(&out_dir.join("secrets.emws"), &encode_secrets(&secrets))?;
     println!(
         "wrote {}/original.emqm, deployed.emqm, secrets.emws ({} watermark bits)",

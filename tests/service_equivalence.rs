@@ -8,6 +8,9 @@
 //! * `identify-leak` vs a fresh `FleetVerifier` linear scan;
 //! * suspects sent as path blobs (read file-backed) vs the same bytes
 //!   inline, intact and damaged;
+//! * vaults: the daemon accepts and refuses what `emmark verify` and
+//!   `fleet-provision` accept and refuse (a keyed vault with a grid byte
+//!   no decoder accepts, the keyless fixture);
 //! * plus the failure envelope: queue-full backpressure, malformed
 //!   frames, and the graceful shutdown drain.
 
@@ -18,7 +21,7 @@ use emmark::core::registry::{encode_manifest, load_sharded_registry, provision_s
 use emmark::core::service::{
     decode_response, encode_request, Blob, ReportSummary, Request, Response, Service, ServiceConfig,
 };
-use emmark::core::vault::encode_secrets;
+use emmark::core::vault::{audit_key, encode_secrets};
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::core::SparseArtifact;
 use emmark::nanolm::model::ActivationStats;
@@ -29,6 +32,8 @@ use emmark::quant::llm_int8::{llm_int8, OutlierCriterion};
 use emmark::quant::rtn::quantize_linear_rtn;
 use emmark::quant::smoothquant::{smoothquant, SmoothQuantConfig};
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
+use std::path::PathBuf;
+use std::process::Output;
 use std::sync::mpsc;
 
 const SCHEMES: [&str; 5] = ["rtn", "awq", "gptq", "smoothquant", "llm_int8"];
@@ -508,4 +513,204 @@ fn shutdown_drains_queued_requests_then_refuses_new_ones() {
         service.request(101, &Request::Ping),
         Response::Error { .. }
     ));
+}
+
+fn emmark(args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_emmark"))
+        .args(args)
+        .output()
+        .expect("run emmark")
+}
+
+/// A service that answers on the calling thread.
+fn inline_service() -> Service {
+    Service::start(ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    })
+}
+
+/// A keyed vault with a byte no 4-bit grid holds at a cell the key does
+/// not name. The CLI's keyed open never reads that cell, so `verify`
+/// proves ownership; provisioning decodes the whole model and refuses
+/// it. The daemon must answer both exactly as the CLI does.
+#[test]
+fn the_daemon_accepts_and_refuses_a_vault_as_the_cli_does() {
+    let (qm, stats) = quantize("awq", 601);
+    let secrets = OwnerSecrets::new(qm, stats, wm_cfg(), 0xB10C);
+    let deployed = encode_model(&secrets.watermark_for_deployment().expect("stamp")).to_vec();
+    let mut vault = encode_secrets(&secrets).to_vec();
+    let key = audit_key(&vault).expect("audit").key.expect("keyed");
+    let key_len = 4 + 8 + 4 + key.iter().map(|l| 4 + 8 * l.len()).sum::<usize>() + 8;
+    let key_start = vault.len() - key_len;
+    let model_start = key_start - encode_model(&secrets.original).len();
+    let entry = SparseArtifact::open(&vault[model_start..key_start])
+        .expect("embedded")
+        .layer_index()[0];
+    assert_eq!(entry.bits, 4);
+    let cell = (0..entry.cells())
+        .find(|f| !key[0].contains(f))
+        .expect("a non-key cell");
+    vault[model_start + entry.q_offset + cell] = 0x7F;
+
+    let dir = std::env::temp_dir().join(format!("emmark-svctest-grid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (vault_path, deployed_path) = (dir.join("grid.emws"), dir.join("deployed.emqm"));
+    std::fs::write(&vault_path, &vault).expect("write vault");
+    std::fs::write(&deployed_path, &deployed).expect("write suspect");
+    let (vault_arg, deployed_arg) = (
+        vault_path.display().to_string(),
+        deployed_path.display().to_string(),
+    );
+    let verify = emmark(&[
+        "verify",
+        "--secrets",
+        &vault_arg,
+        "--suspect",
+        &deployed_arg,
+    ]);
+    let out_dir = dir.join("fleet").display().to_string();
+    let provision = emmark(&[
+        "fleet-provision",
+        "--secrets",
+        &vault_arg,
+        "--out-dir",
+        &out_dir,
+        "--devices",
+        "2",
+        "--fp-bits",
+        "2",
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let service = inline_service();
+    let answer = service.request(
+        1,
+        &Request::Verify {
+            secrets: Blob::Inline(vault.clone()),
+            suspect: Blob::Inline(deployed.clone()),
+            log10_threshold: -9.0,
+        },
+    );
+    let Response::Verify { report, proved } = answer else {
+        panic!("the daemon refused a vault `emmark verify` accepts: {answer:?}");
+    };
+    assert!(
+        verify.status.success(),
+        "{}",
+        String::from_utf8_lossy(&verify.stderr)
+    );
+    assert!(proved);
+    let stdout = String::from_utf8_lossy(&verify.stdout);
+    let line = format!(
+        "matched {} / {} bits  (WER {:.1}%)",
+        report.matched_bits, report.total_bits, report.wer
+    );
+    assert!(stdout.lines().any(|l| l == line), "{line} not in {stdout}");
+    assert!(stdout.contains("verdict: OWNERSHIP PROVED"), "{stdout}");
+
+    let answer = service.request(
+        2,
+        &Request::Provision {
+            secrets: Blob::Inline(vault),
+            fingerprint_config: fp_cfg(),
+            device_id: "edge-00".into(),
+        },
+    );
+    let Response::Error { message } = answer else {
+        panic!("the daemon provisioned from a vault `fleet-provision` refuses: {answer:?}");
+    };
+    assert!(!provision.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&provision.stderr).trim(),
+        format!("error: {message}")
+    );
+    assert!(
+        message.ends_with("grid values exceed the 4-bit storage range"),
+        "{message}"
+    );
+}
+
+/// The keyless fixture (`tests/fixtures/keyless_v1`, a vault written
+/// before vaults carried a key, and a version 1 manifest) through the
+/// daemon: the verdicts `tests/compat_fixture.rs` pins for the CLI.
+#[test]
+fn the_daemon_reaches_the_keyless_fixture_verdicts_the_cli_does() {
+    let fixture = |name: &str| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/keyless_v1")
+            .join(name)
+            .display()
+            .to_string()
+    };
+    let vault = std::fs::read(fixture("secrets.emws")).expect("vault");
+    let service = inline_service();
+    for (i, suspect) in ["leaked-device-0005.emqm", "near-miss-deployed.emqm"]
+        .into_iter()
+        .enumerate()
+    {
+        let answer = service.request(
+            i as u64,
+            &Request::Verify {
+                secrets: Blob::Inline(vault.clone()),
+                suspect: Blob::Path(fixture(suspect)),
+                log10_threshold: -9.0,
+            },
+        );
+        let Response::Verify { report, proved } = answer else {
+            panic!("{suspect}: {answer:?}");
+        };
+        assert!(proved, "{suspect}");
+        assert_eq!(
+            [
+                format!(
+                    "matched {} / {} bits  (WER {:.1}%)",
+                    report.matched_bits, report.total_bits, report.wer
+                ),
+                format!("chance-match probability: 10^{:.1}", report.log10_p_chance),
+            ],
+            [
+                "matched 52 / 52 bits  (WER 100.0%)",
+                "chance-match probability: 10^-15.7",
+            ],
+            "{suspect}"
+        );
+    }
+    let identify = |id: u64, suspect: &str, linear: bool| {
+        service.request(
+            id,
+            &Request::IdentifyLeak {
+                secrets: Blob::Path(fixture("secrets.emws")),
+                registry: Blob::Path(fixture("fleet.emfm")),
+                suspect: Blob::Path(fixture(suspect)),
+                log10_threshold: -6.0,
+                linear,
+            },
+        )
+    };
+    for linear in [false, true] {
+        let answer = identify(10 + linear as u64, "leaked-device-0005.emqm", linear);
+        let Response::Identify {
+            matched: Some((device, report)),
+        } = answer
+        else {
+            panic!("linear: {linear}: {answer:?}");
+        };
+        assert_eq!(
+            format!(
+                "traced to {}: {} / {} fingerprint bits (WER {:.1}%), p = 10^{:.1}",
+                device.device_id,
+                report.matched_bits,
+                report.total_bits,
+                report.wer,
+                report.log10_p_chance
+            ),
+            "traced to device-0005: 39 / 39 fingerprint bits (WER 100.0%), p = 10^-11.7",
+            "linear: {linear}"
+        );
+    }
+    assert_eq!(
+        identify(12, "near-miss-deployed.emqm", false),
+        Response::Identify { matched: None }
+    );
 }

@@ -8,7 +8,9 @@
 //! attacked suspects; provisioning through the keyed path must write
 //! byte-identical fleets; and a key or pools that do not belong to their
 //! vault or fingerprint config — a flipped byte, a splice — are errors,
-//! never verdicts or fleets.
+//! never verdicts or fleets. A vault opened from a file and the same
+//! bytes opened from memory (the daemon's open) give the same error or
+//! the same reports, however the vault was damaged.
 
 use emmark::attacks::adaptive::{adaptive_attack, AdaptiveConfig};
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
@@ -23,6 +25,7 @@ use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded, FingerprintPools,
     ShardedFleet, ShardedRegistry,
 };
+use emmark::core::service::{Blob, ReportSummary, Request, Response, Service, ServiceConfig};
 use emmark::core::store::StoreError;
 use emmark::core::vault::{audit_key, decode_secrets, encode_secrets};
 use emmark::core::watermark::{locate_watermark, GridSource, OwnerSecrets, WatermarkConfig};
@@ -113,6 +116,59 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Per suspect, an ownership report or an error.
+type Answers = Vec<Result<String, String>>;
+
+/// The answers of a family opened from `vault`: from a file
+/// ([`Family::open`]), and from memory — a zero-worker daemon, which
+/// opens the vault bytes it is sent.
+fn file_and_memory_answers(
+    scratch: &Scratch,
+    vault: &[u8],
+    suspects: &[Vec<u8>],
+) -> (Answers, Answers) {
+    let opened = scratch.family("answer.emws", vault);
+    let from_file = (suspects.iter())
+        .map(|suspect| {
+            let family = opened.as_ref().map_err(|e| e.to_string())?;
+            let sparse = SparseArtifact::open(suspect).map_err(|e| e.to_string())?;
+            let report = family
+                .ownership_report(&sparse)
+                .map_err(|e| e.to_string())?;
+            family.check_reads().map_err(|e| e.to_string())?;
+            Ok(format!("{:?}", ReportSummary::from(&report)))
+        })
+        .collect();
+    let service = Service::start(ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    });
+    let from_memory = (suspects.iter().enumerate())
+        .map(|(i, suspect)| {
+            let request = Request::Verify {
+                secrets: Blob::Inline(vault.to_vec()),
+                suspect: Blob::Inline(suspect.clone()),
+                log10_threshold: -9.0,
+            };
+            match service.request(i as u64, &request) {
+                Response::Verify { report, .. } => Ok(format!("{report:?}")),
+                Response::Error { message } => Err(message),
+                other => panic!("unexpected response {other:?}"),
+            }
+        })
+        .collect();
+    (from_file, from_memory)
+}
+
+/// A device artifact and the base-only near miss of `secrets`' fleet.
+fn device_and_near_miss(secrets: &OwnerSecrets) -> Vec<Vec<u8>> {
+    let p = FleetProvisioner::new(secrets.clone(), fp_config(0xA11)).expect("provisioner");
+    vec![
+        p.provision_artifact("edge").artifact,
+        p.base_artifact().to_vec(),
+    ]
 }
 
 /// The vault without its key section: everything through the embedded
@@ -317,7 +373,8 @@ fn keyed_vault(seed: u64) -> (OwnerSecrets, Vec<u8>, usize) {
 #[test]
 fn a_flipped_key_byte_is_an_error_on_both_readers() {
     let scratch = Scratch::new("flip");
-    let (_, vault, key_start) = keyed_vault(0xF11E);
+    let (secrets, vault, key_start) = keyed_vault(0xF11E);
+    let suspects = device_and_near_miss(&secrets);
     assert!(vault.len() > key_start, "the vault carries a key");
     for at in key_start..vault.len() {
         for mask in [0x01u8, 0x80] {
@@ -335,7 +392,80 @@ fn a_flipped_key_byte_is_an_error_on_both_readers() {
                 .family("flip.emws", &evil)
                 .expect_err("Family::open must refuse");
             assert!(matches!(err, StoreError::Codec(_)), "byte {at}: {err}");
+            // From memory, the same words.
+            let (from_file, from_memory) = file_and_memory_answers(&scratch, &evil, &suspects);
+            assert_eq!(from_memory, from_file, "byte {at}");
+            assert_eq!(from_file[0], Err(err.to_string()), "byte {at}");
         }
+    }
+}
+
+/// Where the sections of `vault` (the keyed vault of `secrets`) begin:
+/// every head field, every stats layer, every section of the embedded
+/// artifact, and every field and layer of the key.
+fn vault_section_boundaries(vault: &[u8], secrets: &OwnerSecrets, key_start: usize) -> Vec<usize> {
+    let sig_end = 8 + 32 + 4 + secrets.signature.len();
+    let mut b = vec![0, 4, 8, 8 + 32, 8 + 32 + 4, sig_end];
+    let mut at = sig_end + 4;
+    for layer in &secrets.stats.per_layer {
+        b.push(at);
+        at += 4 + 8 * layer.mean_abs.len();
+    }
+    b.push(at);
+    let model_start = at + 4;
+    let embedded = SparseArtifact::open(&vault[model_start..key_start]).expect("embedded");
+    b.extend(
+        embedded
+            .section_boundaries()
+            .iter()
+            .map(|o| model_start + o),
+    );
+    b.extend([key_start + 4, key_start + 12, key_start + 16]);
+    let mut at = key_start + 16;
+    for _ in 0..embedded.layer_count() {
+        at += 4 + 8 * secrets.config.bits_per_layer;
+        b.push(at);
+    }
+    assert_eq!(at + 8, vault.len(), "the key ends in its checksum");
+    b.push(vault.len());
+    b.sort_unstable();
+    b.dedup();
+    b
+}
+
+/// The keyless fixture, and a keyed vault cut at every section
+/// boundary, open alike from a file and from memory: the same error, or
+/// the same reports on the device and near-miss suspects.
+#[test]
+fn file_and_memory_opens_agree_on_the_keyless_fixture_and_every_section_cut() {
+    let scratch = Scratch::new("cuts");
+    let fixture = |name: &str| {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/keyless_v1");
+        std::fs::read(dir.join(name)).expect("fixture")
+    };
+    let suspects = [
+        fixture("leaked-device-0005.emqm"),
+        fixture("near-miss-deployed.emqm"),
+    ];
+    let (from_file, from_memory) =
+        file_and_memory_answers(&scratch, &fixture("secrets.emws"), &suspects);
+    assert_eq!(from_memory, from_file, "keyless fixture");
+    assert!(from_file
+        .iter()
+        .all(|a| a.as_ref().is_ok_and(|r| r.contains("matched_bits: 52"))));
+
+    let (secrets, vault, key_start) = keyed_vault(0xC07);
+    let suspects = device_and_near_miss(&secrets);
+    let cuts = vault_section_boundaries(&vault, &secrets, key_start);
+    for &cut in &cuts {
+        let (from_file, from_memory) = file_and_memory_answers(&scratch, &vault[..cut], &suspects);
+        assert_eq!(from_memory, from_file, "cut at {cut}");
+        // Only the whole vault and the vault without its key open.
+        assert_eq!(
+            from_file.iter().all(Result::is_ok),
+            cut == key_start || cut == vault.len(),
+            "cut at {cut}: {from_file:?}"
+        );
     }
 }
 
@@ -429,11 +559,21 @@ fn pools_from_another_vault_or_fingerprint_config_are_errors() {
         .is_ok());
 }
 
-/// The vault and the v2 manifest every mutation case starts from.
-fn mutation_inputs() -> &'static (Vec<u8>, usize, Vec<u8>, usize) {
-    static INPUTS: OnceLock<(Vec<u8>, usize, Vec<u8>, usize)> = OnceLock::new();
+/// The vault and the v2 manifest every mutation case starts from, and
+/// the vault's device and near-miss suspects.
+struct MutationInputs {
+    vault: Vec<u8>,
+    key_start: usize,
+    manifest: Vec<u8>,
+    pools_start: usize,
+    suspects: Vec<Vec<u8>>,
+}
+
+fn mutation_inputs() -> &'static MutationInputs {
+    static INPUTS: OnceLock<MutationInputs> = OnceLock::new();
     INPUTS.get_or_init(|| {
         let (secrets, vault, key_start) = keyed_vault(0x3);
+        let suspects = device_and_near_miss(&secrets);
         let p = FleetProvisioner::new(secrets, fp_config(9)).expect("provisioner");
         let ids = ["a", "b", "c"];
         let fleet = provision_sharded(&p, &ids, 2, None).expect("provision");
@@ -446,7 +586,13 @@ fn mutation_inputs() -> &'static (Vec<u8>, usize, Vec<u8>, usize) {
                 .map(|p| 4 + 8 * p.len())
                 .sum::<usize>();
         let pools_start = manifest.len() - pools_len;
-        (vault, key_start, manifest, pools_start)
+        MutationInputs {
+            vault,
+            key_start,
+            manifest,
+            pools_start,
+            suspects,
+        }
     })
 }
 
@@ -455,30 +601,39 @@ proptest! {
 
     /// Byte mutations anywhere in a keyed vault and a v2 manifest, with
     /// half the cases aimed at the key and pools sections: never a
-    /// panic, and a mutated key or pools section never decodes.
+    /// panic, and a mutated key or pools section never decodes. The
+    /// mutated vault opens alike from a file and from memory.
     #[test]
     fn byte_mutations_of_vaults_and_manifests_never_panic(
         pick in 0usize..1_000_000,
         tail in 0usize..2,
         value in 0usize..256,
     ) {
-        let (vault, key_start, manifest, pools_start) = mutation_inputs();
-        for (bytes, section_start, decode) in [
-            (vault, *key_start, &(|b: &[u8]| decode_secrets(b).map(|_| ())) as &dyn Fn(&[u8]) -> Result<(), CodecError>),
-            (manifest, *pools_start, &|b: &[u8]| decode_manifest(b).map(|_| ())),
-        ] {
+        let inputs = mutation_inputs();
+        let mutate = |bytes: &[u8], section_start: usize| {
             let at = if tail == 1 {
                 section_start + pick % (bytes.len() - section_start)
             } else {
                 pick % bytes.len()
             };
-            let mut evil = bytes.clone();
+            let mut evil = bytes.to_vec();
             evil[at] = value as u8;
+            (at, evil)
+        };
+        for (bytes, section_start, decode) in [
+            (&inputs.vault, inputs.key_start, &(|b: &[u8]| decode_secrets(b).map(|_| ())) as &dyn Fn(&[u8]) -> Result<(), CodecError>),
+            (&inputs.manifest, inputs.pools_start, &|b: &[u8]| decode_manifest(b).map(|_| ())),
+        ] {
+            let (at, evil) = mutate(bytes, section_start);
             let result = decode(&evil);
             if at >= section_start && evil[at] != bytes[at] {
                 prop_assert!(result.is_err(), "mutated byte {at} decoded");
             }
         }
+        let scratch = Scratch::new("mutation");
+        let (at, evil) = mutate(&inputs.vault, inputs.key_start);
+        let (from_file, from_memory) = file_and_memory_answers(&scratch, &evil, &inputs.suspects);
+        prop_assert_eq!(from_memory, from_file, "mutated byte {}", at);
     }
 }
 
