@@ -10,14 +10,15 @@
 //! the leaked weights and returns the one with an overwhelming Eq. 8
 //! margin.
 
-use crate::deploy::{encode_model_into, SparseArtifact};
+use crate::deploy::SparseArtifact;
 use crate::scoring::layer_pool;
 use crate::signature::Signature;
 use crate::store::{materialize, LayerStore, StoreError};
-use crate::vault::key_binding;
+use crate::vault::{encode_secrets, open_family_bytes};
 use crate::watermark::{
-    apply_bits_at, extract_with_locations, locate_watermark, ExtractionReport, GridSource,
-    Locations, OwnerSecrets, ProofCutoff, WatermarkConfig, WatermarkError,
+    apply_bits_at, check_signature_len, extract_with_locations, locate_in_store, locate_layer,
+    locate_watermark, ExtractionReport, GridSource, Locations, OwnerSecrets, ProofCutoff,
+    WatermarkConfig, WatermarkError,
 };
 use bytes::Bytes;
 use emmark_nanolm::model::ActivationStats;
@@ -271,14 +272,15 @@ impl CellTable {
 /// invariant 2), and the pristine weights W. Every engine over the
 /// family shares one `Arc` of it.
 ///
-/// W is always read through one [`SparseArtifact`] plus the table of W
-/// at the key cells, over one of three byte sources: a keyed vault file
-/// ([`Self::open`]), keyed vault bytes already in memory (the daemon's
-/// open, the same parse), or the encoding of decoded secrets
-/// ([`Self::new`], which recomputes L). Verification from a keyed vault
-/// never re-runs Eqs. 2–4 or decodes the model. Extraction code cannot
-/// tell the sources apart: it reads W and the base-watermarked model
-/// through [`GridSource`], and they give bit-identical reports
+/// Every family is a vault opened by one parse, from a file
+/// ([`Self::open`]) or from bytes in memory (the daemon's open, and
+/// [`Self::new`], which opens the vault [`encode_secrets`] writes). W is
+/// read through one [`SparseArtifact`] over the vault's embedded
+/// artifact, plus the table of W at the key cells. L and its binding
+/// are read from the vault's key, or, for a keyless vault, derived at
+/// open by locating over that artifact one record at a time. Extraction
+/// code cannot tell the two apart: it reads W and the base-watermarked
+/// model through [`GridSource`], and they give bit-identical reports
 /// (DESIGN.md §5, invariant 13).
 #[derive(Debug)]
 pub struct Family {
@@ -290,7 +292,8 @@ pub struct Family {
     /// as the base-watermarked model every device starts from.
     bits: CellTable,
     /// W behind positioned reads or in memory. Nothing of it but the key
-    /// cells is read unless pools have to be scored or devices stamped.
+    /// cells is read unless L has to be derived, pools scored or devices
+    /// stamped.
     artifact: SparseArtifact<'static>,
     /// W at every key cell, read once at open.
     at_key: CellTable,
@@ -302,57 +305,37 @@ pub struct Family {
 }
 
 impl Family {
-    /// Validates the secret bundle and locates its ownership watermark
-    /// (the recompute path); a mis-sized signature is
-    /// [`WatermarkError::SignatureLength`]. W is encoded once and read
-    /// through the encoding, as from a vault.
+    /// The family of decoded secrets: the vault [`encode_secrets`]
+    /// writes for them, opened from memory, its key counted as derived.
+    /// A mis-sized signature is [`WatermarkError::SignatureLength`].
     ///
     /// # Errors
     ///
     /// Rejects an inconsistent bundle and propagates location errors.
     pub fn new(secrets: OwnerSecrets) -> Result<Self, WatermarkError> {
-        let OwnerSecrets {
-            original,
-            stats,
-            signature,
-            config,
-        } = secrets;
-        let locations = locate_watermark(&original, &stats, &config)?;
-        let binding = key_binding(&config, &signature, &stats, &original, &locations);
-        let at_key = CellTable::collect(&locations, |l, _, f| original.q_at(l, f));
-        let mut encoded = Vec::new();
-        encode_model_into(&original, &mut encoded).expect("encoding into a Vec cannot fail");
-        drop(original);
-        let range = 0..encoded.len();
-        let artifact =
-            SparseArtifact::open_owned(Arc::new(encoded), range).expect("an encoded model opens");
-        // The key derived here, as a vault would carry it.
-        let family = Self::keyed(
-            config, signature, stats, locations, binding, artifact, at_key,
-        )?;
-        Ok(Self {
-            keyed: false,
-            ..family
-        })
+        let vault = encode_secrets(&secrets);
+        drop(secrets);
+        let family = open_family_bytes(vault.to_vec()).map_err(StoreError::into_watermark)?;
+        Ok(family.keyed_by_vault(false))
     }
 
-    /// Opens an owner vault for verification. A keyed vault yields its
-    /// header, signature and derived key, with the embedded artifact
-    /// behind positioned reads: no decode, no Eqs. 2–4. A keyless vault
-    /// is read whole, decoded, and located ([`Self::new`]).
+    /// Opens an owner vault for verification: header, signature and
+    /// key, with the embedded artifact behind positioned reads — no
+    /// decode. A keyed vault costs no Eqs. 2–4; a keyless one derives its
+    /// key by locating over the artifact, one record at a time.
     ///
     /// # Errors
     ///
     /// I/O failures, the codec errors of [`crate::vault::decode_secrets`]
-    /// (a key that fails its checksum or binding included), and
-    /// [`Self::new`]'s errors.
+    /// (a key that fails its checksum or binding included), and the
+    /// location errors of a keyless vault.
     pub fn open(file: File) -> Result<Self, StoreError> {
         crate::vault::open_family(file)
     }
 
     /// A family over a key: L, its binding, and W's artifact with W at
     /// the key cells. A vault reader has checked the key's checksum,
-    /// shape, and binding against the vault.
+    /// shape, and binding against the vault, or derived the key.
     pub(crate) fn keyed(
         config: WatermarkConfig,
         signature: Signature,
@@ -383,9 +366,37 @@ impl Family {
         })
     }
 
+    /// The same family, its key marked as read from a vault (`true`) or
+    /// derived at open.
+    pub(crate) fn keyed_by_vault(self, keyed: bool) -> Self {
+        Self { keyed, ..self }
+    }
+
     /// Whether L came from a vault key rather than a recomputation.
     pub fn is_keyed(&self) -> bool {
         self.keyed
+    }
+
+    /// Length of the signature B.
+    pub(crate) fn signature_bits(&self) -> usize {
+        self.signature.len()
+    }
+
+    /// L recomputed over W's artifact, one record at a time — the
+    /// arbiter's check of a key ([`crate::vault::audit_key`]).
+    ///
+    /// # Errors
+    ///
+    /// Read and decode failures of the artifact, and location errors.
+    pub(crate) fn relocate(&self) -> Result<Locations, StoreError> {
+        locate_in_store(
+            &self.artifact,
+            &self.stats,
+            &self.config,
+            None,
+            locate_layer,
+            false,
+        )
     }
 
     /// The ownership locations L.
@@ -394,8 +405,8 @@ impl Family {
     }
 
     /// The binding the vault key and manifest pools must carry
-    /// ([`crate::vault`]): read from a keyed vault, hashed at
-    /// construction for decoded secrets.
+    /// ([`crate::vault`]): read from a keyed vault, hashed at open for a
+    /// keyless one.
     pub(crate) fn binding(&self) -> u64 {
         self.binding
     }
@@ -425,24 +436,12 @@ impl Family {
         })
     }
 
-    /// The base-watermarked model (W with the ownership bits applied at
-    /// L, identical to [`OwnerSecrets::watermark_for_deployment`] without
-    /// re-locating), decoded from the family's artifact.
-    ///
-    /// # Errors
-    ///
-    /// Read and decode failures of the artifact.
-    pub(crate) fn base_model(&self) -> Result<QuantizedModel, StoreError> {
-        let mut base = materialize(&self.artifact)?;
-        apply_bits_at(&mut base, &self.locations, &self.signature);
-        Ok(base)
-    }
-
     /// The base-watermarked model's v2 artifact: W's artifact read once,
     /// checked to still hold W at the key cells (the table read at open,
     /// which the binding covers), and patched with the ownership bit at
     /// every located cell. Nothing is decoded or re-encoded, and the
-    /// bytes equal the encoding of [`Self::base_model`].
+    /// bytes equal the encoding of the base-watermarked model
+    /// ([`OwnerSecrets::watermark_for_deployment`]).
     ///
     /// # Errors
     ///
@@ -512,22 +511,6 @@ impl GridSource for Family {
     }
 }
 
-/// The signature must cover `bits_per_layer` bits of every layer.
-fn check_signature_len(
-    config: &WatermarkConfig,
-    signature: &Signature,
-    n_layers: usize,
-) -> Result<(), WatermarkError> {
-    let expected = config.signature_len(n_layers);
-    if signature.len() != expected {
-        return Err(WatermarkError::SignatureLength {
-            expected,
-            got: signature.len(),
-        });
-    }
-    Ok(())
-}
-
 /// A [`Family`] extended for one fingerprint config: the per-layer
 /// fingerprint candidate pools (base-excluded) and the base-watermarked
 /// model at every pool cell — O(pool), never a model copy. The cache is
@@ -550,10 +533,9 @@ pub(crate) struct FamilyCache {
 }
 
 impl FamilyCache {
-    /// Scores the pools over `base_deployed` — the family's
-    /// base-watermarked model ([`Family::base_model`], or a store over
-    /// [`Family::base_artifact`]) — in one pass that also reads the
-    /// model at every pool cell.
+    /// Scores the pools over `base_deployed` — a store over the family's
+    /// base-watermarked model ([`Family::base_artifact`]) — in one pass
+    /// that also reads the model at every pool cell.
     ///
     /// # Errors
     ///
@@ -572,21 +554,6 @@ impl FamilyCache {
             &fingerprint_config,
         )?;
         Ok(Self::assemble(family, fingerprint_config, pools, base))
-    }
-
-    /// The recompute path: scores the pools over the family's
-    /// base-watermarked model.
-    ///
-    /// # Errors
-    ///
-    /// Decode failures of the family's artifact, and
-    /// [`Self::scored`]'s errors.
-    pub(crate) fn new(
-        family: Arc<Family>,
-        fingerprint_config: WatermarkConfig,
-    ) -> Result<Self, StoreError> {
-        let base = family.base_model()?;
-        Self::scored(family, fingerprint_config, &base)
     }
 
     /// Takes the pools a manifest persisted instead of scoring: checks
@@ -856,9 +823,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(keyed.is_keyed() && !decoded.is_keyed());
         assert_eq!(keyed.locations(), decoded.locations());
-        let scored =
-            FamilyCache::new(Arc::clone(&decoded), fleet.fingerprint_config).expect("cache");
-        let pools = crate::registry::FingerprintPools::of(&scored);
+        let provisioner = crate::provision::FleetProvisioner::for_family(
+            Arc::clone(&decoded),
+            fleet.fingerprint_config,
+        )
+        .expect("cache");
+        let scored = provisioner.family_cache();
+        let pools = crate::registry::FingerprintPools::of(scored);
         let from_pools =
             FamilyCache::with_pools(Arc::clone(&keyed), fleet.fingerprint_config, &pools)
                 .expect("pools");

@@ -33,6 +33,7 @@
 
 use crate::deploy::{CodecError, Section, SparseArtifact};
 use crate::fingerprint::{derive_device, keep_best, DeviceFingerprint, Family, FamilyCache, Fleet};
+use crate::provision::FleetProvisioner;
 use crate::registry::{FingerprintPools, LeakIndex};
 use crate::signature::Signature;
 use crate::store::StoreError;
@@ -169,19 +170,19 @@ impl FleetVerifier {
             .map_err(StoreError::into_watermark)
     }
 
-    /// Builds the engine over a located [`Family`] — decoded secrets, or
-    /// a keyed vault opened with [`Family::open`]. The fingerprint pools
-    /// come from `pools` (a manifest's, checked against the family's
-    /// binding and grid) when given, and are scored over the family's
-    /// base-watermarked model otherwise (decoding a keyed vault's
-    /// artifact to do so). The two sources differ only there: extraction
-    /// is the same code and verdicts are bit-identical.
+    /// Builds the engine over an opened [`Family`] ([`Family::open`], or
+    /// [`Family::new`] over decoded secrets). The fingerprint pools come
+    /// from `pools` (a manifest's, checked against the family's binding
+    /// and grid) when given. Otherwise they are scored as
+    /// [`FleetProvisioner::for_family`] scores them: over the family's
+    /// base artifact, one record at a time. The two sources differ only
+    /// there: extraction is the same code and verdicts are bit-identical.
     ///
     /// # Errors
     ///
     /// An invalid fingerprint config, pools that do not belong to the
-    /// family, pool-scoring errors, and read or decode failures of a
-    /// keyed vault's artifact.
+    /// family, pool-scoring errors, and read or decode failures of the
+    /// vault's artifact.
     pub fn for_family(
         family: Family,
         fingerprint_config: WatermarkConfig,
@@ -190,10 +191,12 @@ impl FleetVerifier {
     ) -> Result<Self, StoreError> {
         let family = Arc::new(family);
         let cache = match pools {
-            Some(pools) => FamilyCache::with_pools(family, fingerprint_config, pools)?,
-            None => FamilyCache::new(family, fingerprint_config)?,
+            Some(pools) => Arc::new(FamilyCache::with_pools(family, fingerprint_config, pools)?),
+            None => {
+                Arc::clone(FleetProvisioner::for_family(family, fingerprint_config)?.family_cache())
+            }
         };
-        Ok(Self::from_cache(Arc::new(cache), devices))
+        Ok(Self::from_cache(cache, devices))
     }
 
     /// Builds the engine around an already-built [`FamilyCache`] — the
@@ -659,7 +662,8 @@ pub fn encode_registry(
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on malformed input.
+/// Returns a [`CodecError`] on malformed input, including any byte after
+/// the last device entry.
 pub fn decode_registry(
     bytes: &[u8],
 ) -> Result<(WatermarkConfig, Vec<DeviceFingerprint>), CodecError> {
@@ -674,6 +678,8 @@ pub fn decode_registry(
     for i in 0..count {
         devices.push(read_device_entry(&mut r, i)?);
     }
+    r.enter(Section::Registry);
+    r.finish("device entries")?;
     Ok((config, devices))
 }
 
@@ -851,6 +857,16 @@ mod tests {
                 "cut {cut} must not decode"
             );
         }
+        let mut trailing = bytes.to_vec();
+        trailing.extend_from_slice(&[0; 3]);
+        assert_eq!(
+            decode_registry(&trailing).expect_err("trailing bytes"),
+            CodecError::Corrupt {
+                section: Section::Registry,
+                offset: bytes.len(),
+                msg: "3 trailing bytes after the device entries".into(),
+            }
+        );
     }
 
     #[test]

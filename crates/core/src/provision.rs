@@ -13,10 +13,10 @@
 //! (ownership locations, fingerprint pools, the base-watermarked model
 //! at every pool cell) plus the base artifact's **v2 bytes and
 //! layer-offset index** — no model. Everything is built from one set of
-//! bytes (`Family::base_artifact`): a keyed vault's embedded artifact
-//! with the ownership bits patched in, or the encoding of decoded
-//! secrets' base model. The pools are scored over those bytes one
-//! decoded record at a time. Provisioning one device is then pure PRNG
+//! bytes (`Family::base_artifact`): the vault's embedded artifact with
+//! the ownership bits patched in. The pools are scored over those bytes
+//! one decoded record at a time; every pool not taken from a manifest is
+//! scored here ([`FleetVerifier::for_family`] included). Provisioning one device is then pure PRNG
 //! sampling plus a delta patch: the device artifact is the base artifact
 //! with the fingerprinted cells poked through the offset index
 //! ([`crate::deploy::patch_artifact`]), or spliced in flight straight to
@@ -28,8 +28,8 @@
 //! Cached and serial paths are bit-for-bit identical: provisioned
 //! models equal [`Fleet::provision`]'s, and provisioned artifacts are
 //! *byte*-identical to encoding the serial models, whether the family
-//! came from decoded secrets or a keyed vault. The module tests and
-//! `tests/provision_equivalence.rs` pin these equivalences.
+//! came from decoded secrets or a keyed or keyless vault. The module
+//! tests and `tests/provision_equivalence.rs` pin these equivalences.
 
 use crate::deploy::{decode_model, splice_patches, CellPatch, LayerIndexEntry, SparseArtifact};
 use crate::fingerprint::{DeviceFingerprint, Family, FamilyCache, Fleet};
@@ -90,10 +90,11 @@ impl FleetProvisioner {
             .map_err(StoreError::into_watermark)
     }
 
-    /// Builds the engine over a located family: decoded secrets, or a
-    /// keyed vault opened with [`Family::open`] (no decode, no
-    /// Eqs. 2–4). Both take the same path from the base artifact's bytes
-    /// on, and provision byte-identical devices.
+    /// Builds the engine over an opened family: a vault opened with
+    /// [`Family::open`] (keyed, or keyless with its key derived at open),
+    /// or decoded secrets through [`Family::new`]. All take the same path
+    /// from the base artifact's bytes on, and provision byte-identical
+    /// devices.
     ///
     /// The whole base artifact is decoded once, one record at a time, as
     /// the pools are scored over it: a vault whose embedded model does

@@ -330,7 +330,8 @@ pub struct FingerprintPools {
 
 impl FingerprintPools {
     /// Scores the pools for `secrets` under `fingerprint_config` —
-    /// Eqs. 2–4 over the base-watermarked model, the recomputation a
+    /// Eqs. 2–4 over the base-watermarked model, as
+    /// [`FleetProvisioner::new`] scores them — the recomputation a
     /// manifest's pools must equal.
     ///
     /// # Errors
@@ -341,10 +342,8 @@ impl FingerprintPools {
         secrets: OwnerSecrets,
         fingerprint_config: WatermarkConfig,
     ) -> Result<Self, WatermarkError> {
-        let family = std::sync::Arc::new(Family::new(secrets)?);
-        let cache =
-            FamilyCache::new(family, fingerprint_config).map_err(StoreError::into_watermark)?;
-        Ok(Self::of(&cache))
+        let provisioner = FleetProvisioner::new(secrets, fingerprint_config)?;
+        Ok(Self::of(provisioner.family_cache()))
     }
 
     /// The pools of a family cache.
@@ -828,9 +827,9 @@ impl ShardedRegistry {
     }
 
     /// Decomposes into `(fingerprint config, devices, leak index)` — the
-    /// raw parts a caller feeds to [`FleetVerifier::from_parts`] and
-    /// [`FleetVerifier::with_index`] when it manages family-cache
-    /// construction itself and must build it exactly once.
+    /// raw parts a caller feeds, with [`Self::pools`], to
+    /// [`FleetVerifier::for_family`] and [`FleetVerifier::with_index`]
+    /// when it builds the family cache itself, exactly once.
     pub fn into_parts(self) -> (WatermarkConfig, Vec<DeviceFingerprint>, LeakIndex) {
         (self.fingerprint_config, self.devices, self.index)
     }
@@ -852,8 +851,8 @@ impl ShardedRegistry {
     /// Builds the verification engine over this registry and a located
     /// family, the persisted leak index attached. The family cache takes
     /// the manifest's pools when it carries them (checked against the
-    /// family's binding) and recomputes them otherwise
-    /// ([`FleetVerifier::for_family`]).
+    /// family's binding) and scores them over the family's base artifact
+    /// otherwise ([`FleetVerifier::for_family`]).
     ///
     /// # Errors
     ///

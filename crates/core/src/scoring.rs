@@ -310,8 +310,9 @@ pub fn layer_pool(
     // once the heap is full — a cell can enter only with a strictly
     // smaller score (an equal score loses the index tie-break, because
     // the grid is walked in ascending index order).
+    // `pool_size` may come from an untrusted vault: reserve what the layer holds.
     let mut heap: std::collections::BinaryHeap<Scored> =
-        std::collections::BinaryHeap::with_capacity(pool_size + 1);
+        std::collections::BinaryHeap::with_capacity(pool_size.min(layer.len()) + 1);
     let mut threshold = f64::INFINITY;
     let mut available = 0usize;
     let mut excl = excluded;
@@ -482,7 +483,7 @@ pub mod reference {
         excluded_sorted.sort_unstable();
         let out = layer.out_features();
         let mut heap: std::collections::BinaryHeap<Scored> =
-            std::collections::BinaryHeap::with_capacity(pool_size + 1);
+            std::collections::BinaryHeap::with_capacity(pool_size.min(layer.len()) + 1);
         let mut available = 0usize;
         for f in 0..layer.len() {
             if layer.is_clamped_flat(f) || layer.is_outlier_flat(f) {

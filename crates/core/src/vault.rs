@@ -31,12 +31,15 @@
 //!
 //! **The derived key.** L is a pure function of (W, A_f, α, β, d)
 //! (DESIGN.md §5, invariant 2), so [`encode_secrets`] derives it once
-//! ([`locate_watermark`]) and stores it after the model. Verification
-//! ([`crate::fingerprint::Family::open`]) then reads the header, the
+//! ([`locate_watermark`]) and stores it after the model. Opening a vault
+//! ([`crate::fingerprint::Family::open`]) reads the header, the
 //! signature and the key, and W only at the cells it probes, through
 //! [`SparseArtifact`] on the embedded artifact — no decode, no Eqs. 2–4.
-//! The recomputation stays as the arbiter's audit ([`audit_key`],
-//! `emmark inspect`; invariant 13).
+//! A vault written without a key opens the same way, except that its key
+//! is derived at open: L is located over that artifact one record at a
+//! time, and the binding hashed as [`encode_secrets`] would have hashed
+//! it. Recomputing L over a keyed vault is the arbiter's audit
+//! ([`audit_key`], `emmark inspect`; invariant 13).
 //!
 //! The key is bound to what it derives from. `checksum` is the FNV-1a
 //! hash of the section from the tag through the last flat index, so a
@@ -47,8 +50,7 @@
 //! other A_f, α, β, d or B, or other W at the key cells — fails too. The
 //! manifest's fingerprint pools carry the same binding
 //! ([`crate::registry`]). A mismatch is a [`CodecError`], never a
-//! verdict. Vaults written without a key stay readable and take the
-//! recompute path.
+//! verdict.
 
 use crate::deploy::{
     artifact_version, decode_model, encode_model, parse_windowed, put_watermark_config, CodecError,
@@ -59,10 +61,12 @@ use crate::fleet::{read_config_header, read_device_entry};
 use crate::provision::ProvisionedDevice;
 use crate::signature::Signature;
 use crate::store::StoreError;
-use crate::watermark::{locate_watermark, GridSource, Locations, OwnerSecrets, WatermarkConfig};
+use crate::watermark::{
+    locate_in_store, locate_layer, locate_watermark, GridSource, Locations, OwnerSecrets,
+    WatermarkConfig,
+};
 use bytes::{BufMut, Bytes, BytesMut};
 use emmark_nanolm::model::{ActivationStats, LayerActivation};
-use emmark_quant::QuantizedModel;
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -113,20 +117,6 @@ fn bind_cells(head_hash: u64, locations: &Locations, w: impl Fn(usize, usize) ->
         }
     }
     h
-}
-
-/// The binding a key (and the fingerprint pools derived with it) carries
-/// for decoded secrets located at `locations`.
-pub(crate) fn key_binding(
-    config: &WatermarkConfig,
-    signature: &Signature,
-    stats: &ActivationStats,
-    original: &QuantizedModel,
-    locations: &Locations,
-) -> u64 {
-    let mut head = BytesMut::new();
-    put_head(&mut head, config, signature, stats);
-    bind_cells(fxhash(&head), locations, |l, f| original.q_at(l, f))
 }
 
 /// Serializes the secret bundle (v2, embedding an indexed v2 model
@@ -351,56 +341,28 @@ fn check_key_shape<G: GridSource + ?Sized>(
     Ok(())
 }
 
-/// Checks a key's binding: `head_hash` continued over W at the key cells.
-fn check_binding(
-    binding: u64,
+/// The binding of L: `head_hash` continued over W at its cells — checked
+/// against the one a key carries, or derived for a keyless vault.
+fn bind_key(
+    key_binding: Option<u64>,
     head_hash: u64,
     locations: &Locations,
     w: impl Fn(usize, usize) -> i8,
     offset: usize,
-) -> Result<(), CodecError> {
-    if bind_cells(head_hash, locations, w) != binding {
+) -> Result<u64, CodecError> {
+    let binding = bind_cells(head_hash, locations, w);
+    if key_binding.is_some_and(|b| b != binding) {
         return Err(key_mismatch(
             offset,
             "key is bound to another vault (spliced key, or W changed at the key cells)".into(),
         ));
     }
-    Ok(())
-}
-
-/// Decodes a vault: the secrets, and its key when it carries one
-/// (checksum, shape and binding checked against the decoded model).
-fn decode_vault(bytes: &[u8]) -> Result<(OwnerSecrets, Option<Locations>), CodecError> {
-    let mut r = Reader::new(bytes, Section::Vault);
-    let head = read_head(&mut r)?;
-    let head_end = r.offset() - 4;
-    let model_bytes = r.take(head.model_len, "model bytes")?;
-    check_model_version(model_bytes)?;
-    let original = decode_model(model_bytes)?;
-    let key_start = r.offset();
-    check_stats_fit(&head.stats, &original, key_start)?;
-    let key = if key_start == bytes.len() {
-        None
-    } else {
-        let (binding, locations) = read_key(&bytes[key_start..], key_start)?;
-        check_key_shape(&locations, &head.config, &original, key_start)?;
-        let head_hash = fxhash(&bytes[HEAD_START..head_end]);
-        let w = |l, f| original.q_at(l, f);
-        check_binding(binding, head_hash, &locations, w, key_start)?;
-        Some(locations)
-    };
-    let secrets = OwnerSecrets {
-        original,
-        stats: head.stats,
-        signature: head.signature,
-        config: head.config,
-    };
-    Ok((secrets, key))
+    Ok(binding)
 }
 
 /// Deserializes a v2 secret bundle. A derived key, when present, is
-/// checked (checksum, shape, binding) and then dropped: the decoded
-/// secrets locate themselves.
+/// checked (checksum, shape, binding) against the decoded model and then
+/// dropped: the decoded secrets locate themselves.
 ///
 /// # Errors
 ///
@@ -410,7 +372,27 @@ fn decode_vault(bytes: &[u8]) -> Result<(OwnerSecrets, Option<Locations>), Codec
 /// version disagrees with the vault's, and [`CodecError::Corrupt`] for
 /// a key that fails its checks or any byte after the last section.
 pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
-    decode_vault(bytes).map(|(secrets, _)| secrets)
+    let mut r = Reader::new(bytes, Section::Vault);
+    let head = read_head(&mut r)?;
+    let head_end = r.offset() - 4;
+    let model_bytes = r.take(head.model_len, "model bytes")?;
+    check_model_version(model_bytes)?;
+    let original = decode_model(model_bytes)?;
+    let key_start = r.offset();
+    check_stats_fit(&head.stats, &original, key_start)?;
+    if key_start < bytes.len() {
+        let (binding, locations) = read_key(&bytes[key_start..], key_start)?;
+        check_key_shape(&locations, &head.config, &original, key_start)?;
+        let head_hash = fxhash(&bytes[HEAD_START..head_end]);
+        let w = |l, f| original.q_at(l, f);
+        bind_key(Some(binding), head_hash, &locations, w, key_start)?;
+    }
+    Ok(OwnerSecrets {
+        original,
+        stats: head.stats,
+        signature: head.signature,
+        config: head.config,
+    })
 }
 
 /// The arbiter's check of a vault's key (paper §4.1): L recomputed from
@@ -437,19 +419,25 @@ impl KeyAudit {
     }
 }
 
-/// Decodes a vault and recomputes its ownership locations, for
-/// comparison with its key ([`KeyAudit`]).
+/// Opens a vault as [`Family::open`] does and recomputes its ownership
+/// locations over the embedded artifact, one record at a time, for
+/// comparison with its key ([`KeyAudit`]). A keyless vault's derived key
+/// is that recomputation.
 ///
 /// # Errors
 ///
-/// [`decode_secrets`]'s errors, and location errors.
+/// [`Family::open`]'s errors, and the recomputation's read, decode and
+/// location errors.
 pub fn audit_key(bytes: &[u8]) -> Result<KeyAudit, StoreError> {
-    let (secrets, key) = decode_vault(bytes)?;
-    let recomputed = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)
-        .map_err(StoreError::Watermark)?;
+    let family = open_family_bytes(bytes.to_vec())?;
+    let key = family.is_keyed().then(|| family.locations().clone());
+    let recomputed = match &key {
+        Some(_) => family.relocate()?,
+        None => family.locations().clone(),
+    };
     Ok(KeyAudit {
-        layers: secrets.original.layer_count(),
-        signature_bits: secrets.signature.len(),
+        layers: family.source_layer_count(),
+        signature_bits: family.signature_bits(),
         key,
         recomputed,
     })
@@ -488,9 +476,10 @@ pub(crate) fn open_family_bytes(bytes: Vec<u8>) -> Result<Family, StoreError> {
 
 /// The one vault parse, over a vault of `len` bytes that `read(offset,
 /// n, what)` serves: header, signature, stats and key are read, and W
-/// only at the key cells, through the embedded artifact `artifact(start,
-/// len)` opens. A keyless vault is read whole, decoded, and located
-/// ([`Family::new`]).
+/// through the embedded artifact `artifact(start, len)` opens. A keyed
+/// vault's W is read at the key cells only. A keyless vault's key is
+/// derived here: L is located over the artifact one record at a time,
+/// and its binding hashed as [`encode_secrets`] hashes it.
 fn open_vault<'v>(
     len: usize,
     read: impl Fn(usize, usize, &'static str) -> Result<Cow<'v, [u8]>, StoreError>,
@@ -507,11 +496,14 @@ fn open_vault<'v>(
         },
     )?;
     let key_start = model_start.saturating_add(head.model_len);
-    if key_start >= len {
-        // Keyless (or truncated): the recompute path decodes everything
-        // and reports truncation with the usual context.
-        let bytes = read(0, len, "reading the vault")?;
-        return Ok(Family::new(decode_secrets(&bytes)?)?);
+    if key_start > len {
+        // Worded as `decode_secrets` words it.
+        return Err(CodecError::Truncated {
+            section: Section::Vault,
+            what: "model bytes",
+            offset: model_start,
+        }
+        .into());
     }
     let head_hash = fxhash(&window[HEAD_START..model_start - 4]);
     check_model_version(&read(
@@ -519,17 +511,25 @@ fn open_vault<'v>(
         head.model_len.min(8),
         "reading the vault model",
     )?)?;
-    let key_bytes = read(key_start, len - key_start, "reading the vault key")?;
-    let (binding, locations) = read_key(&key_bytes, key_start)?;
     let artifact = artifact(model_start, head.model_len)?;
     check_stats_fit(&head.stats, &artifact, key_start)?;
-    check_key_shape(&locations, &head.config, &artifact, key_start)?;
+    let (locations, key_binding) = if key_start == len {
+        // The signature is checked first, as `OwnerSecrets::verify` does.
+        let (sig, stats, cfg) = (Some(&head.signature), &head.stats, &head.config);
+        let derived = locate_in_store(&artifact, stats, cfg, sig, locate_layer, false)?;
+        (derived, None)
+    } else {
+        let key_bytes = read(key_start, len - key_start, "reading the vault key")?;
+        let (binding, locations) = read_key(&key_bytes, key_start)?;
+        check_key_shape(&locations, &head.config, &artifact, key_start)?;
+        (locations, Some(binding))
+    };
     // W at the key cells, read once: the binding covers them, and every
     // ownership report reads them.
     let at_key = CellTable::collect(&locations, |l, _, f| artifact.q_cell(l, f));
     artifact.check_reads()?;
     let w = |l, f| at_key.get(l, f).expect("the table holds every key cell");
-    check_binding(binding, head_hash, &locations, w, key_start)?;
+    let binding = bind_key(key_binding, head_hash, &locations, w, key_start)?;
     // Selection excludes min/max-level cells; a key naming one cannot
     // have been derived from this W.
     for (l, layer) in locations.iter().enumerate() {
@@ -542,7 +542,7 @@ fn open_vault<'v>(
             .into());
         }
     }
-    Ok(Family::keyed(
+    let family = Family::keyed(
         head.config,
         head.signature,
         head.stats,
@@ -550,7 +550,8 @@ fn open_vault<'v>(
         binding,
         artifact,
         at_key,
-    )?)
+    )?;
+    Ok(family.keyed_by_vault(key_binding.is_some()))
 }
 
 const FLEET_MAGIC: &[u8; 4] = b"EMFB";
@@ -774,7 +775,9 @@ const BUNDLE_ENTRY_FIXED_BYTES: usize = 4 + 8 + 8 + 4;
 /// [`Section`] + byte-offset context as the deploy codec
 /// ([`Section::Device`] names the failing entry).
 ///
-/// The iterator is fused on error: after a failure, `next()` returns
+/// After the last declared entry the source must end: any byte left is
+/// a [`CodecError::Corrupt`], yielded in place of a further entry. The
+/// iterator is fused after an error or the end: `next()` then returns
 /// `None` (a broken length word makes everything after it garbage).
 #[derive(Debug)]
 pub struct FleetBundleStream<R: Read> {
@@ -783,7 +786,7 @@ pub struct FleetBundleStream<R: Read> {
     fingerprint_config: WatermarkConfig,
     declared: usize,
     yielded: usize,
-    failed: bool,
+    done: bool,
 }
 
 impl<R: Read> FleetBundleStream<R> {
@@ -819,7 +822,7 @@ impl<R: Read> FleetBundleStream<R> {
             fingerprint_config,
             declared,
             yielded: 0,
-            failed: false,
+            done: false,
         })
     }
 
@@ -891,19 +894,38 @@ impl<R: Read> FleetBundleStream<R> {
             artifact,
         })
     }
+
+    /// Errors unless the source ends after the last declared entry.
+    fn check_end(&mut self) -> Result<(), StoreError> {
+        match std::io::copy(&mut self.src, &mut std::io::sink()) {
+            Ok(0) => Ok(()),
+            Ok(n) => Err(CodecError::Corrupt {
+                section: Section::Bundle,
+                offset: self.offset,
+                msg: format!("{n} trailing bytes after the device entries"),
+            }
+            .into()),
+            Err(source) => Err(StoreError::Io {
+                what: "reading a fleet bundle",
+                source,
+            }),
+        }
+    }
 }
 
 impl<R: Read> Iterator for FleetBundleStream<R> {
     type Item = Result<ProvisionedDevice, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.yielded == self.declared {
+        if self.done {
             return None;
         }
-        let entry = self.read_entry();
-        if entry.is_err() {
-            self.failed = true;
+        if self.yielded == self.declared {
+            self.done = true;
+            return self.check_end().err().map(Err);
         }
+        let entry = self.read_entry();
+        self.done = entry.is_err();
         Some(entry)
     }
 }
@@ -973,7 +995,8 @@ fn read_exact_at<R: Read>(
 ///
 /// Returns a [`CodecError`] on malformed input, including
 /// [`CodecError::MixedVersion`] when an embedded artifact's format
-/// version disagrees with the bundle's.
+/// version disagrees with the bundle's, and any byte after the last
+/// device entry.
 pub fn decode_fleet_bundle(bytes: &[u8]) -> Result<FleetBundle, CodecError> {
     // On an in-memory slice the only I/O failure is a short read, which
     // the stream already reports as a positioned `Truncated`.

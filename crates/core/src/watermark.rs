@@ -10,9 +10,7 @@
 
 use crate::scoring::{layer_pool, PoolError, ScoreCoefficients};
 use crate::signature::Signature;
-use crate::store::{
-    for_each_layer_prefetched, ArtifactSink, LayerRecordMeta, LayerSink, LayerStore, StoreError,
-};
+use crate::store::{for_each_layer_prefetched, ArtifactSink, LayerSink, LayerStore, StoreError};
 use crate::telemetry;
 use emmark_nanolm::model::ActivationStats;
 use emmark_quant::{QuantizedLinear, QuantizedModel};
@@ -203,24 +201,70 @@ pub fn locate_watermark(
     stats: &ActivationStats,
     cfg: &WatermarkConfig,
 ) -> Result<Locations, WatermarkError> {
+    let located = locate_in_store(original, stats, cfg, None, locate_layer, false);
+    located.map_err(StoreError::into_watermark)
+}
+
+/// The one locate loop, [`locate_watermark`] over any [`LayerStore`]:
+/// `locate` on every layer under its sub-seed, one layer resident (plus
+/// one in flight, loaded on a worker, when `overlap`). Over an artifact
+/// each record is decoded (and value-checked) once and dropped, so W is
+/// never resident whole. The config, the stats' layer count and the
+/// `signature`'s length, when one is given, are checked first.
+pub(crate) fn locate_in_store<S: LayerStore + Sync + ?Sized>(
+    store: &S,
+    stats: &ActivationStats,
+    cfg: &WatermarkConfig,
+    signature: Option<&Signature>,
+    locate: LocateFn,
+    overlap: bool,
+) -> Result<Locations, StoreError> {
     cfg.validate()?;
-    if stats.layer_count() != original.layer_count() {
+    let n = store.store_layer_count();
+    if stats.layer_count() != n {
         return Err(WatermarkError::ShapeMismatch(format!(
-            "activation stats cover {} layers, model has {}",
-            stats.layer_count(),
-            original.layer_count()
-        )));
+            "activation stats cover {} layers, model has {n}",
+            stats.layer_count()
+        ))
+        .into());
     }
-    // One deterministic sub-seed per layer, derived from the secret seed.
+    if let Some(signature) = signature {
+        check_signature_len(cfg, signature, n)?;
+    }
+    // One sub-seed per layer, drawn up front from the secret seed.
     let mut sm = SplitMix64::new(cfg.selection_seed);
-    let mut locations = Vec::with_capacity(original.layer_count());
-    for (l, layer) in original.layers.iter().enumerate() {
-        let layer_seed = sm.next_u64();
-        let locs = locate_layer(layer, &stats.per_layer[l].mean_abs, cfg, layer_seed)
+    let seeds: Vec<u64> = (0..n).map(|_| sm.next_u64()).collect();
+    let mut locations = Vec::with_capacity(n);
+    let mut step = |l: usize, layer: Cow<'_, QuantizedLinear>| -> Result<(), StoreError> {
+        let locs = locate(&layer, &stats.per_layer[l].mean_abs, cfg, seeds[l])
             .map_err(|source| WatermarkError::Pool { layer: l, source })?;
         locations.push(locs);
+        Ok(())
+    };
+    if overlap {
+        for_each_layer_prefetched(store, step)?;
+    } else {
+        for l in 0..n {
+            step(l, store.load_layer(l)?)?;
+        }
     }
     Ok(locations)
+}
+
+/// The signature must cover `bits_per_layer` bits of every layer.
+pub(crate) fn check_signature_len(
+    cfg: &WatermarkConfig,
+    signature: &Signature,
+    n_layers: usize,
+) -> Result<(), WatermarkError> {
+    let expected = cfg.signature_len(n_layers);
+    if signature.len() != expected {
+        return Err(WatermarkError::SignatureLength {
+            expected,
+            got: signature.len(),
+        });
+    }
+    Ok(())
 }
 
 /// The per-layer unit of location reproduction: Eqs. 2–4 pool the
@@ -362,50 +406,18 @@ where
     S: LayerStore + Sync + ?Sized,
     K: LayerSink + ?Sized,
 {
-    cfg.validate()?;
     // Prefetching a borrow from an already-resident store cannot pay
     // for the per-layer thread hand-off, so overlap only real loads.
     let overlap = overlap && !store.layers_resident();
-    let n = store.store_layer_count();
-    if stats.layer_count() != n {
-        return Err(WatermarkError::ShapeMismatch(format!(
-            "activation stats cover {} layers, model has {n}",
-            stats.layer_count()
-        ))
-        .into());
-    }
-    let expected = cfg.signature_len(n);
-    if signature.len() != expected {
-        return Err(WatermarkError::SignatureLength {
-            expected,
-            got: signature.len(),
-        }
-        .into());
-    }
-    // Layer sub-seeds are drawn up front so the sweeps are pure
-    // per-layer functions, free to overlap.
-    let mut sm = SplitMix64::new(cfg.selection_seed);
-    let seeds: Vec<u64> = (0..n).map(|_| sm.next_u64()).collect();
-    // Sweep 1 — locate + size, one layer resident (plus one in flight).
-    let mut locations = Vec::with_capacity(n);
-    let mut metas = Vec::with_capacity(n);
-    {
-        let _sweep_span = telemetry::Span::enter(&telemetry::STAMP_LOCATE_NS);
-        let mut sweep = |l: usize, layer: Cow<'_, QuantizedLinear>| -> Result<(), StoreError> {
-            let locs = locate(layer.as_ref(), &stats.per_layer[l].mean_abs, cfg, seeds[l])
-                .map_err(|source| WatermarkError::Pool { layer: l, source })?;
-            locations.push(locs);
-            metas.push(LayerRecordMeta::of(layer.as_ref()));
-            Ok(())
-        };
-        if overlap {
-            for_each_layer_prefetched(store, sweep)?;
-        } else {
-            for l in 0..n {
-                sweep(l, store.load_layer(l)?)?;
-            }
-        }
-    }
+    // Sweep 1 — locate, one layer resident (plus one in flight); record
+    // sizes come from `layer_meta` (an artifact's index).
+    let sweep_span = telemetry::Span::enter(&telemetry::STAMP_LOCATE_NS);
+    let locations = locate_in_store(store, stats, cfg, Some(signature), locate, overlap)?;
+    let n = locations.len();
+    let metas = (0..n)
+        .map(|l| store.layer_meta(l))
+        .collect::<Result<Vec<_>, _>>()?;
+    drop(sweep_span);
     // Sweep 2 — insert + encode, streaming each stamped layer out.
     sink.begin(&store.head()?, &metas)?;
     {
@@ -476,13 +488,7 @@ pub fn insert_watermark(
     signature: &Signature,
     cfg: &WatermarkConfig,
 ) -> Result<InsertedWatermark, WatermarkError> {
-    let expected = cfg.signature_len(model.layer_count());
-    if signature.len() != expected {
-        return Err(WatermarkError::SignatureLength {
-            expected,
-            got: signature.len(),
-        });
-    }
+    check_signature_len(cfg, signature, model.layer_count())?;
     let locations = locate_watermark(model, stats, cfg)?;
     apply_bits_at(model, &locations, signature);
     Ok(InsertedWatermark {
@@ -703,13 +709,7 @@ pub fn extract_watermark<S: GridSource + ?Sized>(
     signature: &Signature,
     cfg: &WatermarkConfig,
 ) -> Result<ExtractionReport, WatermarkError> {
-    let expected = cfg.signature_len(original.layer_count());
-    if signature.len() != expected {
-        return Err(WatermarkError::SignatureLength {
-            expected,
-            got: signature.len(),
-        });
-    }
+    check_signature_len(cfg, signature, original.layer_count())?;
     check_same_grid(suspect, original)?;
     let locations = locate_watermark(original, stats, cfg)?;
     extract_with_locations(suspect, original, &locations, signature)

@@ -533,9 +533,9 @@ fn cmd_demo(opts: &HashMap<String, String>) -> Result<(), String> {
     enforce_memory_budget(budget)
 }
 
-/// Opens the owner vault for verification: a keyed vault through its
-/// derived key (no decode, no Eqs. 2–4), a keyless one decoded and
-/// located.
+/// Opens the owner vault for verification without decoding it: a keyed
+/// vault through its derived key (no Eqs. 2–4), a keyless one with its
+/// key derived over the embedded artifact, one record at a time.
 fn open_family(path: &str) -> Result<Family, String> {
     Family::open(open_file(path)?).map_err(|e| e.to_string())
 }
@@ -1089,7 +1089,8 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     // manifest, or a flat registry plus a directory of .emqm files —
     // all resolved to the same raw parts (fingerprint config, device
     // list, optional leak index) so the expensive family cache below is
-    // built exactly once, through a single from_parts call site.
+    // built exactly once, through a single `FleetVerifier::for_family`
+    // call.
     let (fp_cfg, devices, index, pools, source): (_, _, Option<LeakIndex>, _, FleetSource) =
         if let Some(bundle_path) = opts.get("bundle") {
             // Pass 1: collect the registry entries (artifacts are read

@@ -3,10 +3,12 @@
 //! holds a keyless owner vault (`emmark demo --steps 5 --bits 4 --seed
 //! 7`), the version 1 manifest and two shards of an 8-device
 //! `fleet-provision --shards 2` over it, the artifact of device-0005,
-//! and the base-watermarked (ownership only) artifact. `verify` and
-//! `identify-leak` must reach the verdicts the release that wrote them
-//! printed, through the recompute path, and `fleet-provision` must
-//! still write the devices and shards that release wrote.
+//! and the base-watermarked (ownership only) artifact. The vault opens
+//! as a keyed one does, its key derived at open by locating over the
+//! embedded artifact; the manifest's pools are scored over the base
+//! artifact. `verify` and `identify-leak` must reach the verdicts the
+//! release that wrote them printed, and `fleet-provision` must still
+//! write the devices and shards that release wrote.
 
 use emmark::core::fingerprint::Family;
 use emmark::core::registry::decode_manifest;

@@ -5,13 +5,14 @@
 //! decoder and the streaming reader, and codec errors must carry the
 //! same section + byte-offset context as the deploy codec.
 
-use emmark::core::deploy::CodecError;
+use emmark::core::deploy::{CodecError, Section};
 use emmark::core::fleet::{decode_registry, encode_registry};
 use emmark::core::provision::{FleetProvisioner, ProvisionedDevice};
+use emmark::core::service::{Blob, Request, Response, Service, ServiceConfig};
 use emmark::core::store::StoreError;
 use emmark::core::vault::{
-    bundle_section_boundaries, decode_fleet_bundle, encode_fleet_bundle, FleetBundleStream,
-    FleetBundleWriter,
+    bundle_section_boundaries, decode_fleet_bundle, encode_fleet_bundle, encode_secrets,
+    FleetBundleStream, FleetBundleWriter,
 };
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
@@ -221,4 +222,114 @@ fn bundle_writer_enforces_its_declared_count_and_entry_lengths() {
         })
         .expect_err("short fill");
     assert!(err.to_string().contains("bytes"), "{err}");
+}
+
+/// Bytes after a flat registry's or a bundle's last device entry are a
+/// positioned `Corrupt` error for every reader — the codecs, the
+/// streaming reader, the daemon and `fleet-verify` — never a verdict.
+#[test]
+fn bytes_after_the_last_device_entry_are_refused() {
+    let secrets = base_secrets(5);
+    let fp_cfg = WatermarkConfig {
+        bits_per_layer: 2,
+        pool_ratio: 10,
+        selection_seed: 0xDE11CE,
+        ..Default::default()
+    };
+    let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg).expect("provisioner");
+    let fleet = provisioner.provision_batch(&["edge-00", "edge-01"], None);
+    let registry = provisioner.registry(&fleet).to_vec();
+    let bundle = encode_fleet_bundle(&fp_cfg, &fleet).to_vec();
+    let with_trailer = |bytes: &[u8], n: usize| {
+        let mut evil = bytes.to_vec();
+        evil.extend(std::iter::repeat_n(0xA5u8, n));
+        evil
+    };
+    let expect_trailer = |err: CodecError, section: Section, at: usize, n: usize| match err {
+        CodecError::Corrupt {
+            section: s,
+            offset,
+            msg,
+        } => {
+            assert_eq!((s, offset), (section, at), "{msg}");
+            assert!(msg.contains(&format!("{n} trailing bytes")), "{msg}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    };
+    for n in [1usize, 7] {
+        let err = decode_registry(&with_trailer(&registry, n)).expect_err("registry");
+        expect_trailer(err, Section::Registry, registry.len(), n);
+        let err = decode_fleet_bundle(&with_trailer(&bundle, n)).expect_err("bundle");
+        expect_trailer(err, Section::Bundle, bundle.len(), n);
+        // The stream yields every entry, then the error, then nothing.
+        let evil = with_trailer(&bundle, n);
+        let entries: Vec<_> = FleetBundleStream::open(evil.as_slice())
+            .expect("open")
+            .collect();
+        assert_eq!(entries.len(), fleet.len() + 1);
+        assert!(entries[..fleet.len()].iter().all(Result::is_ok));
+        match entries.last() {
+            Some(Err(StoreError::Codec(err))) => {
+                expect_trailer(err.clone(), Section::Bundle, bundle.len(), n)
+            }
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    }
+
+    // The daemon refuses both as identify-leak registries.
+    let vault = encode_secrets(&secrets).to_vec();
+    let service = Service::start(ServiceConfig {
+        workers: 0,
+        ..ServiceConfig::default()
+    });
+    for (i, registry) in [with_trailer(&registry, 7), with_trailer(&bundle, 14)]
+        .into_iter()
+        .enumerate()
+    {
+        let request = Request::IdentifyLeak {
+            secrets: Blob::Inline(vault.clone()),
+            registry: Blob::Inline(registry),
+            suspect: Blob::Inline(fleet[1].artifact.clone()),
+            log10_threshold: -6.0,
+            linear: false,
+        };
+        match service.request(i as u64, &request) {
+            Response::Error { message } => {
+                assert!(message.contains("trailing bytes"), "{message}")
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+
+    // So does `fleet-verify`, over a flat registry and over a bundle.
+    let dir = std::env::temp_dir().join(format!("emmark-trailer-{}", std::process::id()));
+    let artifacts = dir.join("artifacts");
+    std::fs::create_dir_all(&artifacts).expect("scratch dir");
+    for d in &fleet {
+        let name = format!("{}.emqm", d.fingerprint.device_id);
+        std::fs::write(artifacts.join(name), &d.artifact).expect("write artifact");
+    }
+    let file = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path.display().to_string()
+    };
+    let vault_path = file("secrets.emws", &vault);
+    let registry_path = file("fleet.emfr", &with_trailer(&registry, 7));
+    let bundle_path = file("fleet.emfb", &with_trailer(&bundle, 14));
+    let artifacts = artifacts.display().to_string();
+    for args in [
+        vec!["--registry", &registry_path, "--artifacts", &artifacts],
+        vec!["--bundle", &bundle_path],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_emmark"))
+            .args(["fleet-verify", "--secrets", &vault_path])
+            .args(&args)
+            .output()
+            .expect("run emmark");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}");
+        assert!(stderr.contains("trailing bytes"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,14 +3,16 @@
 //! β, d) and a manifest's pools the recomputed fingerprint pools, for
 //! every quantization scheme; verdicts through the keyed path
 //! ([`Family::open`] on a keyed vault, pools from a version 2 manifest)
-//! must be bit-identical to the recompute path (decoded secrets,
-//! keyless vault, version 1 manifest) on honest, near-miss, pristine and
-//! attacked suspects; provisioning through the keyed path must write
-//! byte-identical fleets; and a key or pools that do not belong to their
-//! vault or fingerprint config — a flipped byte, a splice — are errors,
-//! never verdicts or fleets. A vault opened from a file and the same
-//! bytes opened from memory (the daemon's open) give the same error or
-//! the same reports, however the vault was damaged.
+//! must be bit-identical to the recompute paths (decoded secrets, a
+//! keyless vault whose key is derived at open, version 1 manifests) on
+//! honest, near-miss, pristine and attacked suspects; provisioning
+//! through either vault must write byte-identical fleets; and a key or
+//! pools that do not belong to their vault or fingerprint config — a
+//! flipped byte, a splice — are errors, never verdicts or fleets. A
+//! vault opened from a file and the same bytes opened from memory (the
+//! daemon's open) give the same error or the same reports, however the
+//! vault was damaged; for a keyless vault, so do `decode_secrets` and
+//! [`OwnerSecrets::verify`].
 
 use emmark::attacks::adaptive::{adaptive_attack, AdaptiveConfig};
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
@@ -162,6 +164,20 @@ fn file_and_memory_answers(
     (from_file, from_memory)
 }
 
+/// The answers of `vault` decoded ([`decode_secrets`]) and checked with
+/// [`OwnerSecrets::verify`], which locates over the decoded model.
+fn decoded_answers(vault: &[u8], suspects: &[Vec<u8>]) -> Answers {
+    let secrets = decode_secrets(vault).map_err(|e| e.to_string());
+    (suspects.iter())
+        .map(|suspect| {
+            let secrets = secrets.as_ref().map_err(Clone::clone)?;
+            let sparse = SparseArtifact::open(suspect).map_err(|e| e.to_string())?;
+            let report = secrets.verify(&sparse).map_err(|e| e.to_string())?;
+            Ok(format!("{:?}", ReportSummary::from(&report)))
+        })
+        .collect()
+}
+
 /// A device artifact and the base-only near miss of `secrets`' fleet.
 fn device_and_near_miss(secrets: &OwnerSecrets) -> Vec<Vec<u8>> {
     let p = FleetProvisioner::new(secrets.clone(), fp_config(0xA11)).expect("provisioner");
@@ -212,11 +228,16 @@ fn vault_keys_and_manifest_pools_equal_the_recomputation_on_every_scheme() {
         assert!(family.is_keyed());
         assert_eq!(family.locations(), &recomputed);
         let bare = keyless(&vault, &secrets);
-        assert_eq!(audit_key(&bare).expect("audit keyless").key, None);
-        assert!(!scratch
-            .family("keyless.emws", &bare)
-            .expect("open")
-            .is_keyed());
+        let audit = audit_key(&bare).expect("audit keyless");
+        assert_eq!((audit.key, audit.recomputed), (None, recomputed.clone()));
+        let derived = scratch.family("keyless.emws", &bare).expect("open");
+        assert!(!derived.is_keyed());
+        assert_eq!(
+            derived.locations(),
+            &recomputed,
+            "{}: derived key",
+            qm.scheme
+        );
 
         let fp = fp_config(0xDE11CE);
         let provisioner = FleetProvisioner::new(secrets.clone(), fp).expect("provisioner");
@@ -337,6 +358,14 @@ fn keyed_and_recompute_verdicts_are_bit_identical() {
         let recompute = load(&v1, &fleet)
             .into_family_verifier(recompute)
             .expect("recompute verifier");
+        // The keyless vault's derived binding is the key's: it takes the
+        // pools the keyed vault's provisioning wrote.
+        let derived = scratch
+            .family("keyless-v2.emws", &bare)
+            .expect("open keyless");
+        let derived = load(&v2, &fleet)
+            .into_family_verifier(derived)
+            .expect("keyless vault, v2 pools");
 
         for (name, suspect) in suspects(&secrets, &provisioner, &ids) {
             let label = format!("{} / {name}", qm.scheme);
@@ -344,6 +373,11 @@ fn keyed_and_recompute_verdicts_are_bit_identical() {
             assert_eq!(verdicts(&keyed, &suspect), expected, "{label}: keyed");
             assert_eq!(verdicts(&decoded, &suspect), expected, "{label}: decoded");
             assert_eq!(verdicts(&keyed_v1, &suspect), expected, "{label}: v1 pools");
+            assert_eq!(
+                verdicts(&derived, &suspect),
+                expected,
+                "{label}: derived key"
+            );
             assert_eq!(
                 format!("{:?}", secrets.verify(&suspect)),
                 expected[0],
@@ -433,9 +467,10 @@ fn vault_section_boundaries(vault: &[u8], secrets: &OwnerSecrets, key_start: usi
     b
 }
 
-/// The keyless fixture, and a keyed vault cut at every section
-/// boundary, open alike from a file and from memory: the same error, or
-/// the same reports on the device and near-miss suspects.
+/// The keyless fixture, and a keyed vault and a keyless vault cut at
+/// every section boundary, open alike from a file and from memory: the
+/// same error, or the same reports on the device and near-miss suspects.
+/// The keyless cuts decode and verify alike too.
 #[test]
 fn file_and_memory_opens_agree_on_the_keyless_fixture_and_every_section_cut() {
     let scratch = Scratch::new("cuts");
@@ -467,6 +502,36 @@ fn file_and_memory_opens_agree_on_the_keyless_fixture_and_every_section_cut() {
             "cut at {cut}: {from_file:?}"
         );
     }
+    let bare = &vault[..key_start];
+    for &cut in cuts.iter().filter(|&&cut| cut <= key_start) {
+        let (from_file, from_memory) = file_and_memory_answers(&scratch, &bare[..cut], &suspects);
+        assert_eq!(from_memory, from_file, "keyless cut at {cut}");
+        let decoded = decoded_answers(&bare[..cut], &suspects);
+        assert_eq!(decoded, from_file, "keyless cut at {cut}: decoded");
+        assert_eq!(
+            from_file.iter().all(Result::is_ok),
+            cut == key_start,
+            "keyless cut at {cut}: {from_file:?}"
+        );
+    }
+    // A pool ratio asking for more cells than any layer holds (config
+    // bytes 28..32): the same error on every reader, and no allocation
+    // of that size.
+    let mut greedy = bare.to_vec();
+    greedy[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (from_file, from_memory) = file_and_memory_answers(&scratch, &greedy, &suspects);
+    assert_eq!(from_memory, from_file, "greedy pool");
+    assert_eq!(
+        decoded_answers(&greedy, &suspects),
+        from_file,
+        "greedy pool"
+    );
+    assert!(
+        (from_file.iter()).all(|a| a
+            .as_ref()
+            .is_err_and(|e| e.contains("candidate pool needs"))),
+        "{from_file:?}"
+    );
 }
 
 #[test]
@@ -564,6 +629,8 @@ fn pools_from_another_vault_or_fingerprint_config_are_errors() {
 struct MutationInputs {
     vault: Vec<u8>,
     key_start: usize,
+    /// Where the vault's embedded model starts.
+    model_start: usize,
     manifest: Vec<u8>,
     pools_start: usize,
     suspects: Vec<Vec<u8>>,
@@ -573,6 +640,7 @@ fn mutation_inputs() -> &'static MutationInputs {
     static INPUTS: OnceLock<MutationInputs> = OnceLock::new();
     INPUTS.get_or_init(|| {
         let (secrets, vault, key_start) = keyed_vault(0x3);
+        let model_start = key_start - encode_model(&secrets.original).len();
         let suspects = device_and_near_miss(&secrets);
         let p = FleetProvisioner::new(secrets, fp_config(9)).expect("provisioner");
         let ids = ["a", "b", "c"];
@@ -589,6 +657,7 @@ fn mutation_inputs() -> &'static MutationInputs {
         MutationInputs {
             vault,
             key_start,
+            model_start,
             manifest,
             pools_start,
             suspects,
@@ -602,7 +671,9 @@ proptest! {
     /// Byte mutations anywhere in a keyed vault and a v2 manifest, with
     /// half the cases aimed at the key and pools sections: never a
     /// panic, and a mutated key or pools section never decodes. The
-    /// mutated vault opens alike from a file and from memory.
+    /// mutated vault opens alike from a file and from memory. So does
+    /// the vault without its key, with half the cases aimed at the head
+    /// its key is derived from, and it decodes and verifies alike too.
     #[test]
     fn byte_mutations_of_vaults_and_manifests_never_panic(
         pick in 0usize..1_000_000,
@@ -634,6 +705,15 @@ proptest! {
         let (at, evil) = mutate(&inputs.vault, inputs.key_start);
         let (from_file, from_memory) = file_and_memory_answers(&scratch, &evil, &inputs.suspects);
         prop_assert_eq!(from_memory, from_file, "mutated byte {}", at);
+
+        let keyless = &inputs.vault[..inputs.key_start];
+        let at = if tail == 1 { pick % inputs.model_start } else { pick % keyless.len() };
+        let mut evil = keyless.to_vec();
+        evil[at] = value as u8;
+        let (from_file, from_memory) = file_and_memory_answers(&scratch, &evil, &inputs.suspects);
+        prop_assert_eq!(&from_memory, &from_file, "keyless, mutated byte {}", at);
+        let decoded = decoded_answers(&evil, &inputs.suspects);
+        prop_assert_eq!(decoded, from_file, "keyless, mutated byte {}: decoded", at);
     }
 }
 
@@ -681,9 +761,18 @@ fn keyed_and_decoded_provisioning_write_byte_identical_fleets_on_every_scheme() 
         let keyed = FleetProvisioner::for_family(Arc::new(family), fp).expect("keyed");
         let decoded = decode_secrets(&vault).expect("decode");
         let decoded = FleetProvisioner::new(decoded, fp).expect("decoded");
+        let files = fleet_files(&keyed, &ids);
         assert!(
-            fleet_files(&keyed, &ids) == fleet_files(&decoded, &ids),
+            files == fleet_files(&decoded, &ids),
             "{}: fleets differ",
+            qm.scheme
+        );
+        let derived =
+            (scratch.family("keyless.emws", &keyless(&vault, &secrets))).expect("open keyless");
+        let derived = FleetProvisioner::for_family(Arc::new(derived), fp).expect("keyless");
+        assert!(
+            files == fleet_files(&derived, &ids),
+            "{}: the keyless vault's fleet differs",
             qm.scheme
         );
         // The keyed provisioner continues as a serial fleet: W is
