@@ -1555,6 +1555,24 @@ impl<'a> SparseArtifact<'a> {
         self.layer_grid(l).q_at_flat(f)
     }
 
+    /// Cells of layer `l` at or beyond the min/max level (the rule of
+    /// [`LayerGridView::is_clamped_flat`]), over one read of its grid.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the file read fails.
+    pub fn clamped_cells(&self, l: usize) -> Result<usize, StoreError> {
+        let (entry, qmax) = (&self.index[l], self.layer_grid(l).qmax());
+        let end = entry.q_offset + entry.cells();
+        let grid = self
+            .source
+            .range(entry.q_offset, end, "reading a layer grid")?;
+        Ok(grid
+            .iter()
+            .filter(|&&q| (q as i8).unsigned_abs() >= qmax as u8)
+            .count())
+    }
+
     /// The byte offsets where the artifact's sections begin (header,
     /// config, index, each layer record, each grid) plus the total
     /// length — the boundaries a truncation test should cut at, and the

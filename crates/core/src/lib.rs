@@ -35,6 +35,10 @@
 //!   in fleet size with bit-identical verdicts;
 //! * [`vault`] — versioned serialization of the owner's secret bundle
 //!   and the provisioned-fleet bundle;
+//! * [`container`] — which magic selects which reader: the one open of
+//!   every owner file for inspection, and of every fleet registry for
+//!   verification and leak identification, shared by the CLI and
+//!   `emmarkd`;
 //! * [`telemetry`] — zero-dependency spans, counters, and log-scale
 //!   histograms instrumenting all of the above, with JSONL and
 //!   Prometheus-text export and a single-atomic-load disabled mode;
@@ -75,6 +79,7 @@
 //! ```
 
 pub mod baselines;
+pub mod container;
 pub mod deploy;
 pub mod fingerprint;
 pub mod fleet;

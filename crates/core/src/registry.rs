@@ -317,6 +317,31 @@ impl ShardManifest {
             MANIFEST_V1
         }
     }
+
+    /// [`load_sharded_registry`] over a manifest already decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`load_sharded_registry`]'s shard errors.
+    pub(crate) fn load_shards<F>(self, mut read_shard: F) -> Result<ShardedRegistry, StoreError>
+    where
+        F: FnMut(&str) -> std::io::Result<Vec<u8>>,
+    {
+        let mut devices = Vec::with_capacity(self.total_devices as usize);
+        for (i, entry) in self.shards.iter().enumerate() {
+            let bytes = read_shard(&entry.name).map_err(|e| StoreError::Io {
+                what: "shard read",
+                source: e,
+            })?;
+            devices.extend(decode_shard(&bytes, &self, i)?);
+        }
+        Ok(ShardedRegistry {
+            fingerprint_config: self.fingerprint_config,
+            devices,
+            index: self.index,
+            pools: self.pools,
+        })
+    }
 }
 
 /// The per-layer fingerprint candidate pools a version 2 manifest
@@ -821,48 +846,46 @@ impl ShardedRegistry {
         &self.index
     }
 
-    /// The persisted fingerprint pools (version 2 manifests).
-    pub fn pools(&self) -> Option<&FingerprintPools> {
-        self.pools.as_ref()
-    }
-
-    /// Decomposes into `(fingerprint config, devices, leak index)` — the
-    /// raw parts a caller feeds, with [`Self::pools`], to
+    /// Decomposes into `(fingerprint config, devices, leak index,
+    /// pools)` — the raw parts a caller feeds to
     /// [`FleetVerifier::for_family`] and [`FleetVerifier::with_index`]
     /// when it builds the family cache itself, exactly once.
-    pub fn into_parts(self) -> (WatermarkConfig, Vec<DeviceFingerprint>, LeakIndex) {
-        (self.fingerprint_config, self.devices, self.index)
+    pub fn into_parts(
+        self,
+    ) -> (
+        WatermarkConfig,
+        Vec<DeviceFingerprint>,
+        LeakIndex,
+        Option<FingerprintPools>,
+    ) {
+        (
+            self.fingerprint_config,
+            self.devices,
+            self.index,
+            self.pools,
+        )
     }
 
     /// Builds the verification engine over this registry with the
-    /// owner's secrets, the persisted leak index attached
-    /// ([`Self::into_family_verifier`] over [`Family::new`]).
+    /// owner's secrets ([`Family::new`]), the persisted leak index
+    /// attached. The family cache takes the manifest's pools when it
+    /// carries them (checked against the family's binding) and scores
+    /// them over the family's base artifact otherwise
+    /// ([`FleetVerifier::for_family`]).
     ///
     /// # Errors
     ///
     /// Rejects an inconsistent secret bundle and propagates
     /// location-reproduction errors (see [`FleetVerifier::from_parts`]),
-    /// and pools derived from another vault.
-    pub fn into_verifier(self, base: OwnerSecrets) -> Result<FleetVerifier, WatermarkError> {
-        self.into_family_verifier(Family::new(base)?)
-            .map_err(StoreError::into_watermark)
-    }
-
-    /// Builds the verification engine over this registry and a located
-    /// family, the persisted leak index attached. The family cache takes
-    /// the manifest's pools when it carries them (checked against the
-    /// family's binding) and scores them over the family's base artifact
-    /// otherwise ([`FleetVerifier::for_family`]).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetVerifier::for_family`]'s errors, and an index over another
+    /// pools derived from another vault, and an index over another
     /// device population.
-    pub fn into_family_verifier(self, family: Family) -> Result<FleetVerifier, StoreError> {
+    pub fn into_verifier(self, base: OwnerSecrets) -> Result<FleetVerifier, WatermarkError> {
+        let family = Family::new(base)?;
         let pools = self.pools.as_ref();
         let verifier =
-            FleetVerifier::for_family(family, self.fingerprint_config, self.devices, pools)?;
-        Ok(verifier.with_index(self.index)?)
+            FleetVerifier::for_family(family, self.fingerprint_config, self.devices, pools)
+                .map_err(StoreError::into_watermark)?;
+        verifier.with_index(self.index)
     }
 }
 
@@ -881,26 +904,12 @@ impl ShardedRegistry {
 /// config or device count disagrees with the manifest.
 pub fn load_sharded_registry<F>(
     manifest_bytes: &[u8],
-    mut read_shard: F,
+    read_shard: F,
 ) -> Result<ShardedRegistry, StoreError>
 where
     F: FnMut(&str) -> std::io::Result<Vec<u8>>,
 {
-    let manifest = decode_manifest(manifest_bytes)?;
-    let mut devices = Vec::with_capacity(manifest.total_devices as usize);
-    for (i, entry) in manifest.shards.iter().enumerate() {
-        let bytes = read_shard(&entry.name).map_err(|e| StoreError::Io {
-            what: "shard read",
-            source: e,
-        })?;
-        devices.extend(decode_shard(&bytes, &manifest, i)?);
-    }
-    Ok(ShardedRegistry {
-        fingerprint_config: manifest.fingerprint_config,
-        devices,
-        index: manifest.index,
-        pools: manifest.pools,
-    })
+    decode_manifest(manifest_bytes)?.load_shards(read_shard)
 }
 
 /// Decodes shard `i`'s bytes against its manifest entry.

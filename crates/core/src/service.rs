@@ -32,7 +32,11 @@
 //! ([`SparseArtifact::open_file`]): the header, the structural walk's
 //! length words and the probed cells are read, never the grids, and a
 //! read that fails after open turns the request into an error reply.
-//! Inline blobs are borrowed from the request. A provision reply is
+//! Inline blobs are borrowed from the request. An inspect target and an
+//! identify-leak registry are opened by [`crate::container`], the open
+//! `emmark inspect`, `fleet-verify` and `identify-leak` run: the
+//! container's magic chooses the reader there, a bundle is walked to
+//! its last entry, and a vault is opened, not decoded. A provision reply is
 //! built in one buffer: the reply header, then the base artifact
 //! spliced with the device's patches — the same bytes
 //! [`encode_response`] would produce, without a second artifact copy.
@@ -43,20 +47,20 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use bytes::{BufMut, BytesMut};
 
+use crate::container::{open_container, open_registry, Container, ContainerError, Input};
 use crate::deploy::{
-    put_string, put_watermark_config, CodecError, Reader, Section, SparseArtifact, MAGIC,
+    put_string, put_watermark_config, CodecError, Reader, Section, SparseArtifact,
 };
 use crate::fingerprint::{fxhash, DeviceFingerprint, Family};
-use crate::fleet::{decode_registry, FleetVerifier, WORKER_STACK_BYTES};
+use crate::fleet::{FleetVerifier, WORKER_STACK_BYTES};
 use crate::provision::FleetProvisioner;
-use crate::registry::{decode_manifest, load_sharded_registry};
 use crate::store::StoreError;
 use crate::telemetry::{
     Span, Telemetry, SERVICE_CACHE_HITS, SERVICE_CACHE_MISSES, SERVICE_EVICTIONS,
@@ -64,7 +68,7 @@ use crate::telemetry::{
     SERVICE_PROVISION_NS, SERVICE_QUEUE_DEPTH, SERVICE_REJECTED, SERVICE_REQUESTS,
     SERVICE_RESIDENT_BYTES, SERVICE_VERIFY_NS,
 };
-use crate::vault::{decode_secrets, open_family_bytes, FleetBundleStream};
+use crate::vault::open_family_bytes;
 use crate::watermark::{ExtractionReport, GridSource, WatermarkConfig, WatermarkError};
 
 /// Protocol version carried in every frame payload.
@@ -986,6 +990,12 @@ impl From<StoreError> for ServiceError {
     }
 }
 
+impl From<ContainerError> for ServiceError {
+    fn from(e: ContainerError) -> Self {
+        ServiceError::Other(e.to_string())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
@@ -1391,7 +1401,7 @@ fn handle_request(inner: &Arc<Inner>, id: u64, request: Request) -> Result<Vec<u
             if matches!(&target, Blob::Path(p) if p == tests::PANIC_PATH) {
                 panic!("injected handler panic");
             }
-            let summary = inspect_target(target, &mut lease)?;
+            let summary = inspect(target, &mut lease)?;
             Ok(encode_response(id, &Response::Inspect(summary)))
         }
         Request::Ping | Request::Shutdown => unreachable!("handled by process_job"),
@@ -1557,12 +1567,7 @@ fn load_verifier(
     // Shard files resolve beside a manifest path; an inline registry has
     // no directory to resolve them in.
     let shard_dir = match &registry {
-        Blob::Path(path) => Some(
-            Path::new(path)
-                .parent()
-                .map(PathBuf::from)
-                .unwrap_or_default(),
-        ),
+        Blob::Path(path) => Path::new(path).parent().map(Path::to_path_buf),
         Blob::Inline(_) => None,
     };
     let bytes = load_blob(registry, "fleet registry", lease)?;
@@ -1574,65 +1579,33 @@ fn load_verifier(
         lock(verifiers).remove(&superseded);
     }
     let slot = slot(verifiers, key);
-    resolve(&slot, || build_verifier(family, shard_dir, &bytes))
-        .inspect_err(|_| forget(verifiers, &key, &slot))
+    resolve(&slot, || {
+        build_verifier(family, shard_dir.as_deref(), &bytes)
+    })
+    .inspect_err(|_| forget(verifiers, &key, &slot))
 }
 
+/// A verifier over a registry opened as `fleet-verify` and
+/// `identify-leak` open it ([`open_registry`]).
 fn build_verifier(
     family: &FamilyEntry,
-    shard_dir: Option<PathBuf>,
+    shard_dir: Option<&Path>,
     bytes: &[u8],
 ) -> Result<FleetVerifier, ServiceError> {
-    if bytes.len() < 4 {
-        return Err(ServiceError::Other(
-            "registry input is too short to carry a container magic".to_string(),
-        ));
-    }
-    let (fp_cfg, devices, index) = match &bytes[..4] {
-        b"EMFR" => {
-            let (fp_cfg, devices) = decode_registry(bytes)?;
-            (fp_cfg, devices, None)
-        }
-        b"EMFB" => {
-            let mut stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
-            let fp_cfg = *stream.fingerprint_config();
-            let devices = (&mut stream)
-                .map(|d| d.map(|dev| dev.fingerprint))
-                .collect::<Result<Vec<_>, _>>()?;
-            (fp_cfg, devices, None)
-        }
-        b"EMFM" => {
-            let Some(dir) = shard_dir else {
-                return Err(ServiceError::Other(
-                    "shard manifests must be passed as a path blob so shard files can be \
-                     resolved relative to the manifest"
-                        .to_string(),
-                ));
-            };
-            let sharded = load_sharded_registry(bytes, |shard| std::fs::read(dir.join(shard)))?;
-            // Copied, not moved out with `into_parts`: the originals freed
-            // here leave heap space that the per-request suspect buffers
-            // then reuse. In the serve-warm mix, moving them saved 3.5 MiB
-            // of peak RSS but raised p90 latency from 4.9 to 7.7 ms and
-            // cut sustained throughput by a tenth (glibc malloc, 2-vCPU
-            // host).
-            let fp_cfg = *sharded.fingerprint_config();
-            (
-                fp_cfg,
-                sharded.devices().to_vec(),
-                Some(sharded.index().clone()),
-            )
-        }
-        magic => {
-            return Err(ServiceError::Other(format!(
-                "unrecognised registry container magic {:?} (expected EMFR, EMFB, or EMFM)",
-                String::from_utf8_lossy(magic)
-            )))
-        }
+    // Copied, not moved out: the originals freed here leave heap space
+    // that the per-request suspect buffers then reuse. In the serve-warm
+    // mix, moving them saved 3.5 MiB of peak RSS but raised p90 latency
+    // from 4.9 to 7.7 ms and cut sustained throughput by a tenth (glibc
+    // malloc, 2-vCPU host).
+    let (fp_cfg, devices, index) = {
+        let registry = open_registry(Input::Bytes(bytes), shard_dir)?;
+        let fp_cfg = registry.fingerprint_config;
+        (fp_cfg, registry.devices.clone(), registry.index.clone())
     };
     // Every verifier of a fingerprint config shares its provisioner's
     // family cache, so the config is scored once whether a provision or
-    // an identify asks for it first.
+    // an identify asks for it first. The manifest's pools are not
+    // needed: the provisioner scores them.
     let verifier = family.provisioner(&fp_cfg)?.verifier(devices);
     Ok(match index {
         Some(index) => verifier.with_index(index)?,
@@ -1640,104 +1613,59 @@ fn build_verifier(
     })
 }
 
-fn inspect_target(
-    target: Blob,
-    lease: &mut BudgetLease<'_>,
-) -> Result<InspectSummary, ServiceError> {
-    if let Blob::Path(path) = &target {
-        // Sniff the magic first so fleet bundles stream instead of loading
-        // whole into memory.
-        let mut head = [0u8; 4];
-        let mut file = std::fs::File::open(path).map_err(|source| ServiceError::Io {
-            what: format!("opening {path} for inspection"),
-            source,
-        })?;
-        file.read_exact(&mut head).map_err(|source| {
-            if source.kind() == std::io::ErrorKind::UnexpectedEof {
-                // Worded as for the same bytes sent inline.
-                ServiceError::Other("input is too short to carry a container magic".to_string())
-            } else {
-                ServiceError::Io {
-                    what: format!("reading the container magic of {path}"),
-                    source,
-                }
-            }
-        })?;
-        if &head == b"EMFB" {
-            let stream = FleetBundleStream::open(std::io::BufReader::new(head.chain(file)))?;
-            return Ok(InspectSummary::Bundle {
-                device_count: stream.device_count() as u32,
-                fingerprint_config: *stream.fingerprint_config(),
+/// Summarises a container opened as `emmark inspect` opens it
+/// ([`open_container`]). An inline blob is charged at its size; a path
+/// blob at what the open holds: an artifact's index and read window,
+/// nothing for a bundle (its entries are streamed), and any other
+/// container's bytes.
+fn inspect(target: Blob, lease: &mut BudgetLease<'_>) -> Result<InspectSummary, ServiceError> {
+    let inline;
+    let container = match &target {
+        Blob::Inline(_) => {
+            inline = load_blob(target, "inspection target", lease)?;
+            open_container(Input::Bytes(&inline))?
+        }
+        Blob::Path(path) => {
+            let container = open_container(Input::Path(Path::new(path)))?;
+            lease.charge(match &container {
+                Container::Artifact(artifact) => artifact.held_bytes() as u64,
+                Container::Bundle(..) => 0,
+                _ => std::fs::metadata(path).map_or(0, |m| m.len()),
             });
+            container
         }
-        if head == *MAGIC {
-            // The summary needs the header and index only: open
-            // file-backed instead of reading the grids.
-            let artifact = SparseArtifact::open_file(file)?;
-            lease.charge(artifact.held_bytes() as u64);
-            return Ok(artifact_summary(&artifact));
-        }
-    }
-    let bytes = load_blob(target, "inspection target", lease)?;
-    inspect_bytes(&bytes)
-}
-
-fn artifact_summary(artifact: &SparseArtifact<'_>) -> InspectSummary {
-    let layers = artifact.layer_count();
-    let mut cells = 0u64;
-    for l in 0..layers {
-        let (rows, cols) = artifact.layer_dims(l);
-        cells += (rows * cols) as u64;
-    }
-    InspectSummary::Artifact {
-        format_version: artifact.format_version(),
-        scheme: artifact.scheme().to_string(),
-        layers: layers as u32,
-        cells,
-    }
-}
-
-fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
-    if bytes.len() < 4 {
-        return Err(ServiceError::Other(
-            "input is too short to carry a container magic".to_string(),
-        ));
-    }
-    match &bytes[..4] {
-        b"EMQM" => Ok(artifact_summary(&SparseArtifact::open(bytes)?)),
-        b"EMWS" => {
-            let secrets = decode_secrets(bytes)?;
-            Ok(InspectSummary::Secrets {
-                layers: secrets.original.layer_count() as u32,
-                signature_bits: secrets.signature.len() as u32,
-            })
-        }
-        b"EMFR" => {
-            let (fp_cfg, devices) = decode_registry(bytes)?;
-            Ok(InspectSummary::Registry {
-                device_count: devices.len() as u32,
-                fingerprint_config: fp_cfg,
-            })
-        }
-        b"EMFB" => {
-            let stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
-            Ok(InspectSummary::Bundle {
-                device_count: stream.device_count() as u32,
-                fingerprint_config: *stream.fingerprint_config(),
-            })
-        }
-        b"EMFM" => {
-            let manifest = decode_manifest(bytes)?;
-            Ok(InspectSummary::Manifest {
-                shard_count: manifest.shards.len() as u32,
-                device_count: manifest.total_devices,
-            })
-        }
-        magic => Err(ServiceError::Other(format!(
-            "unrecognised container magic {:?}",
-            String::from_utf8_lossy(magic)
-        ))),
-    }
+    };
+    Ok(match container {
+        Container::Artifact(artifact) => InspectSummary::Artifact {
+            format_version: artifact.format_version(),
+            scheme: artifact.scheme().to_string(),
+            layers: artifact.layer_count() as u32,
+            cells: artifact
+                .layer_index()
+                .iter()
+                .map(|e| e.cells() as u64)
+                .sum(),
+        },
+        // Opened with every check of its key, but L is not recomputed
+        // as `emmark inspect` does: that is one more Eqs. 2–4 pass,
+        // which the daemon's scoring-cell count would show.
+        Container::Vault(family) => InspectSummary::Secrets {
+            layers: family.source_layer_count() as u32,
+            signature_bits: family.signature_bits() as u32,
+        },
+        Container::Manifest(manifest) => InspectSummary::Manifest {
+            shard_count: manifest.shards.len() as u32,
+            device_count: manifest.total_devices,
+        },
+        Container::Registry(fingerprint_config, devices) => InspectSummary::Registry {
+            device_count: devices.len() as u32,
+            fingerprint_config,
+        },
+        Container::Bundle(fingerprint_config, devices) => InspectSummary::Bundle {
+            device_count: devices.len() as u32,
+            fingerprint_config,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -1775,70 +1703,138 @@ mod tests {
         }
     }
 
+    /// One request of every op, with both blob kinds.
+    fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::Ping,
+            Request::Shutdown,
+            Request::Verify {
+                secrets: Blob::Path("/tmp/s.emws".to_string()),
+                suspect: Blob::Inline(vec![1, 2, 3]),
+                log10_threshold: -9.0,
+            },
+            Request::Provision {
+                secrets: Blob::Inline(vec![9; 16]),
+                fingerprint_config: WatermarkConfig {
+                    bits_per_layer: 3,
+                    pool_ratio: 10,
+                    ..WatermarkConfig::default()
+                },
+                device_id: "device-123".to_string(),
+            },
+            Request::IdentifyLeak {
+                secrets: Blob::Path("/tmp/s.emws".to_string()),
+                registry: Blob::Path("/tmp/fleet.emfr".to_string()),
+                suspect: Blob::Inline(vec![0xEE; 8]),
+                log10_threshold: -6.0,
+                linear: true,
+            },
+            Request::Inspect {
+                target: Blob::Inline(vec![0x42]),
+            },
+        ]
+    }
+
+    /// One response of every kind, with every inspect kind.
+    fn sample_responses() -> Vec<Response> {
+        let fp_cfg = WatermarkConfig {
+            bits_per_layer: 2,
+            pool_ratio: 10,
+            selection_seed: 0xDE11CE,
+            ..WatermarkConfig::default()
+        };
+        vec![
+            Response::Pong,
+            Response::ShutdownComplete,
+            Response::Busy { retry_after_ms: 50 },
+            Response::Error {
+                message: "boom".to_string(),
+            },
+            Response::Verify {
+                report: sample_report(),
+                proved: true,
+            },
+            Response::Provision {
+                fingerprint: sample_fp(),
+                artifact: vec![0xAB; 32],
+            },
+            Response::Identify { matched: None },
+            Response::Identify {
+                matched: Some((sample_fp(), sample_report())),
+            },
+            Response::Inspect(InspectSummary::Artifact {
+                format_version: 2,
+                scheme: "awq-int4".to_string(),
+                layers: 2,
+                cells: 512,
+            }),
+            Response::Inspect(InspectSummary::Bundle {
+                device_count: 2,
+                fingerprint_config: fp_cfg,
+            }),
+            Response::Inspect(InspectSummary::Manifest {
+                shard_count: 3,
+                device_count: 3000,
+            }),
+            Response::Inspect(InspectSummary::Registry {
+                device_count: 8,
+                fingerprint_config: fp_cfg,
+            }),
+            Response::Inspect(InspectSummary::Secrets {
+                layers: 2,
+                signature_bits: 6,
+            }),
+        ]
+    }
+
     #[test]
     fn request_payloads_round_trip() {
-        round_trip_request(Request::Ping);
-        round_trip_request(Request::Shutdown);
-        round_trip_request(Request::Verify {
-            secrets: Blob::Path("/tmp/s.emws".to_string()),
-            suspect: Blob::Inline(vec![1, 2, 3]),
-            log10_threshold: -9.0,
-        });
-        round_trip_request(Request::Provision {
-            secrets: Blob::Inline(vec![9; 16]),
-            fingerprint_config: WatermarkConfig {
-                bits_per_layer: 3,
-                pool_ratio: 10,
-                ..WatermarkConfig::default()
-            },
-            device_id: "device-123".to_string(),
-        });
-        round_trip_request(Request::IdentifyLeak {
-            secrets: Blob::Path("/tmp/s.emws".to_string()),
-            registry: Blob::Path("/tmp/fleet.emfr".to_string()),
-            suspect: Blob::Inline(vec![0xEE; 8]),
-            log10_threshold: -6.0,
-            linear: true,
-        });
-        round_trip_request(Request::Inspect {
-            target: Blob::Inline(vec![0x42]),
-        });
+        for req in sample_requests() {
+            round_trip_request(req);
+        }
     }
 
     #[test]
     fn response_payloads_round_trip() {
-        round_trip_response(Response::Pong);
-        round_trip_response(Response::ShutdownComplete);
-        round_trip_response(Response::Busy { retry_after_ms: 50 });
-        round_trip_response(Response::Error {
-            message: "boom".to_string(),
-        });
-        round_trip_response(Response::Verify {
-            report: sample_report(),
-            proved: true,
-        });
-        round_trip_response(Response::Provision {
-            fingerprint: sample_fp(),
-            artifact: vec![0xAB; 32],
-        });
-        round_trip_response(Response::Identify { matched: None });
-        round_trip_response(Response::Identify {
-            matched: Some((sample_fp(), sample_report())),
-        });
-        round_trip_response(Response::Inspect(InspectSummary::Artifact {
-            format_version: 2,
-            scheme: "awq-int4".to_string(),
-            layers: 2,
-            cells: 512,
-        }));
-        round_trip_response(Response::Inspect(InspectSummary::Manifest {
-            shard_count: 3,
-            device_count: 3000,
-        }));
-        round_trip_response(Response::Inspect(InspectSummary::Secrets {
-            layers: 2,
-            signature_bits: 6,
-        }));
+        for resp in sample_responses() {
+            round_trip_response(resp);
+        }
+    }
+
+    /// Every payload cut at every length, and with every byte flipped,
+    /// decodes to an error or to a value that re-encodes to a payload
+    /// decoding back to it; no mutation panics. The codec is not
+    /// canonical (any nonzero flag byte decodes as true), so the check
+    /// is on the re-encoding, not on the mutated bytes.
+    #[test]
+    fn mutated_payloads_decode_to_an_error_or_a_stable_value() {
+        type Decode<T> = fn(&[u8]) -> Result<(u64, T), CodecError>;
+        fn check<T>(payload: &[u8], decode: Decode<T>, encode: fn(u64, &T) -> Vec<u8>) {
+            let mut mutants: Vec<Vec<u8>> =
+                (0..payload.len()).map(|n| payload[..n].to_vec()).collect();
+            for i in 0..payload.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut flipped = payload.to_vec();
+                    flipped[i] ^= mask;
+                    mutants.push(flipped);
+                }
+            }
+            for mutant in mutants {
+                let Ok((id, value)) = decode(&mutant) else {
+                    continue;
+                };
+                let encoded = encode(id, &value);
+                let (again_id, again) = decode(&encoded).expect("a decoded value re-encodes");
+                assert_eq!(again_id, id);
+                assert_eq!(encode(again_id, &again), encoded, "{mutant:?}");
+            }
+        }
+        for req in sample_requests() {
+            check(&encode_request(3, &req), decode_request, encode_request);
+        }
+        for resp in sample_responses() {
+            check(&encode_response(3, &resp), decode_response, encode_response);
+        }
     }
 
     #[test]

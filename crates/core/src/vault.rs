@@ -73,7 +73,7 @@ use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"EMWS";
+pub(crate) const VAULT_MAGIC: &[u8; 4] = b"EMWS";
 /// Vault version; matches the deploy codec's
 /// [`FORMAT_V2`](crate::deploy::FORMAT_V2).
 const VERSION: u32 = FORMAT_V2;
@@ -126,7 +126,7 @@ fn bind_cells(head_hash: u64, locations: &Locations, w: impl Fn(usize, usize) ->
 /// way either path.
 pub fn encode_secrets(secrets: &OwnerSecrets) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
+    buf.put_slice(VAULT_MAGIC);
     buf.put_u32_le(VERSION);
     put_head(
         &mut buf,
@@ -169,7 +169,7 @@ struct Head {
 /// Reads magic, version, config, signature, stats and the model length
 /// word; the reader is left at the embedded model.
 fn read_head(r: &mut Reader) -> Result<Head, CodecError> {
-    r.magic(MAGIC)?;
+    r.magic(VAULT_MAGIC)?;
     let version = r.u32("secrets version")?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
@@ -410,6 +410,27 @@ pub struct KeyAudit {
 }
 
 impl KeyAudit {
+    /// The audit of an opened vault: L recomputed over its embedded
+    /// artifact, one record at a time, next to its key. A keyless
+    /// vault's derived key is that recomputation.
+    ///
+    /// # Errors
+    ///
+    /// The recomputation's read, decode and location errors.
+    pub fn of(family: &Family) -> Result<Self, StoreError> {
+        let key = family.is_keyed().then(|| family.locations().clone());
+        let recomputed = match &key {
+            Some(_) => family.relocate()?,
+            None => family.locations().clone(),
+        };
+        Ok(KeyAudit {
+            layers: family.source_layer_count(),
+            signature_bits: family.signature_bits(),
+            key,
+            recomputed,
+        })
+    }
+
     /// The first layer where the key and the recomputation differ;
     /// `None` when they agree or the vault carries no key.
     pub fn first_mismatch(&self) -> Option<usize> {
@@ -419,28 +440,15 @@ impl KeyAudit {
     }
 }
 
-/// Opens a vault as [`Family::open`] does and recomputes its ownership
-/// locations over the embedded artifact, one record at a time, for
-/// comparison with its key ([`KeyAudit`]). A keyless vault's derived key
-/// is that recomputation.
+/// Opens a vault as [`Family::open`] does and audits its key
+/// ([`KeyAudit::of`]).
 ///
 /// # Errors
 ///
 /// [`Family::open`]'s errors, and the recomputation's read, decode and
 /// location errors.
 pub fn audit_key(bytes: &[u8]) -> Result<KeyAudit, StoreError> {
-    let family = open_family_bytes(bytes.to_vec())?;
-    let key = family.is_keyed().then(|| family.locations().clone());
-    let recomputed = match &key {
-        Some(_) => family.relocate()?,
-        None => family.locations().clone(),
-    };
-    Ok(KeyAudit {
-        layers: family.source_layer_count(),
-        signature_bits: family.signature_bits(),
-        key,
-        recomputed,
-    })
+    KeyAudit::of(&open_family_bytes(bytes.to_vec())?)
 }
 
 /// First window of a vault file's head: config, signature and the
@@ -554,7 +562,7 @@ fn open_vault<'v>(
     Ok(family.keyed_by_vault(key_binding.is_some()))
 }
 
-const FLEET_MAGIC: &[u8; 4] = b"EMFB";
+pub(crate) const FLEET_MAGIC: &[u8; 4] = b"EMFB";
 
 /// A provisioned fleet loaded from a bundle: the fingerprint parameters
 /// plus every device's registry entry and v2 artifact.
@@ -1254,7 +1262,7 @@ mod tests {
         stats.per_layer[0].mean_abs.pop();
         stats.per_layer[0].max_abs.pop();
         let mut keyless = BytesMut::new();
-        keyless.put_slice(MAGIC);
+        keyless.put_slice(VAULT_MAGIC);
         keyless.put_u32_le(VERSION);
         put_head(&mut keyless, &secrets.config, &secrets.signature, &stats);
         let binding = bind_cells(fxhash(&keyless[HEAD_START..]), &key, |l, f| {

@@ -13,8 +13,10 @@
 //! emmark inspect --model FILE [--json]              layer/scheme/bit summary from the
 //!                                                   v2 header index; .emfb fleet
 //!                                                   bundles get a streamed device/
-//!                                                   fingerprint report (machine-
-//!                                                   readable with --json)
+//!                                                   fingerprint report, .emfr
+//!                                                   registries, .emfm manifests
+//!                                                   and .emws vaults their own
+//!                                                   (machine-readable with --json)
 //! emmark attack --model FILE --out FILE --per-layer N [--seed S]
 //!                                                   parameter-overwriting attack
 //! emmark fleet-provision --secrets FILE --out-dir DIR --devices N
@@ -79,19 +81,18 @@
 //! [`emmark::core::telemetry`].
 
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
+use emmark::core::container::{
+    open_container, open_registry, BundleDevice, Container, Input, Registry,
+};
 use emmark::core::deploy::{decode_model, encode_model, encode_model_into, SparseArtifact};
 use emmark::core::fingerprint::Family;
-use emmark::core::fleet::{
-    decode_registry, encode_registry, par_map, FleetError, FleetVerdict, FleetVerifier,
-};
+use emmark::core::fleet::{encode_registry, par_map, FleetError, FleetVerdict, FleetVerifier};
 use emmark::core::provision::FleetProvisioner;
-use emmark::core::registry::{
-    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into, LeakIndex,
-};
+use emmark::core::registry::{encode_manifest, provision_sharded_into, LeakIndex, ShardManifest};
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
 use emmark::core::store::ArtifactSink;
 use emmark::core::telemetry::{peak_resident_mib, Snapshot, Telemetry};
-use emmark::core::vault::{audit_key, encode_secrets, FleetBundleStream};
+use emmark::core::vault::{encode_secrets, FleetBundleStream, KeyAudit};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::corpus::{Corpus, Grammar};
 use emmark::nanolm::train::{train, TrainConfig};
@@ -206,7 +207,8 @@ USAGE:
   emmark demo    --out-dir DIR [--bits N] [--seed S] [--d-model N] [--d-ff N]
                  [--steps N] [--max-resident-mb M]
   emmark verify  --secrets FILE --suspect FILE
-  emmark inspect --model FILE [--json]        (.emqm artifacts, .emfb bundles,
+  emmark inspect --model FILE [--json]        (.emqm artifacts, .emws vaults,
+                                               .emfb bundles, .emfr registries,
                                                .emfm shard manifests)
   emmark attack  --model FILE --out FILE --per-layer N [--seed S]
   emmark fleet-provision --secrets FILE --out-dir DIR --devices N
@@ -574,16 +576,6 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-/// One row of the inspect report.
-struct LayerSummary {
-    in_features: usize,
-    out_features: usize,
-    bits: u8,
-    granularity: String,
-    granularity_json: String,
-    clamped: usize,
-}
-
 fn granularity_json(g: emmark::quant::Granularity) -> String {
     match g {
         emmark::quant::Granularity::PerTensor => "per-tensor".to_string(),
@@ -608,68 +600,66 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The `fingerprint:` line of the fleet reports.
+fn fingerprint_line(fp: &WatermarkConfig) -> String {
+    format!(
+        "fingerprint: {} bits/layer, pool ratio {}, selection seed {}",
+        fp.bits_per_layer, fp.pool_ratio, fp.selection_seed
+    )
+}
+
+/// The `"fingerprint"` member of the fleet reports' JSON.
+fn fingerprint_json(fp: &WatermarkConfig) -> String {
+    format!(
+        "\"fingerprint\":{{\"bits_per_layer\":{},\"pool_ratio\":{},\"selection_seed\":{}}}",
+        fp.bits_per_layer, fp.pool_ratio, fp.selection_seed
+    )
+}
+
+/// `emmark inspect`: the container is opened as emmarkd opens it
+/// ([`open_container`]); this renders what was found.
 fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
     let path = required(opts, "model")?;
-    // Sniff the magic: .emfb fleet bundles get the streaming bundle
-    // report, everything else goes through the artifact path.
-    {
-        use std::io::Read as _;
-        let mut magic = [0u8; 4];
-        let mut f = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-        // read() may legally return short; fill the 4 bytes (or hit
-        // EOF) before deciding the format.
-        let mut filled = 0;
-        while filled < magic.len() {
-            let n = f
-                .read(&mut magic[filled..])
-                .map_err(|e| format!("reading {path}: {e}"))?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
+    let json = opts.contains_key("json");
+    match open_container(Input::Path(Path::new(path))).map_err(|e| e.to_string())? {
+        Container::Artifact(artifact) => return inspect_artifact(&artifact, json),
+        Container::Vault(family) => return inspect_vault(path, &family, json),
+        Container::Manifest(manifest) => inspect_manifest(path, &manifest, json),
+        Container::Registry(fp_cfg, devices) => {
+            inspect_registry(path, &fp_cfg, devices.len(), json)
         }
-        if &magic[..filled] == b"EMFB" {
-            return inspect_bundle(path, opts.contains_key("json"));
-        }
-        if &magic[..filled] == b"EMFM" {
-            return inspect_manifest(path, opts.contains_key("json"));
-        }
-        if &magic[..filled] == b"EMWS" {
-            return inspect_vault(path, opts.contains_key("json"));
-        }
+        Container::Bundle(fp_cfg, devices) => inspect_bundle(path, &fp_cfg, &devices, json),
     }
-    let bytes = read_file(path)?;
-    // Everything comes from the header index without materializing a
-    // model; grids are scanned in place for the clamp census.
-    let sparse = SparseArtifact::open(&bytes).map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+/// `emmark inspect` over an EMQM artifact: everything comes from the
+/// header index without materializing a model, plus one read of each
+/// grid for the clamp census.
+fn inspect_artifact(sparse: &SparseArtifact<'_>, json: bool) -> Result<(), String> {
     let version = sparse.format_version();
     let (cfg, scheme) = (sparse.config(), sparse.scheme());
-    let layers = (0..sparse.layer_count())
-        .map(|l| {
-            let view = sparse.layer_grid(l);
-            let entry = &sparse.layer_index()[l];
-            LayerSummary {
-                in_features: view.in_features(),
-                out_features: view.out_features(),
-                bits: view.bits(),
-                granularity: format!("{:?}", entry.granularity),
-                granularity_json: granularity_json(entry.granularity),
-                clamped: (0..view.len()).filter(|&f| view.is_clamped_flat(f)).count(),
-            }
-        })
-        .collect::<Vec<_>>();
-    let total_cells: usize = layers.iter().map(|l| l.in_features * l.out_features).sum();
-    let clamped: usize = layers.iter().map(|l| l.clamped).sum();
+    let layers = sparse.layer_index();
+    let clamped_per_layer = (0..layers.len())
+        .map(|l| sparse.clamped_cells(l))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let total_cells: usize = layers.iter().map(|l| l.cells()).sum();
+    let clamped: usize = clamped_per_layer.iter().sum();
 
-    if opts.contains_key("json") {
+    if json {
         let layer_objs: Vec<String> = layers
             .iter()
+            .zip(&clamped_per_layer)
             .enumerate()
-            .map(|(i, l)| {
+            .map(|(i, (l, clamped))| {
                 format!(
                     "{{\"index\":{i},\"in_features\":{},\"out_features\":{},\"bits\":{},\
-                     \"granularity\":\"{}\",\"clamped_cells\":{}}}",
-                    l.in_features, l.out_features, l.bits, l.granularity_json, l.clamped
+                     \"granularity\":\"{}\",\"clamped_cells\":{clamped}}}",
+                    l.in_features,
+                    l.out_features,
+                    l.bits,
+                    granularity_json(l.granularity)
                 )
             })
             .collect();
@@ -705,7 +695,7 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
     );
     for (i, l) in layers.iter().enumerate().take(4) {
         println!(
-            "  layer {i}: {}x{} INT{} {}",
+            "  layer {i}: {}x{} INT{} {:?}",
             l.in_features, l.out_features, l.bits, l.granularity
         );
     }
@@ -715,100 +705,77 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `emmark inspect` over an EMFB fleet bundle: streams the entries (one
-/// artifact resident at a time) and reports the device count, per-device
+/// `emmark inspect` over an EMFB fleet bundle, whose entries were walked
+/// one artifact resident at a time: the device count, per-device
 /// fingerprint signature lengths, and artifact sizes.
-fn inspect_bundle(path: &str, json: bool) -> Result<(), String> {
-    let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut stream = FleetBundleStream::open(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let fp_cfg = *stream.fingerprint_config();
-    let declared = stream.device_count();
-
-    struct DeviceRow {
-        device_id: String,
-        artifact_bytes: usize,
-        layers: usize,
-        fingerprint_bits: usize,
-    }
-    // The declared count is untrusted input; cap the pre-allocation.
-    let mut rows = Vec::with_capacity(declared.min(1024));
-    let mut total_bytes = 0usize;
-    for entry in &mut stream {
-        let device = entry.map_err(|e| e.to_string())?;
-        let sparse = SparseArtifact::open(&device.artifact).map_err(|e| {
-            format!(
-                "device {}: embedded artifact: {e}",
-                device.fingerprint.device_id
-            )
-        })?;
-        let layers = sparse.layer_count();
-        total_bytes += device.artifact.len();
-        rows.push(DeviceRow {
-            device_id: device.fingerprint.device_id,
-            artifact_bytes: device.artifact.len(),
-            layers,
-            fingerprint_bits: fp_cfg.signature_len(layers),
-        });
-    }
-
+fn inspect_bundle(path: &str, fp_cfg: &WatermarkConfig, devices: &[BundleDevice], json: bool) {
+    let total_bytes: usize = devices.iter().map(|d| d.artifact_bytes).sum();
     if json {
-        let device_objs: Vec<String> = rows
+        let device_objs: Vec<String> = devices
             .iter()
-            .map(|r| {
+            .map(|d| {
                 format!(
                     "{{\"device_id\":\"{}\",\"artifact_bytes\":{},\"layers\":{},\
                      \"fingerprint_bits\":{}}}",
-                    json_escape(&r.device_id),
-                    r.artifact_bytes,
-                    r.layers,
-                    r.fingerprint_bits
+                    json_escape(&d.fingerprint.device_id),
+                    d.artifact_bytes,
+                    d.layers,
+                    fp_cfg.signature_len(d.layers)
                 )
             })
             .collect();
         println!(
             "{{\"kind\":\"fleet-bundle\",\"device_count\":{},\"total_artifact_bytes\":{total_bytes},\
-             \"fingerprint\":{{\"bits_per_layer\":{},\"pool_ratio\":{},\"selection_seed\":{}}},\
-             \"devices\":[{}]}}",
-            rows.len(),
-            fp_cfg.bits_per_layer,
-            fp_cfg.pool_ratio,
-            fp_cfg.selection_seed,
+             {},\"devices\":[{}]}}",
+            devices.len(),
+            fingerprint_json(fp_cfg),
             device_objs.join(",")
         );
-        return Ok(());
+        return;
     }
 
     println!("bundle  : {path}");
-    println!("devices : {} provisioned", rows.len());
-    println!(
-        "fingerprint: {} bits/layer, pool ratio {}, selection seed {}",
-        fp_cfg.bits_per_layer, fp_cfg.pool_ratio, fp_cfg.selection_seed
-    );
+    println!("devices : {} provisioned", devices.len());
+    println!("{}", fingerprint_line(fp_cfg));
     println!(
         "payload : {:.1} KiB of device artifacts",
         total_bytes as f64 / 1024.0
     );
-    for r in rows.iter().take(8) {
+    for d in devices.iter().take(8) {
         println!(
             "  {}: {:.1} KiB artifact, {}-bit fingerprint over {} layers",
-            r.device_id,
-            r.artifact_bytes as f64 / 1024.0,
-            r.fingerprint_bits,
-            r.layers
+            d.fingerprint.device_id,
+            d.artifact_bytes as f64 / 1024.0,
+            fp_cfg.signature_len(d.layers),
+            d.layers
         );
     }
-    if rows.len() > 8 {
-        println!("  … {} more devices", rows.len() - 8);
+    if devices.len() > 8 {
+        println!("  … {} more devices", devices.len() - 8);
     }
-    Ok(())
+}
+
+/// `emmark inspect` over an EMFR fleet registry: its device count and
+/// fingerprint parameters.
+fn inspect_registry(path: &str, fp_cfg: &WatermarkConfig, devices: usize, json: bool) {
+    if json {
+        println!(
+            "{{\"kind\":\"fleet-registry\",\"device_count\":{devices},{}}}",
+            fingerprint_json(fp_cfg)
+        );
+    } else {
+        println!("registry: {path}");
+        println!("devices : {devices} registered");
+        println!("{}", fingerprint_line(fp_cfg));
+    }
 }
 
 /// `emmark inspect` over an EMWS owner vault: layers, signature bits,
 /// and whether it carries a derived key. For a keyed vault it is the
 /// arbiter's audit (paper §4.1): L is recomputed from (W, A_f, α, β, d)
 /// and compared with the key; a mismatch fails the command.
-fn inspect_vault(path: &str, json: bool) -> Result<(), String> {
-    let audit = audit_key(&read_file(path)?).map_err(|e| e.to_string())?;
+fn inspect_vault(path: &str, family: &Family, json: bool) -> Result<(), String> {
+    let audit = KeyAudit::of(family).map_err(|e| e.to_string())?;
     let mismatch = audit.first_mismatch();
     let cells: usize = audit.recomputed.iter().map(Vec::len).sum();
     if json {
@@ -848,8 +815,7 @@ fn inspect_vault(path: &str, json: bool) -> Result<(), String> {
 
 /// `emmark inspect` over an EMFM shard manifest: the shard table and
 /// leak-index shape, without touching the shard files themselves.
-fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
-    let manifest = decode_manifest(&read_file(path)?).map_err(|e| e.to_string())?;
+fn inspect_manifest(path: &str, manifest: &ShardManifest, json: bool) {
     let fp = &manifest.fingerprint_config;
     if json {
         let shard_objs: Vec<String> = manifest
@@ -869,19 +835,15 @@ fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
             .collect();
         println!(
             "{{\"kind\":\"shard-manifest\",\"total_devices\":{},\"shard_count\":{},\
-             \"leak_index_cells\":{},\"pools\":{},\
-             \"fingerprint\":{{\"bits_per_layer\":{},\"pool_ratio\":{},\"selection_seed\":{}}},\
-             \"shards\":[{}]}}",
+             \"leak_index_cells\":{},\"pools\":{},{},\"shards\":[{}]}}",
             manifest.total_devices,
             manifest.shards.len(),
             manifest.index.cell_count(),
             manifest.pools.is_some(),
-            fp.bits_per_layer,
-            fp.pool_ratio,
-            fp.selection_seed,
+            fingerprint_json(fp),
             shard_objs.join(",")
         );
-        return Ok(());
+        return;
     }
     println!("manifest: {path}");
     println!(
@@ -889,10 +851,7 @@ fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
         manifest.total_devices,
         manifest.shards.len()
     );
-    println!(
-        "fingerprint: {} bits/layer, pool ratio {}, selection seed {}",
-        fp.bits_per_layer, fp.pool_ratio, fp.selection_seed
-    );
+    println!("{}", fingerprint_line(fp));
     println!(
         "leak index: {} fingerprint cells (suspect reads per identification)",
         manifest.index.cell_count()
@@ -918,7 +877,6 @@ fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
     if manifest.shards.len() > 8 {
         println!("  … {} more shards", manifest.shards.len() - 8);
     }
-    Ok(())
 }
 
 fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -1054,16 +1012,27 @@ fn read_artifacts_dir(dir: &Path) -> Result<(Vec<String>, Vec<Vec<u8>>), String>
     Ok((names, artifacts))
 }
 
-/// Loads a sharded registry from its manifest path, pulling shard files
-/// from the manifest's directory.
-fn load_manifest(manifest_path: &str) -> Result<emmark::core::registry::ShardedRegistry, String> {
-    let manifest_bytes = read_file(manifest_path)?;
-    let dir = Path::new(manifest_path)
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_default();
-    load_sharded_registry(&manifest_bytes, |name| std::fs::read(dir.join(name)))
-        .map_err(|e| format!("loading {manifest_path}: {e}"))
+/// Opens a fleet registry file as emmarkd opens one ([`open_registry`]):
+/// shard files resolve beside a manifest.
+fn load_registry(path: &str) -> Result<Registry, String> {
+    let path = Path::new(path);
+    open_registry(Input::Path(path), path.parent()).map_err(|e| e.to_string())
+}
+
+/// The verification engine over a registry, its leak index attached
+/// when it carries one: the family cache is built exactly once.
+fn registry_verifier(family: Family, registry: Registry) -> Result<FleetVerifier, String> {
+    let verifier = FleetVerifier::for_family(
+        family,
+        registry.fingerprint_config,
+        registry.devices,
+        registry.pools.as_ref(),
+    )
+    .map_err(|e| e.to_string())?;
+    match registry.index {
+        Some(index) => verifier.with_index(index).map_err(|e| e.to_string()),
+        None => Ok(verifier),
+    }
 }
 
 /// Where the suspect artifacts for `fleet-verify` come from: a
@@ -1087,75 +1056,35 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
 
     // Three sources — a provisioned-fleet bundle, a sharded EMFM
     // manifest, or a flat registry plus a directory of .emqm files —
-    // all resolved to the same raw parts (fingerprint config, device
-    // list, optional leak index) so the expensive family cache below is
-    // built exactly once, through a single `FleetVerifier::for_family`
-    // call.
-    let (fp_cfg, devices, index, pools, source): (_, _, Option<LeakIndex>, _, FleetSource) =
-        if let Some(bundle_path) = opts.get("bundle") {
-            // Pass 1: collect the registry entries (artifacts are read
-            // and dropped one at a time — never the whole fleet).
-            let mut stream = open_bundle(bundle_path)?;
-            let fp_cfg = *stream.fingerprint_config();
-            // The declared count is untrusted input; cap the
-            // pre-allocation and let real entries grow the vector.
-            let mut devices = Vec::with_capacity(stream.device_count().min(1024));
-            for entry in &mut stream {
-                devices.push(entry.map_err(|e| e.to_string())?.fingerprint);
-            }
-            (
-                fp_cfg,
-                devices,
-                None,
-                None,
-                FleetSource::Bundle(bundle_path.clone()),
-            )
-        } else if let Some(manifest_path) = opts.get("manifest") {
-            // Sharded registry: decode the EMFM manifest, splice the
-            // shard files into one device list, and trace leaks through
-            // the persisted inverted index instead of scoring every
-            // device.
-            let registry = load_manifest(manifest_path)?;
+    // all opened to the same parts (fingerprint config, device list,
+    // optional leak index and pools) so the expensive family cache
+    // below is built exactly once. A bundle's first pass reads its
+    // artifacts and drops them one at a time — never the whole fleet.
+    let (registry, source) = match opts.get("bundle") {
+        Some(bundle) => (load_registry(bundle)?, FleetSource::Bundle(bundle.clone())),
+        None => {
+            let registry = match opts.get("manifest") {
+                Some(manifest) => load_registry(manifest)?,
+                None => load_registry(required(opts, "registry")?)?,
+            };
             let (names, artifacts) = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
-            let pools = registry.pools().cloned();
-            let (fp_cfg, devices, index) = registry.into_parts();
-            (
-                fp_cfg,
-                devices,
-                Some(index),
-                pools,
-                FleetSource::Dir(names, artifacts),
-            )
-        } else {
-            let (fp_cfg, devices) = decode_registry(&read_file(required(opts, "registry")?)?)
-                .map_err(|e| e.to_string())?;
-            let (names, artifacts) = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
-            (
-                fp_cfg,
-                devices,
-                None,
-                None,
-                FleetSource::Dir(names, artifacts),
-            )
-        };
+            (registry, FleetSource::Dir(names, artifacts))
+        }
+    };
 
-    match &index {
+    match &registry.index {
         Some(ix) => println!(
             "building the verification cache ({} registered devices, {} leak-index cells)…",
-            devices.len(),
+            registry.devices.len(),
             ix.cell_count()
         ),
         None => println!(
             "building the verification cache ({} registered devices)…",
-            devices.len()
+            registry.devices.len()
         ),
     }
     let start = std::time::Instant::now();
-    let mut verifier = FleetVerifier::for_family(family, fp_cfg, devices, pools.as_ref())
-        .map_err(|e| e.to_string())?;
-    if let Some(ix) = index {
-        verifier = verifier.with_index(ix).map_err(|e| e.to_string())?;
-    }
+    let verifier = registry_verifier(family, registry)?;
     let cache_time = start.elapsed();
 
     let start = std::time::Instant::now();
@@ -1228,19 +1157,17 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
     let family = open_family(required(opts, "secrets")?)?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
-    let registry = load_manifest(required(opts, "manifest")?)?;
+    let registry = load_registry(required(opts, "manifest")?)?;
     let suspect = open_file(required(opts, "suspect")?)?;
     let linear = opts.contains_key("linear");
     println!(
         "registry: {} devices, {} leak-index cells",
-        registry.devices().len(),
-        registry.index().cell_count()
+        registry.devices.len(),
+        registry.index.as_ref().map_or(0, LeakIndex::cell_count)
     );
 
     let start = std::time::Instant::now();
-    let verifier = registry
-        .into_family_verifier(family)
-        .map_err(|e| e.to_string())?;
+    let verifier = registry_verifier(family, registry)?;
     println!(
         "verification cache built in {:.1} ms",
         start.elapsed().as_secs_f64() * 1e3

@@ -18,6 +18,41 @@ use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
 use emmark::quant::awq::{awq, AwqConfig};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, recording the largest single request made in
+/// this test binary — so a reader that pre-allocates an untrusted
+/// length word shows up even when the allocation itself succeeds.
+struct LargestRequest;
+
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; only the
+// requested size is recorded.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
 
 fn base_secrets(seed: u64) -> OwnerSecrets {
     let mut cfg = ModelConfig::tiny_test();
@@ -143,6 +178,74 @@ fn bundle_errors_carry_device_section_and_offset_context() {
     assert!(stream.next().expect("first entry").is_ok());
     let err = stream.next().expect("second entry").expect_err("truncated");
     assert!(err.to_string().contains("device 1"), "{err}");
+}
+
+/// A 3-device bundle cut at every entry boundary, or with an id-length
+/// or artifact-length word set to `u32::MAX`: the streaming reader
+/// fails at that entry, naming its `Device(i)` section, without a panic
+/// and without allocating the declared length.
+#[test]
+fn stream_mutations_fail_at_the_damaged_entry() {
+    let (fp_cfg, fleet) = provisioned_fleet(5, 3);
+    let bytes = encode_fleet_bundle(&fp_cfg, &fleet).to_vec();
+    // Where each entry, its id-length word and its artifact-length word
+    // start.
+    let mut entries = Vec::new();
+    let mut at = bundle_section_boundaries(&bytes).expect("boundaries")[4];
+    for device in &fleet {
+        let artifact_len_word = at + 4 + device.fingerprint.device_id.len() + 16;
+        entries.push((at, artifact_len_word));
+        at = artifact_len_word + 4 + device.artifact.len();
+    }
+    assert_eq!(at, bytes.len());
+    let boundaries = bundle_section_boundaries(&bytes).expect("boundaries");
+    let entry_of = |offset: usize| entries.iter().rposition(|&(start, _)| start <= offset);
+
+    let mut cases: Vec<(String, Vec<u8>, usize)> = Vec::new();
+    for &cut in boundaries
+        .iter()
+        .filter(|&&b| b >= entries[0].0 && b < bytes.len())
+    {
+        let i = entry_of(cut).expect("inside an entry");
+        cases.push((format!("cut at {cut}"), bytes[..cut].to_vec(), i));
+    }
+    for (i, &(id_len_word, artifact_len_word)) in entries.iter().enumerate() {
+        for (what, word) in [("id", id_len_word), ("artifact", artifact_len_word)] {
+            let mut evil = bytes.clone();
+            evil[word..word + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            cases.push((format!("device {i} {what} length u32::MAX"), evil, i));
+        }
+    }
+    assert_eq!(cases.len(), 2 * fleet.len() + 2 * fleet.len());
+
+    for (label, evil, i) in cases {
+        let mut stream = FleetBundleStream::open(evil.as_slice()).expect("header intact");
+        for j in 0..i {
+            assert!(
+                stream.next().is_some_and(|e| e.is_ok()),
+                "{label}: entry {j}"
+            );
+        }
+        let err = stream.next().expect("the damaged entry").expect_err(&label);
+        assert!(
+            matches!(
+                &err,
+                StoreError::Codec(CodecError::Truncated { section: Section::Device(d), .. })
+                    if *d == i
+            ),
+            "{label}: {err:?}"
+        );
+        assert!(
+            err.to_string().contains(&format!("device {i}")),
+            "{label}: {err}"
+        );
+        assert!(stream.next().is_none(), "{label}: fused after the error");
+    }
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        largest < u32::MAX as usize / 2,
+        "a reader allocated {largest} bytes for a declared length"
+    );
 }
 
 #[test]

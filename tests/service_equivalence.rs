@@ -17,11 +17,16 @@
 use emmark::core::deploy::encode_model;
 use emmark::core::fleet::{encode_registry, FleetVerifier};
 use emmark::core::provision::FleetProvisioner;
-use emmark::core::registry::{encode_manifest, load_sharded_registry, provision_sharded};
-use emmark::core::service::{
-    decode_response, encode_request, Blob, ReportSummary, Request, Response, Service, ServiceConfig,
+use emmark::core::registry::{
+    encode_manifest, load_sharded_registry, manifest_section_boundaries, provision_sharded,
 };
-use emmark::core::vault::{audit_key, encode_secrets};
+use emmark::core::service::{
+    decode_response, encode_request, Blob, InspectSummary, ReportSummary, Request, Response,
+    Service, ServiceConfig,
+};
+use emmark::core::vault::{
+    audit_key, bundle_section_boundaries, decode_secrets, encode_fleet_bundle, encode_secrets,
+};
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
 use emmark::core::SparseArtifact;
 use emmark::nanolm::model::ActivationStats;
@@ -713,4 +718,323 @@ fn the_daemon_reaches_the_keyless_fixture_verdicts_the_cli_does() {
         identify(12, "near-miss-deployed.emqm", false),
         Response::Identify { matched: None }
     );
+}
+
+/// The counts an inspection reports, by name: what `emmark inspect
+/// --json` printed, or what the daemon's summary carries.
+type Counts = Vec<(&'static str, u64)>;
+
+fn summary_counts(summary: &InspectSummary) -> Counts {
+    match *summary {
+        InspectSummary::Artifact { layers, cells, .. } => {
+            vec![("layers", layers.into()), ("cells", cells)]
+        }
+        InspectSummary::Secrets {
+            layers,
+            signature_bits,
+        } => vec![
+            ("layers", layers.into()),
+            ("signature_bits", signature_bits.into()),
+        ],
+        InspectSummary::Manifest {
+            shard_count,
+            device_count,
+        } => vec![("devices", device_count), ("shards", shard_count.into())],
+        InspectSummary::Registry { device_count, .. }
+        | InspectSummary::Bundle { device_count, .. } => {
+            vec![("devices", device_count.into())]
+        }
+    }
+}
+
+fn cli_counts(json: &str) -> Counts {
+    let num = |key: &str| -> u64 {
+        let key = format!("\"{key}\":");
+        let at = json.find(&key).unwrap_or_else(|| panic!("{key} in {json}")) + key.len();
+        let digits: String = json[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap_or_else(|_| panic!("{key} in {json}"))
+    };
+    let kind = json
+        .split("\"kind\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next());
+    match kind {
+        None => vec![
+            ("layers", json.matches("\"index\":").count() as u64),
+            ("cells", num("total_cells")),
+        ],
+        Some("owner-vault") => vec![
+            ("layers", num("layers")),
+            ("signature_bits", num("signature_bits")),
+        ],
+        Some("shard-manifest") => vec![
+            ("devices", num("total_devices")),
+            ("shards", num("shard_count")),
+        ],
+        Some("fleet-registry" | "fleet-bundle") => vec![("devices", num("device_count"))],
+        Some(other) => panic!("unknown kind {other}"),
+    }
+}
+
+/// `cases` gets `bytes` intact, with 14 bytes appended, and cut at every
+/// offset of `cuts` inside it.
+fn mutations(cases: &mut Vec<(String, Vec<u8>)>, name: &str, bytes: &[u8], cuts: &[usize]) {
+    cases.push((format!("{name}: intact"), bytes.to_vec()));
+    let mut appended = bytes.to_vec();
+    appended.extend([0xA5; 14]);
+    cases.push((format!("{name}: 14 bytes appended"), appended));
+    let mut cuts: Vec<usize> = cuts.iter().copied().filter(|&c| c < bytes.len()).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    for cut in cuts {
+        cases.push((format!("{name}: cut at {cut}"), bytes[..cut].to_vec()));
+    }
+}
+
+/// Every container kind, intact, with bytes appended and cut at each of
+/// its section boundaries, through the daemon's Inspect (inline and by
+/// path) and `emmark inspect --json`: both refuse it with the same
+/// words, or both report the same layer, device and shard counts.
+#[test]
+fn the_daemon_and_the_cli_inspect_every_container_alike() {
+    let (qm, stats) = quantize("awq", 611);
+    let secrets = OwnerSecrets::new(qm, stats, wm_cfg(), 0xB10C);
+    let artifact = encode_model(&secrets.watermark_for_deployment().expect("stamp")).to_vec();
+    let model = encode_model(&secrets.original).to_vec();
+    let vault = encode_secrets(&secrets).to_vec();
+    let provisioner = FleetProvisioner::new(secrets.clone(), fp_cfg()).expect("provisioner");
+    let ids: Vec<String> = (0..3).map(|i| format!("edge-{i:02}")).collect();
+    let fleet = provisioner.provision_batch(&ids[..2], None);
+    let registry = provisioner.registry(&fleet).to_vec();
+    let bundle = encode_fleet_bundle(&fp_cfg(), &fleet).to_vec();
+    let sharded = provision_sharded(&provisioner, &ids, 2, None).expect("shards");
+    let manifest_v2 = encode_manifest(&sharded.manifest).to_vec();
+    let mut v1 = sharded.manifest.clone();
+    v1.pools = None;
+    let manifest_v1 = encode_manifest(&v1).to_vec();
+    let keyless = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/keyless_v1/secrets.emws"),
+    )
+    .expect("keyless fixture");
+    let keyless_model_len = encode_model(&decode_secrets(&keyless).expect("decode").original).len();
+
+    let artifact_cuts = |bytes: &[u8], at: usize| -> Vec<usize> {
+        let sparse = SparseArtifact::open(bytes).expect("artifact");
+        sparse.section_boundaries().iter().map(|b| at + b).collect()
+    };
+    let key = audit_key(&vault).expect("audit").key.expect("keyed");
+    let key_len = 4 + 8 + 4 + key.iter().map(|l| 4 + 8 * l.len()).sum::<usize>() + 8;
+    let model_start = vault.len() - key_len - model.len();
+    let keyless_model_start = keyless.len() - keyless_model_len;
+    let mut cases = Vec::new();
+    mutations(&mut cases, "EMQM", &artifact, &artifact_cuts(&artifact, 0));
+    let mut vault_cuts = artifact_cuts(&model, model_start);
+    vault_cuts.extend([0, 4, 8, model_start - 4, vault.len() - 8]);
+    mutations(&mut cases, "keyed EMWS", &vault, &vault_cuts);
+    let model_bytes = &keyless[keyless_model_start..];
+    let mut keyless_cuts = artifact_cuts(model_bytes, keyless_model_start);
+    keyless_cuts.extend([0, 4, 8, keyless_model_start - 4]);
+    mutations(&mut cases, "keyless EMWS", &keyless, &keyless_cuts);
+    mutations(
+        &mut cases,
+        "EMFR",
+        &registry,
+        &[0, 4, 8, 40, 44, registry.len() - 1],
+    );
+    let bundle_cuts = bundle_section_boundaries(&bundle).expect("bundle");
+    mutations(&mut cases, "EMFB", &bundle, &bundle_cuts);
+    for (name, manifest) in [("EMFM v1", &manifest_v1), ("EMFM v2", &manifest_v2)] {
+        let cuts = manifest_section_boundaries(manifest).expect("manifest");
+        mutations(&mut cases, name, manifest, &cuts);
+    }
+    assert!(cases.len() > 100, "{} cases", cases.len());
+
+    let dir = std::env::temp_dir().join(format!("emmark-svctest-inspect-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("container");
+    let path_arg = path.display().to_string();
+    let service = inline_service();
+    let mut refused = 0;
+    for (k, (label, bytes)) in cases.into_iter().enumerate() {
+        std::fs::write(&path, &bytes).expect("write");
+        let inline = service.request(
+            2 * k as u64,
+            &Request::Inspect {
+                target: Blob::Inline(bytes),
+            },
+        );
+        let by_path = service.request(
+            2 * k as u64 + 1,
+            &Request::Inspect {
+                target: Blob::Path(path_arg.clone()),
+            },
+        );
+        assert_eq!(by_path, inline, "{label}: path and inline answers differ");
+        let out = emmark(&["inspect", "--model", &path_arg, "--json"]);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        match inline {
+            Response::Error { message } => {
+                refused += 1;
+                assert!(!out.status.success(), "{label}: the CLI accepted {stdout}");
+                assert_eq!(stderr.trim(), format!("error: {message}"), "{label}");
+            }
+            Response::Inspect(summary) => {
+                assert!(out.status.success(), "{label}: the CLI refused: {stderr}");
+                assert_eq!(cli_counts(&stdout), summary_counts(&summary), "{label}");
+            }
+            other => panic!("{label}: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(refused > 50, "only {refused} refusals");
+}
+
+/// `emmark inspect` answers what the daemon answers where it used to
+/// fall through to the artifact reader: an input too short for a magic,
+/// an unknown magic, and a flat registry.
+#[test]
+fn inspect_names_short_and_unknown_inputs_and_summarises_registries() {
+    let (qm, stats) = quantize("rtn", 612);
+    let secrets = OwnerSecrets::new(qm, stats, wm_cfg(), 0xB10C);
+    let provisioner = FleetProvisioner::new(secrets, fp_cfg()).expect("provisioner");
+    let fleet = provisioner.provision_batch(&["a", "b", "c"], None);
+    let dir = std::env::temp_dir().join(format!("emmark-svctest-sniff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path.display().to_string()
+    };
+    let short = write("short.emqm", b"EMQ");
+    let unknown = write("unknown.bin", b"ABCD0000");
+    let registry = write("fleet.emfr", &provisioner.registry(&fleet));
+    let service = inline_service();
+    let inspect = |path: &str, json: bool| {
+        let mut args = vec!["inspect", "--model", path];
+        if json {
+            args.push("--json");
+        }
+        let out = emmark(&args);
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for (path, message) in [
+        (&short, "input is too short to carry a container magic"),
+        (&unknown, "unrecognised container magic \"ABCD\""),
+    ] {
+        assert_eq!(
+            inspect(path, false),
+            (false, String::new(), format!("error: {message}\n"))
+        );
+        let answer = service.request(
+            0,
+            &Request::Inspect {
+                target: Blob::Path(path.clone()),
+            },
+        );
+        assert_eq!(
+            answer,
+            Response::Error {
+                message: message.into()
+            }
+        );
+    }
+    let fingerprint = "fingerprint: 2 bits/layer, pool ratio 10, selection seed 14553550";
+    assert_eq!(
+        inspect(&registry, false),
+        (
+            true,
+            format!("registry: {registry}\ndevices : 3 registered\n{fingerprint}\n"),
+            String::new()
+        )
+    );
+    assert_eq!(
+        inspect(&registry, true),
+        (
+            true,
+            "{\"kind\":\"fleet-registry\",\"device_count\":3,\"fingerprint\":\
+             {\"bits_per_layer\":2,\"pool_ratio\":10,\"selection_seed\":14553550}}\n"
+                .to_string(),
+            String::new()
+        )
+    );
+    let answer = service.request(
+        1,
+        &Request::Inspect {
+            target: Blob::Path(registry.clone()),
+        },
+    );
+    assert_eq!(
+        answer,
+        Response::Inspect(InspectSummary::Registry {
+            device_count: 3,
+            fingerprint_config: fp_cfg(),
+        })
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A registry reader refuses an artifact or a vault in the same words
+/// from the daemon's identify and from `fleet-verify`.
+#[test]
+fn registry_readers_refuse_other_containers_alike() {
+    let (qm, stats) = quantize("rtn", 613);
+    let secrets = OwnerSecrets::new(qm, stats, wm_cfg(), 0xB10C);
+    let vault = encode_secrets(&secrets).to_vec();
+    let artifact = encode_model(&secrets.watermark_for_deployment().expect("stamp")).to_vec();
+    let dir = std::env::temp_dir().join(format!("emmark-svctest-notreg-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("artifacts")).expect("mkdir");
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path.display().to_string()
+    };
+    let vault_path = write("secrets.emws", &vault);
+    write("artifacts/deployed.emqm", &artifact);
+    let artifacts = dir.join("artifacts").display().to_string();
+    let service = inline_service();
+    let message = "not a fleet registry (expected EMFR, EMFB, or EMFM)";
+    for (i, registry) in [&artifact, &vault].into_iter().enumerate() {
+        let answer = service.request(
+            i as u64,
+            &Request::IdentifyLeak {
+                secrets: Blob::Inline(vault.clone()),
+                registry: Blob::Inline(registry.clone()),
+                suspect: Blob::Inline(artifact.clone()),
+                log10_threshold: -6.0,
+                linear: false,
+            },
+        );
+        assert_eq!(
+            answer,
+            Response::Error {
+                message: message.into()
+            }
+        );
+        let registry_path = write("registry", registry);
+        let out = emmark(&[
+            "fleet-verify",
+            "--secrets",
+            &vault_path,
+            "--registry",
+            &registry_path,
+            "--artifacts",
+            &artifacts,
+        ]);
+        assert!(!out.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {message}\n")
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

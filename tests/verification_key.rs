@@ -210,6 +210,14 @@ fn load(manifest: &[u8], fleet: &ShardedFleet) -> ShardedRegistry {
     .expect("load")
 }
 
+/// The engine `fleet-verify` and `identify-leak` build over a loaded
+/// manifest: the family's cache over the manifest's pools, with its
+/// leak index attached.
+fn family_verifier(registry: ShardedRegistry, family: Family) -> Result<FleetVerifier, StoreError> {
+    let (fp_cfg, devices, index, pools) = registry.into_parts();
+    Ok(FleetVerifier::for_family(family, fp_cfg, devices, pools.as_ref())?.with_index(index)?)
+}
+
 #[test]
 fn vault_keys_and_manifest_pools_equal_the_recomputation_on_every_scheme() {
     let scratch = Scratch::new("recompute");
@@ -339,9 +347,7 @@ fn keyed_and_recompute_verdicts_are_bit_identical() {
         // The keyed path: key from the vault, pools from the manifest.
         let keyed = scratch.family("keyed.emws", &vault).expect("open keyed");
         assert!(keyed.is_keyed());
-        let keyed = load(&v2, &fleet)
-            .into_family_verifier(keyed)
-            .expect("keyed verifier");
+        let keyed = family_verifier(load(&v2, &fleet), keyed).expect("keyed verifier");
         // Recompute paths: decoded secrets over the v2 manifest's pools,
         // a keyed vault over a v1 manifest (pools scored from the
         // vault's decoded model), and a keyless vault over a v1 manifest
@@ -350,22 +356,17 @@ fn keyed_and_recompute_verdicts_are_bit_identical() {
             .into_verifier(secrets.clone())
             .expect("decoded verifier");
         let keyed_v1 = scratch.family("keyed-v1.emws", &vault).expect("open keyed");
-        let keyed_v1 = load(&v1, &fleet)
-            .into_family_verifier(keyed_v1)
-            .expect("keyed vault, v1 manifest");
+        let keyed_v1 =
+            family_verifier(load(&v1, &fleet), keyed_v1).expect("keyed vault, v1 manifest");
         let recompute = scratch.family("keyless.emws", &bare).expect("open keyless");
         assert!(!recompute.is_keyed());
-        let recompute = load(&v1, &fleet)
-            .into_family_verifier(recompute)
-            .expect("recompute verifier");
+        let recompute = family_verifier(load(&v1, &fleet), recompute).expect("recompute verifier");
         // The keyless vault's derived binding is the key's: it takes the
         // pools the keyed vault's provisioning wrote.
         let derived = scratch
             .family("keyless-v2.emws", &bare)
             .expect("open keyless");
-        let derived = load(&v2, &fleet)
-            .into_family_verifier(derived)
-            .expect("keyless vault, v2 pools");
+        let derived = family_verifier(load(&v2, &fleet), derived).expect("keyless vault, v2 pools");
 
         for (name, suspect) in suspects(&secrets, &provisioner, &ids) {
             let label = format!("{} / {name}", qm.scheme);
@@ -609,9 +610,7 @@ fn pools_from_another_vault_or_fingerprint_config_are_errors() {
     let stranger_fleet = provision(&stranger, fp_config(7));
     let manifest = encode_manifest(&stranger_fleet.manifest);
     let family = scratch.family("v.emws", &vault).expect("open");
-    let err = load(&manifest, &stranger_fleet)
-        .into_family_verifier(family)
-        .expect_err("foreign pools");
+    let err = family_verifier(load(&manifest, &stranger_fleet), family).expect_err("foreign pools");
     assert!(err.to_string().contains("another vault"), "{err}");
     let err = load(&manifest, &stranger_fleet)
         .into_verifier(secrets.clone())
@@ -619,9 +618,7 @@ fn pools_from_another_vault_or_fingerprint_config_are_errors() {
     assert!(err.to_string().contains("another vault"), "{err}");
     // The pools' own vault is accepted.
     let own = scratch.family("own.emws", &stranger_vault).expect("open");
-    assert!(load(&manifest, &stranger_fleet)
-        .into_family_verifier(own)
-        .is_ok());
+    assert!(family_verifier(load(&manifest, &stranger_fleet), own).is_ok());
 }
 
 /// The vault and the v2 manifest every mutation case starts from, and
